@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable
 
+from .cnf import partial_assignments
 from .corpus import horn_formulas, qhorn_formulas, satisfiable_formulas
 from .deciders import is_pc, is_urc, reduce_pc_irredundant, reduce_urc_irredundant
 from .dual_rail import assignment_vector, closed_assignments, dual_rail, pc_via_dual_rail
@@ -53,11 +53,6 @@ class CriterionResult:
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
         return f"{mark} criterion {self.number:2d} [{self.seconds:7.2f}s / {self.budget:.0f}s] {self.title}: {self.detail}"
-
-
-def _all_assignments(num_vars: int):
-    for combo in product((0, 1, -1), repeat=num_vars):
-        yield frozenset(sign * (idx + 1) for idx, sign in enumerate(combo) if sign)
 
 
 def criterion_1() -> tuple[bool, str]:
@@ -174,7 +169,7 @@ def criterion_7() -> tuple[bool, str]:
         dr_vectors = {int(w) for w in _model_words(rail.horn)}
         engine = UnitPropagator(formula)
         up_closed = set()
-        for alpha in _all_assignments(formula.num_vars):
+        for alpha in partial_assignments(formula.num_vars):
             conflict, trail, _ = engine.run(alpha)
             if not conflict and frozenset(trail) == alpha:
                 up_closed.add(assignment_vector(alpha, rail.var_map))
@@ -258,7 +253,7 @@ def criterion_11() -> tuple[bool, str]:
     unsound = 0
     for formula in corpus:
         engine = UnitPropagator(formula)
-        for alpha in _all_assignments(formula.num_vars):
+        for alpha in partial_assignments(formula.num_vars):
             conflict, trail, _ = engine.run(alpha)
             semantic = cl_sem(formula, alpha)
             derived = set(trail) if not conflict else None

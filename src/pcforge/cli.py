@@ -51,7 +51,7 @@ def _literals(text: str) -> list[int]:
 
 
 def _report(command: str, inputs: dict[str, str], payload: dict, started: float) -> dict:
-    report = {"command": command, "inputs": inputs, "timing_ms": int((time.time() - started) * 1000)}
+    report = {"command": command, "inputs": inputs, "timing_ms": int((time.perf_counter() - started) * 1000)}
     report.update(payload)
     return report
 
@@ -276,8 +276,6 @@ def _cmd_suite(args, started: float) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pcforge", description=__doc__)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker count accepted for interface compatibility; execution is sequential")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_up = sub.add_parser("up", help="unit propagation closure")
@@ -357,7 +355,7 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    started = time.time()
+    started = time.perf_counter()
     try:
         return _HANDLERS[args.command](args, started)
     except LimitError as exc:

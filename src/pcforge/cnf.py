@@ -15,6 +15,7 @@ concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator, Union
 
 from .errors import DimacsError
@@ -57,6 +58,27 @@ def make_assignment(literals: Iterable[Literal]) -> PartialAssignment:
         if -lit in lits:
             raise ValueError(f"assignment contains complementary pair {lit}/{-lit}")
     return lits
+
+
+def partial_assignments(num_vars: int) -> Iterator[PartialAssignment]:
+    """All 3^n consistent partial assignments over 1..num_vars.
+
+    Each variable is unassigned, true or false in that order, the last
+    variable varying fastest.
+    """
+    for combo in product((0, 1, -1), repeat=num_vars):
+        yield frozenset(sign * (idx + 1) for idx, sign in enumerate(combo) if sign)
+
+
+def literal_masks(lits: Iterable[Literal]) -> tuple[int, int]:
+    """Bitmasks (pos, neg) of a literal set: bit v-1 of pos for v, of neg for -v."""
+    pos = neg = 0
+    for lit in lits:
+        if lit > 0:
+            pos |= 1 << (lit - 1)
+        else:
+            neg |= 1 << (-lit - 1)
+    return pos, neg
 
 
 @dataclass(frozen=True)
@@ -186,7 +208,11 @@ def parse_dimacs(text: Union[str, bytes]) -> Union[CnfFormula, EncodingFormula]:
     input variables are the remaining ones.
     """
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            lineno = text.count(b"\n", 0, exc.start) + 1
+            raise DimacsError(lineno, f"non-ASCII byte 0x{text[exc.start]:02x}") from None
     num_vars = num_clauses = None
     aux: list[int] = []
     saw_aux = False
@@ -212,6 +238,8 @@ def parse_dimacs(text: Union[str, bytes]) -> Union[CnfFormula, EncodingFormula]:
                 saw_aux = True
             continue
         if stripped.startswith("p"):
+            if num_vars is not None:
+                raise DimacsError(lineno, "second p line")
             fields = stripped.split()
             if len(fields) != 4 or fields[0] != "p" or fields[1] != "cnf":
                 raise DimacsError(lineno, f"bad header {stripped!r}")

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from typing import Callable
 
-from .cnf import Clause, CnfFormula, Literal, PartialAssignment, is_tautological, literal_key, make_clause
+from .cnf import Clause, CnfFormula, Literal, PartialAssignment, is_tautological, literal_key, make_clause, partial_assignments
 from .errors import LimitError, PreconditionError, TautologyError
 from .propagation import UnitPropagator, all_literals
 from .semantics import MODEL_LIMIT, _model_words, _select, cl_sem, entails, prime_implicates
@@ -61,18 +61,11 @@ def _check_input(formula: CnfFormula, limit: int):
         raise LimitError(f"{formula.num_vars} variables exceed limit {limit} (raise --limit to override)")
 
 
-def _assignments(num_vars: int):
-    """All consistent partial assignments, smallest-first within the product order."""
-    states = (0, 1, -1)
-    for combo in product(states, repeat=num_vars):
-        yield frozenset(sign * (idx + 1) for idx, sign in enumerate(combo) if sign)
-
-
 def _naive_urc(formula: CnfFormula) -> DecisionReport:
     engine = UnitPropagator(formula)
     models = _model_words(formula)
     failures = []
-    for alpha in _assignments(formula.num_vars):
+    for alpha in partial_assignments(formula.num_vars):
         conflict, _, _ = engine.run(alpha)
         if conflict:
             continue
@@ -87,7 +80,7 @@ def _naive_urc(formula: CnfFormula) -> DecisionReport:
 def _naive_pc(formula: CnfFormula) -> DecisionReport:
     engine = UnitPropagator(formula)
     failures = []
-    for alpha in _assignments(formula.num_vars):
+    for alpha in partial_assignments(formula.num_vars):
         conflict, trail, _ = engine.run(alpha)
         if conflict:
             continue
@@ -133,10 +126,8 @@ def _prime_pc(formula: CnfFormula, primes: CnfFormula | None = None) -> Decision
     failures = []
     for prime in primes.clauses:
         for lit in prime:
-            alpha = frozenset(-e for e in prime if e != lit)
-            conflict, trail, _ = engine.run(alpha)
-            if not conflict and lit not in trail:
-                failures.append((alpha, lit))
+            if not _absorbs(engine, prime, lit):
+                failures.append((frozenset(-e for e in prime if e != lit), lit))
     if not failures:
         return DecisionReport(True, method="primes")
     alpha, lit = min(failures, key=lambda pair: (_witness_key(pair[0]), literal_key(pair[1])))
@@ -167,15 +158,14 @@ def is_pc(formula: CnfFormula, limit: int = DECIDER_LIMIT, method: str = "auto")
     raise ValueError(f"unknown method {method!r}")
 
 
-def _absorbed_by(clause: Clause, engine: UnitPropagator) -> bool:
-    if not clause:
-        return True
-    for lit in clause:
-        alpha = [-e for e in clause if e != lit]
-        conflict, trail, _ = engine.run(alpha)
-        if not conflict and lit not in trail:
-            return False
-    return True
+def _absorbs(engine: UnitPropagator, clause: Clause, lit: Literal) -> bool:
+    """Does propagation from the negation of the rest of the clause derive lit or a conflict?"""
+    conflict, trail, _ = engine.run([-e for e in clause if e != lit])
+    return conflict or lit in trail
+
+
+def _absorbed_by(engine: UnitPropagator, clause: Clause) -> bool:
+    return all(_absorbs(engine, clause, lit) for lit in clause)
 
 
 def is_absorbed(clause: Clause, formula: CnfFormula, limit: int = MODEL_LIMIT) -> bool:
@@ -188,18 +178,25 @@ def is_absorbed(clause: Clause, formula: CnfFormula, limit: int = MODEL_LIMIT) -
         raise TautologyError("absorption is not defined for tautological clauses")
     if not entails(formula, clause, limit=limit):
         raise PreconditionError("clause is not an implicate of the formula")
-    return _absorbed_by(clause, UnitPropagator(formula))
+    return _absorbed_by(UnitPropagator(formula), clause)
 
 
 class ReductionError(PreconditionError):
     """Internal consistency failure in a greedy reducer (should not happen)."""
 
 
-def _clause_order(count: int, seed: int | None) -> list[int]:
-    order = list(range(count))
+def _greedy_reduce(formula: CnfFormula, seed: int | None, removable: Callable[[Clause, CnfFormula], bool]) -> CnfFormula:
+    """Visit each clause once, in input order or a seed-determined permutation, and
+    drop it when removable(clause, rest) holds for the clauses still kept."""
+    order = list(range(len(formula.clauses)))
     if seed is not None:
         random.Random(seed).shuffle(order)
-    return order
+    keep = [True] * len(order)
+    for idx in order:
+        keep[idx] = False
+        rest = CnfFormula(tuple(c for c, kept in zip(formula.clauses, keep) if kept), formula.num_vars)
+        keep[idx] = not removable(formula.clauses[idx], rest)
+    return CnfFormula(tuple(c for c, kept in zip(formula.clauses, keep) if kept), formula.num_vars)
 
 
 def reduce_pc_irredundant(formula: CnfFormula, seed: int | None = None, limit: int = DECIDER_LIMIT) -> CnfFormula:
@@ -212,19 +209,7 @@ def reduce_pc_irredundant(formula: CnfFormula, seed: int | None = None, limit: i
     report = is_pc(formula, limit=limit)
     if not report.verdict:
         raise PreconditionError("input formula is not propagation complete")
-    keep: list[Clause | None] = list(formula.clauses)
-
-    def rest_without(idx: int) -> CnfFormula:
-        rest = tuple(c for pos, c in enumerate(keep) if c is not None and pos != idx)
-        return CnfFormula(rest, formula.num_vars)
-
-    for idx in _clause_order(len(keep), seed):
-        clause = keep[idx]
-        if clause is None:
-            continue
-        if _absorbed_by(clause, UnitPropagator(rest_without(idx))):
-            keep[idx] = None
-    result = CnfFormula(tuple(c for c in keep if c is not None), formula.num_vars)
+    result = _greedy_reduce(formula, seed, lambda clause, rest: _absorbed_by(UnitPropagator(rest), clause))
     if not is_pc(result, limit=limit).verdict:
         raise ReductionError("absorbed-clause removal broke propagation completeness")
     return result
@@ -236,11 +221,6 @@ def reduce_urc_irredundant(formula: CnfFormula, seed: int | None = None, limit: 
     if not report.verdict:
         raise PreconditionError("input formula is not unit refutation complete")
     primes = prime_implicates(formula)
-    keep: list[Clause | None] = list(formula.clauses)
-
-    def rest_without(idx: int) -> CnfFormula:
-        rest = tuple(c for pos, c in enumerate(keep) if c is not None and pos != idx)
-        return CnfFormula(rest, formula.num_vars)
 
     def still_urc(rest: CnfFormula) -> bool:
         engine = UnitPropagator(rest)
@@ -248,16 +228,8 @@ def reduce_urc_irredundant(formula: CnfFormula, seed: int | None = None, limit: 
             return engine.conflicts(())
         return all(engine.conflicts(frozenset(-lit for lit in p)) for p in primes.clauses)
 
-    for idx in _clause_order(len(keep), seed):
-        clause = keep[idx]
-        if clause is None:
-            continue
-        rest = rest_without(idx)
-        if not entails(rest, clause):
-            continue  # removal would change the function
-        if still_urc(rest):
-            keep[idx] = None
-    result = CnfFormula(tuple(c for c in keep if c is not None), formula.num_vars)
+    # a clause the rest does not entail cannot go: its removal would change the function
+    result = _greedy_reduce(formula, seed, lambda clause, rest: entails(rest, clause) and still_urc(rest))
     if not is_urc(result, limit=limit).verdict:
         raise ReductionError("clause removal broke unit refutation completeness")
     return result

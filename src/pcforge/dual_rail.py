@@ -12,9 +12,8 @@ the translation a polynomial-time proxy for propagation completeness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
-from .cnf import Clause, CnfFormula, Literal, PartialAssignment, make_clause
+from .cnf import Clause, CnfFormula, Literal, PartialAssignment, is_tautological, make_clause, partial_assignments
 from .errors import EmptyClauseError, LimitError, PreconditionError, TautologyError, UnsatisfiableError
 from .propagation import UnitPropagator
 from .semantics import MODEL_LIMIT, cl_sem, prime_implicates, satisfiable
@@ -83,13 +82,9 @@ def dual_rail(formula: CnfFormula) -> DualRailFormula:
 
 
 def _entails_by_propagation(engine: UnitPropagator, clause: Clause) -> bool:
-    if any(-lit in clause for lit in clause):
-        return True  # tautologies are entailed by anything
-    conflict, trail, _ = engine.run([-lit for lit in clause])
-    if conflict:
-        return True
-    derived = set(trail)
-    return any(lit in derived for lit in clause)
+    # A trail without a conflict holds every assumed -lit and so no lit of the
+    # clause: only a conflict can show entailment.  Tautologies need no check.
+    return is_tautological(clause) or engine.conflicts([-lit for lit in clause])
 
 
 def horn_entails(horn: CnfFormula, clause: Clause) -> bool:
@@ -148,12 +143,7 @@ def closed_assignments(formula: CnfFormula, limit: int = CLOSED_LIMIT) -> frozen
     n = formula.num_vars
     if n > limit:
         raise LimitError(f"{n} variables exceed the closed-assignment enumeration limit {limit}")
-    closed = []
-    for combo in product((0, 1, -1), repeat=n):
-        alpha = frozenset(sign * (idx + 1) for idx, sign in enumerate(combo) if sign)
-        if cl_sem(formula, alpha) == alpha:
-            closed.append(alpha)
-    return frozenset(closed)
+    return frozenset(alpha for alpha in partial_assignments(n) if cl_sem(formula, alpha) == alpha)
 
 
 def assignment_vector(alpha: PartialAssignment, var_map: MetaVarMap) -> int:

@@ -32,10 +32,6 @@ class PropagationResult:
         return "conflict" if self.conflict else "stable"
 
 
-def _code(lit: Literal) -> int:
-    return 2 * (abs(lit) - 1) + (1 if lit < 0 else 0)
-
-
 class UnitPropagator:
     """Counter-based propagation over a fixed formula, reusable across calls."""
 
@@ -44,10 +40,11 @@ class UnitPropagator:
     def __init__(self, formula: CnfFormula):
         self.num_vars = formula.num_vars
         self.clauses = [list(clause) for clause in formula.clauses]
-        occ: list[list[int]] = [[] for _ in range(2 * formula.num_vars)]
+        # occ[lit] lists the clauses containing lit; -v indexes from the end, slot 0 is unused
+        occ: list[list[int]] = [[] for _ in range(2 * formula.num_vars + 1)]
         for idx, clause in enumerate(self.clauses):
             for lit in clause:
-                occ[_code(lit)].append(idx)
+                occ[lit].append(idx)
         self.occ = occ
 
     def run(self, assumptions=()) -> tuple[bool, list[Literal], int | None]:
@@ -91,9 +88,9 @@ class UnitPropagator:
         while head < len(trail):
             lit = trail[head]
             head += 1
-            for idx in occ[_code(lit)]:
+            for idx in occ[lit]:
                 sat[idx] = True
-            for idx in occ[_code(-lit)]:
+            for idx in occ[-lit]:
                 if sat[idx]:
                     continue
                 counts[idx] -= 1

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cnf import Clause, CnfFormula, EncodingFormula, Literal, make_clause
+from .cnf import Clause, CnfFormula, EncodingFormula, Literal, apply_assignment, make_clause
 from .errors import NotQHornError, PreconditionError, TautologyError
 from .propagation import UnitPropagator
 from .semantics import clause_sort_key
@@ -157,61 +157,26 @@ def normalize(formula: CnfFormula, valuation: Valuation) -> QHornSplit:
 
 
 def _two_sat_satisfiable(clauses: list[Clause]) -> bool:
-    """Decide a CNF of unit and binary clauses exactly.
+    """Decide a CNF of empty, unit and binary clauses exactly.
 
-    Units are propagated first; the binary residue is decided through the
-    strongly connected components of its implication graph.
+    Unit propagation settles the units.  Without a conflict, every binary
+    clause touching an assigned variable is then satisfied, and the binary
+    clauses with neither variable assigned are decided through the strongly
+    connected components of their implication graph.
     """
-    assignment: dict[int, bool] = {}
-    units = [c[0] for c in clauses if len(c) == 1]
-    binaries = [c for c in clauses if len(c) == 2]
-    if any(len(c) == 0 for c in clauses):
+    num_vars = max((abs(lit) for clause in clauses for lit in clause), default=0)
+    conflict, trail, _ = UnitPropagator(CnfFormula(tuple(clauses), num_vars)).run(())
+    if conflict:
         return False
-
-    def value(lit: Literal) -> bool | None:
-        val = assignment.get(abs(lit))
-        if val is None:
-            return None
-        return val if lit > 0 else not val
-
-    queue = list(units)
-    while queue:
-        lit = queue.pop()
-        current = value(lit)
-        if current is False:
-            return False
-        if current is True:
-            continue
-        assignment[abs(lit)] = lit > 0
-        for clause in binaries:
-            a, b = clause
-            if value(a) is False and value(b) is None:
-                queue.append(b)
-            elif value(b) is False and value(a) is None:
-                queue.append(a)
-    residue = []
-    for clause in binaries:
-        a, b = clause
-        if value(a) is True or value(b) is True:
-            continue
-        if value(a) is False and value(b) is False:
-            return False
-        if value(a) is False:
-            residue.append((b, b))
-        elif value(b) is False:
-            residue.append((a, a))
-        else:
-            residue.append((a, b))
+    assigned = {abs(lit) for lit in trail}
+    residue = [c for c in clauses if len(c) == 2 and abs(c[0]) not in assigned and abs(c[1]) not in assigned]
 
     nodes = sorted({lit for pair in residue for lit in pair} | {-lit for pair in residue for lit in pair})
     index_of = {lit: i for i, lit in enumerate(nodes)}
     edges: list[list[int]] = [[] for _ in nodes]
     for a, b in residue:
-        if a == b:
-            edges[index_of[-a]].append(index_of[a])
-        else:
-            edges[index_of[-a]].append(index_of[b])
-            edges[index_of[-b]].append(index_of[a])
+        edges[index_of[-a]].append(index_of[b])
+        edges[index_of[-b]].append(index_of[a])
 
     # iterative Tarjan
     comp = [-1] * len(nodes)
@@ -274,16 +239,18 @@ def qhorn_sat(split: QHornSplit) -> bool:
     conflict, trail, _ = engine.run(())
     if conflict:
         return False
-    beta = set(trail)
     x2_set = set(split.x2)
-    projected: list[Clause] = []
-    for clause in split.phi2.clauses:
-        if any(lit in beta for lit in clause):
-            continue
-        rest = tuple(lit for lit in clause if -lit not in beta)
-        if all(abs(lit) in x2_set for lit in rest):
-            projected.append(rest)
-    return _two_sat_satisfiable(projected)
+    reduced = apply_assignment(split.phi2, frozenset(trail))
+    return _two_sat_satisfiable([clause for clause in reduced.clauses if all(abs(lit) in x2_set for lit in clause)])
+
+
+def _binary_resolvent(ci: Clause, cj: Clause) -> Clause | None:
+    """The resolvent of two clauses clashing on exactly one literal, else None."""
+    pivots = [lit for lit in ci if -lit in cj]
+    if len(pivots) != 1:
+        return None
+    pivot = pivots[0]
+    return make_clause([lit for lit in ci if lit != pivot] + [lit for lit in cj if lit != -pivot])
 
 
 def phi_q_plus(split: QHornSplit) -> CnfFormula:
@@ -303,19 +270,11 @@ def phi_q_plus(split: QHornSplit) -> CnfFormula:
     frontier = list(seeds)
     while frontier:
         clause = frontier.pop()
-        a, b = clause
         for other in list(closure):
-            for pivot in clause:
-                if -pivot not in other:
-                    continue
-                merged = {lit for lit in clause if lit != pivot}
-                merged.update(lit for lit in other if lit != -pivot)
-                if len(merged) != 2 or any(-lit in merged for lit in merged):
-                    continue
-                resolvent = make_clause(merged)
-                if resolvent not in closure:
-                    closure.add(resolvent)
-                    frontier.append(resolvent)
+            resolvent = _binary_resolvent(clause, other)
+            if resolvent is not None and len(resolvent) == 2 and resolvent not in closure:
+                closure.add(resolvent)
+                frontier.append(resolvent)
     ordered = sorted(closure, key=clause_sort_key)
     return CnfFormula(tuple(ordered), split.num_vars)
 
@@ -361,17 +320,12 @@ def compile_urc_encoding(formula: CnfFormula, valuation: Valuation | None = None
     for i in range(len(clauses_list)):
         for j in range(i + 1, len(clauses_list)):
             ci, cj = clauses_list[i], clauses_list[j]
-            pivots = [lit for lit in ci if -lit in cj]
-            if len(pivots) != 1:
+            resolvent = _binary_resolvent(ci, cj)
+            if resolvent is None:
                 continue
-            pivot = pivots[0]
-            merged = {lit for lit in ci if lit != pivot}
-            merged.update(lit for lit in cj if lit != -pivot)
-            if len(merged) == 1:
-                (lone,) = merged
-                group4.append(unflip_clause([-aux_of[ci], -aux_of[cj], lone]))
-            elif len(merged) == 2 and not any(-lit in merged for lit in merged):
-                resolvent = make_clause(merged)
+            if len(resolvent) == 1:
+                group4.append(unflip_clause([-aux_of[ci], -aux_of[cj], resolvent[0]]))
+            else:
                 group3.append(make_clause([-aux_of[ci], -aux_of[cj], aux_of[resolvent]]))
 
     group5: list[Clause] = []

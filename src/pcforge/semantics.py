@@ -17,7 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cnf import Clause, CnfFormula, EncodingFormula, Literal, PartialAssignment, is_tautological, make_assignment, make_clause
+from .cnf import (Clause, CnfFormula, EncodingFormula, Literal, PartialAssignment, is_tautological, literal_masks,
+                  make_assignment, make_clause)
 from .errors import LimitError, PreconditionError
 from .propagation import all_literals
 
@@ -40,16 +41,6 @@ class FunctionTable:
         return len(self.input_vars)
 
 
-def _clause_masks(clause: Clause) -> tuple[int, int]:
-    pos = neg = 0
-    for lit in clause:
-        if lit > 0:
-            pos |= 1 << (lit - 1)
-        else:
-            neg |= 1 << (-lit - 1)
-    return pos, neg
-
-
 def _check_limit(formula: CnfFormula, limit: int):
     if formula.num_vars > limit:
         raise LimitError(f"{formula.num_vars} variables exceed the enumeration limit {limit}")
@@ -59,7 +50,7 @@ def _check_limit(formula: CnfFormula, limit: int):
 def _model_words(formula: CnfFormula) -> np.ndarray:
     """Sorted array of satisfying assignment words of the formula."""
     n = formula.num_vars
-    masks = [_clause_masks(clause) for clause in formula.clauses]
+    masks = [literal_masks(clause) for clause in formula.clauses]
     total = 1 << n
     chunks = []
     for start in range(0, total, _CHUNK):
@@ -74,18 +65,8 @@ def _model_words(formula: CnfFormula) -> np.ndarray:
     return out
 
 
-def _assignment_masks(alpha: PartialAssignment) -> tuple[int, int]:
-    pos = neg = 0
-    for lit in alpha:
-        if lit > 0:
-            pos |= 1 << (lit - 1)
-        else:
-            neg |= 1 << (-lit - 1)
-    return pos, neg
-
-
 def _select(models: np.ndarray, alpha: PartialAssignment) -> np.ndarray:
-    pos, neg = _assignment_masks(alpha)
+    pos, neg = literal_masks(alpha)
     pos64, neg64 = np.uint64(pos), np.uint64(neg)
     return models[((models & pos64) == pos64) & ((models & neg64) == 0)]
 
@@ -110,7 +91,7 @@ def entails(formula: CnfFormula, clause: Clause, limit: int = MODEL_LIMIT) -> bo
             raise PreconditionError(f"clause variable {abs(lit)} outside universe")
     _check_limit(formula, limit)
     models = _model_words(formula)
-    pos, neg = _clause_masks(clause)
+    pos, neg = literal_masks(clause)
     pos64, neg64 = np.uint64(pos), np.uint64(neg)
     violating = ((models & pos64) == 0) & ((models & neg64) == neg64)
     return not bool(violating.any())
@@ -175,16 +156,6 @@ def _mask_to_clause(mask: int, n: int) -> Clause:
     return make_clause(lits)
 
 
-def _clause_to_mask(clause: Clause, n: int) -> int:
-    mask = 0
-    for lit in clause:
-        if lit > 0:
-            mask |= 1 << (lit - 1)
-        else:
-            mask |= 1 << (n + (-lit) - 1)
-    return mask
-
-
 def clause_sort_key(clause: Clause):
     """Deterministic clause order: by size, then (variable, polarity) tuples."""
     return (len(clause), tuple((abs(lit), lit < 0) for lit in clause))
@@ -220,7 +191,8 @@ def prime_implicates(formula: CnfFormula, max_clauses: int = 200_000) -> CnfForm
             continue
         if not clause:
             return CnfFormula(((),), n)
-        seeds.append(_clause_to_mask(clause, n))
+        pos, neg = literal_masks(clause)
+        seeds.append(pos | neg << n)
     seeds.sort(key=lambda m: m.bit_count())
     queue: list[int] = []
     for mask in seeds:

@@ -217,9 +217,10 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 2
 
 
-def test_jobs_flag_accepted(capsys):
-    code, report, _ = run(capsys, "--jobs", "4", "gen", "gamma", "2")
-    assert code == 0 and report["clauses"] == 7
+def test_jobs_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--jobs", "4", "gen", "gamma", "2"])
+    assert exit_info.value.code == 2
 
 
 def test_reports_are_deterministic_modulo_timing(tmp_path, capsys):

@@ -6,14 +6,16 @@ from pcforge.cnf import (
     EncodingFormula,
     apply_assignment,
     is_autark,
+    literal_masks,
     make_assignment,
     make_clause,
     parse_dimacs,
+    partial_assignments,
     write_dimacs,
 )
 from pcforge.errors import DimacsError
 
-from oracles import models_brute, satisfiable_brute, word_matches
+from oracles import all_partial_assignments, models_brute, satisfiable_brute, word_matches
 
 
 def F(clauses, num_vars=None):
@@ -66,6 +68,18 @@ def test_parse_errors_carry_line_numbers(text, line):
     assert err.value.line == line
 
 
+def test_parse_rejects_second_header():
+    with pytest.raises(DimacsError) as err:
+        parse_dimacs("p cnf 3 1\np cnf 1 1\n1 0\n")
+    assert err.value.line == 2
+
+
+def test_parse_non_ascii_byte_carries_line_number():
+    with pytest.raises(DimacsError) as err:
+        parse_dimacs("c first\nc caf\u00e9\np cnf 1 1\n1 0\n".encode("utf-8"))
+    assert err.value.line == 2
+
+
 def test_parse_clause_count_mismatch():
     with pytest.raises(DimacsError):
         parse_dimacs("p cnf 2 2\n1 0\n")
@@ -99,6 +113,16 @@ def test_tautological_clause_accepted_on_parse():
 def test_duplicate_clauses_collapse():
     f = F([[1, 2], [2, 1], [1]])
     assert f.clauses == ((1, 2), (1,))
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_partial_assignments_match_oracle(n):
+    assert list(partial_assignments(n)) == list(all_partial_assignments(n))
+
+
+def test_literal_masks():
+    assert literal_masks([1, -3, 4]) == (0b1001, 0b100)
+    assert literal_masks([]) == (0, 0)
 
 
 def test_apply_assignment_examples():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pcforge.cnf import CnfFormula, make_clause
 from pcforge.deciders import is_urc
@@ -9,6 +10,7 @@ from pcforge.errors import NotQHornError, PreconditionError, TautologyError
 from pcforge.families import gen_psi_qhorn
 from pcforge.qhorn import (
     Valuation,
+    _two_sat_satisfiable,
     compile_urc_encoding,
     normalize,
     phi_q_plus,
@@ -143,6 +145,16 @@ def test_qhorn_sat_matches_brute_force():
     for idx, (formula, valuation) in enumerate(qhorn_formulas(901, 60, max_vars=8)):
         use = valuation if idx % 2 == 0 else recognize_qhorn(formula)
         assert qhorn_sat(normalize(formula, use)) == satisfiable_brute(formula)
+
+
+short_clause_st = st.lists(
+    st.integers(min_value=1, max_value=6).flatmap(lambda v: st.sampled_from([v, -v])), max_size=2,
+).map(make_clause)
+
+
+@given(st.lists(short_clause_st, max_size=12))
+def test_two_sat_matches_brute_force(clauses):
+    assert _two_sat_satisfiable(clauses) == satisfiable_brute(CnfFormula(tuple(clauses), 6))
 
 
 def test_phi_q_plus_examples():
