@@ -7,7 +7,6 @@ from .cnf import (
     Literal,
     PartialAssignment,
     apply_assignment,
-    is_autark,
     make_assignment,
     make_clause,
     parse_dimacs,

@@ -14,6 +14,7 @@ concurrent workers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Union
@@ -187,17 +188,14 @@ def apply_assignment(formula: CnfFormula, beta: PartialAssignment) -> CnfFormula
     return CnfFormula.from_clauses(out, formula.num_vars)
 
 
-def is_autark(formula: CnfFormula, beta: PartialAssignment) -> bool:
-    """True iff every clause touched by beta is satisfied by beta.
+# whitespace-separated ASCII integers; int() alone would also take "1_0", "+1" and non-ASCII digits
+_INTEGERS = re.compile(r"(?:-?[0-9]+(?:\s+-?[0-9]+)*)?")
 
-    Applying an autark assignment preserves satisfiability.
-    """
-    beta = make_assignment(beta)
-    for clause in formula.clauses:
-        touched = any(lit in beta or -lit in beta for lit in clause)
-        if touched and not any(lit in beta for lit in clause):
-            return False
-    return True
+
+def _integers(text: str, lineno: int, message: str) -> list[int]:
+    if not _INTEGERS.fullmatch(text):
+        raise DimacsError(lineno, message)
+    return [int(tok) for tok in text.split()]
 
 
 def parse_dimacs(text: Union[str, bytes]) -> Union[CnfFormula, EncodingFormula]:
@@ -205,7 +203,8 @@ def parse_dimacs(text: Union[str, bytes]) -> Union[CnfFormula, EncodingFormula]:
 
     A comment line ``c aux v1 v2 ... 0`` before the ``p`` line declares the
     listed variables auxiliary; the result is then an EncodingFormula whose
-    input variables are the remaining ones.
+    input variables are the remaining ones.  Header counts, clause literals
+    and aux variables are ASCII decimal integers (``-?[0-9]+``).
     """
     if isinstance(text, bytes):
         try:
@@ -214,7 +213,7 @@ def parse_dimacs(text: Union[str, bytes]) -> Union[CnfFormula, EncodingFormula]:
             lineno = text.count(b"\n", 0, exc.start) + 1
             raise DimacsError(lineno, f"non-ASCII byte 0x{text[exc.start]:02x}") from None
     num_vars = num_clauses = None
-    aux: list[int] = []
+    aux_lines: dict[int, int] = {}  # auxiliary variable -> line declaring it
     saw_aux = False
     raw_clauses: list[list[int]] = []
     pending: list[int] = []
@@ -228,13 +227,13 @@ def parse_dimacs(text: Union[str, bytes]) -> Union[CnfFormula, EncodingFormula]:
             if len(fields) >= 2 and fields[1] == "aux":
                 if num_vars is not None:
                     raise DimacsError(lineno, "aux declaration must precede the p line")
-                try:
-                    ids = [int(tok) for tok in fields[2:]]
-                except ValueError:
-                    raise DimacsError(lineno, "non-integer auxiliary variable") from None
+                ids = _integers(" ".join(fields[2:]), lineno, "non-integer auxiliary variable")
                 if not ids or ids[-1] != 0 or any(v <= 0 for v in ids[:-1]):
                     raise DimacsError(lineno, "aux list must be positive variables terminated by 0")
-                aux.extend(ids[:-1])
+                for var in ids[:-1]:
+                    if var in aux_lines:
+                        raise DimacsError(lineno, f"duplicate auxiliary variable {var}")
+                    aux_lines[var] = lineno
                 saw_aux = True
             continue
         if stripped.startswith("p"):
@@ -243,19 +242,13 @@ def parse_dimacs(text: Union[str, bytes]) -> Union[CnfFormula, EncodingFormula]:
             fields = stripped.split()
             if len(fields) != 4 or fields[0] != "p" or fields[1] != "cnf":
                 raise DimacsError(lineno, f"bad header {stripped!r}")
-            try:
-                num_vars, num_clauses = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise DimacsError(lineno, f"bad header {stripped!r}") from None
+            num_vars, num_clauses = _integers(" ".join(fields[2:]), lineno, f"bad header {stripped!r}")
             if num_vars < 0 or num_clauses < 0:
                 raise DimacsError(lineno, "negative counts in header")
             continue
         if num_vars is None:
             raise DimacsError(lineno, "clause before p line")
-        try:
-            tokens = [int(tok) for tok in stripped.split()]
-        except ValueError:
-            raise DimacsError(lineno, "non-integer token in clause") from None
+        tokens = _integers(stripped, lineno, "non-integer token in clause")
         if not pending:
             pending_line = lineno
         for tok in tokens:
@@ -277,13 +270,12 @@ def parse_dimacs(text: Union[str, bytes]) -> Union[CnfFormula, EncodingFormula]:
     formula = CnfFormula.from_clauses(raw_clauses, num_vars)
     if not saw_aux:
         return formula
-    aux_set = sorted(set(aux))
-    if len(aux_set) != len(aux):
-        raise DimacsError(1, "duplicate auxiliary variable")
-    if aux_set and aux_set[-1] > num_vars:
-        raise DimacsError(1, f"auxiliary variable {aux_set[-1]} exceeds declared count {num_vars}")
-    inputs = tuple(v for v in range(1, num_vars + 1) if v not in set(aux_set))
-    return EncodingFormula(formula, inputs, tuple(aux_set))
+    for var, line in aux_lines.items():
+        if var > num_vars:
+            raise DimacsError(line, f"auxiliary variable {var} exceeds declared count {num_vars}")
+    aux = tuple(sorted(aux_lines))
+    inputs = tuple(v for v in range(1, num_vars + 1) if v not in aux_lines)
+    return EncodingFormula(formula, inputs, aux)
 
 
 def write_dimacs(obj: Union[CnfFormula, EncodingFormula]) -> str:

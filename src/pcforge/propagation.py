@@ -9,6 +9,7 @@ closure results comparable across formulas representing the same function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cnf import Clause, CnfFormula, Literal, PartialAssignment, make_assignment
 
@@ -35,11 +36,16 @@ class PropagationResult:
 class UnitPropagator:
     """Counter-based propagation over a fixed formula, reusable across calls."""
 
-    __slots__ = ("num_vars", "clauses", "occ")
+    __slots__ = ("num_vars", "clauses", "occ", "lengths", "units", "empty")
 
     def __init__(self, formula: CnfFormula):
         self.num_vars = formula.num_vars
-        self.clauses = [list(clause) for clause in formula.clauses]
+        self.clauses = formula.clauses
+        self.lengths = [len(clause) for clause in self.clauses]
+        # static units in clause order, up to the first empty clause, where every run stops
+        self.empty = next((idx for idx, length in enumerate(self.lengths) if length == 0), None)
+        stop = len(self.clauses) if self.empty is None else self.empty
+        self.units = [clause[0] for clause in self.clauses[:stop] if len(clause) == 1]
         # occ[lit] lists the clauses containing lit; -v indexes from the end, slot 0 is unused
         occ: list[list[int]] = [[] for _ in range(2 * formula.num_vars + 1)]
         for idx, clause in enumerate(self.clauses):
@@ -71,19 +77,16 @@ class UnitPropagator:
             if not assign(lit):
                 raise ValueError("inconsistent assumption set")
 
-        counts = [len(clause) for clause in self.clauses]
+        for lit in self.units:
+            if val[abs(lit)] == 0:
+                assign(lit)
+            # a falsified static unit conflicts below, once the assumption is processed
+        if self.empty is not None:
+            return True, trail, self.empty
+        counts = self.lengths.copy()
         sat = [False] * len(self.clauses)
-        for idx, clause in enumerate(self.clauses):
-            if not clause:
-                return True, trail, idx
-            if len(clause) == 1:
-                lit = clause[0]
-                state = val[abs(lit)]
-                if state == 0:
-                    assign(lit)
-                # a falsified static unit conflicts below, once the assumption is processed
 
-        occ = self.occ
+        occ, clauses = self.occ, self.clauses
         head = 0
         while head < len(trail):
             lit = trail[head]
@@ -99,7 +102,7 @@ class UnitPropagator:
                     return True, trail, idx
                 if remaining == 1:
                     unit = None
-                    for cand in self.clauses[idx]:
+                    for cand in clauses[idx]:
                         state = val[abs(cand)]
                         if state == 0:
                             unit = cand
@@ -120,15 +123,21 @@ def all_literals(num_vars: int) -> frozenset[Literal]:
     return frozenset(range(1, num_vars + 1)) | frozenset(-v for v in range(1, num_vars + 1))
 
 
+@lru_cache(maxsize=16)
+def _engine(formula: CnfFormula) -> UnitPropagator:
+    return UnitPropagator(formula)
+
+
 def up_closure(formula: CnfFormula, alpha: PartialAssignment) -> PropagationResult:
     """Closure of alpha under unit propagation in the formula.
 
     Conflict means the empty clause is derivable from the formula plus alpha,
-    in which case the closure is all literals of the universe.
+    in which case the closure is all literals of the universe.  The engine is
+    built once per formula and reused by later calls on an equal formula (a
+    small cache holds the most recent ones).
     """
     alpha = make_assignment(alpha)
-    engine = UnitPropagator(formula)
-    conflict, trail, empty_idx = engine.run(alpha)
+    conflict, trail, empty_idx = _engine(formula).run(alpha)
     empty = formula.clauses[empty_idx] if empty_idx is not None else None
     if conflict:
         return PropagationResult(True, all_literals(formula.num_vars), empty)

@@ -21,8 +21,10 @@ arithmetic.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .cnf import Clause, CnfFormula, EncodingFormula, Literal, apply_assignment, make_clause
 from .errors import NotQHornError, PreconditionError, TautologyError
@@ -267,16 +269,37 @@ def phi_q_plus(split: QHornSplit) -> CnfFormula:
         if len(projection) == 2:
             seeds.add(projection)
     closure = set(seeds)
+    by_lit: dict[Literal, list[Clause]] = defaultdict(list)
+    for clause in seeds:
+        for lit in clause:
+            by_lit[lit].append(clause)
     frontier = list(seeds)
     while frontier:
         clause = frontier.pop()
-        for other in list(closure):
+        # a partner must contain the complement of one of the clause's two literals
+        for other in by_lit[-clause[0]] + by_lit[-clause[1]]:
             resolvent = _binary_resolvent(clause, other)
             if resolvent is not None and len(resolvent) == 2 and resolvent not in closure:
                 closure.add(resolvent)
                 frontier.append(resolvent)
+                for lit in resolvent:
+                    by_lit[lit].append(resolvent)
     ordered = sorted(closure, key=clause_sort_key)
     return CnfFormula(tuple(ordered), split.num_vars)
+
+
+def _resolution_pairs(clauses: tuple[Clause, ...]) -> Iterator[tuple[Clause, Clause, Clause]]:
+    """(ci, cj, resolvent) for each pair i < j of binary clauses that resolves, in (i, j) order."""
+    positions: dict[Literal, list[int]] = defaultdict(list)
+    for j, clause in enumerate(clauses):
+        for lit in clause:
+            positions[lit].append(j)
+    for i, ci in enumerate(clauses):
+        # a partner contains the complement of one of ci's literals
+        for j in sorted({j for lit in ci for j in positions[-lit] if j > i}):
+            resolvent = _binary_resolvent(ci, clauses[j])
+            if resolvent is not None:
+                yield ci, clauses[j], resolvent
 
 
 def compile_urc_encoding(formula: CnfFormula, valuation: Valuation | None = None) -> EncodingFormula:
@@ -317,16 +340,11 @@ def compile_urc_encoding(formula: CnfFormula, valuation: Valuation | None = None
     group3: list[Clause] = []
     group4: list[Clause] = []
     clauses_list = fq.clauses
-    for i in range(len(clauses_list)):
-        for j in range(i + 1, len(clauses_list)):
-            ci, cj = clauses_list[i], clauses_list[j]
-            resolvent = _binary_resolvent(ci, cj)
-            if resolvent is None:
-                continue
-            if len(resolvent) == 1:
-                group4.append(unflip_clause([-aux_of[ci], -aux_of[cj], resolvent[0]]))
-            else:
-                group3.append(make_clause([-aux_of[ci], -aux_of[cj], aux_of[resolvent]]))
+    for ci, cj, resolvent in _resolution_pairs(clauses_list):
+        if len(resolvent) == 1:
+            group4.append(unflip_clause([-aux_of[ci], -aux_of[cj], resolvent[0]]))
+        else:
+            group3.append(make_clause([-aux_of[ci], -aux_of[cj], aux_of[resolvent]]))
 
     group5: list[Clause] = []
     group6: list[Clause] = []

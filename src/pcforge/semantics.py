@@ -50,16 +50,17 @@ def _check_limit(formula: CnfFormula, limit: int):
 def _model_words(formula: CnfFormula) -> np.ndarray:
     """Sorted array of satisfying assignment words of the formula."""
     n = formula.num_vars
-    masks = [literal_masks(clause) for clause in formula.clauses]
+    # shortest clauses first: they rule out the most words, so later clauses test fewer;
+    # a tautological clause rules out none and would break the one-comparison test below
+    masks = [(pos, neg) for pos, neg in map(literal_masks, sorted(formula.clauses, key=len)) if not pos & neg]
     total = 1 << n
     chunks = []
     for start in range(0, total, _CHUNK):
         words = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
-        ok = np.ones(len(words), dtype=bool)
         for pos, neg in masks:
-            pos64, neg64 = np.uint64(pos), np.uint64(neg)
-            ok &= ((words & pos64) != 0) | ((words & neg64) != neg64)
-        chunks.append(words[ok])
+            # a word violates the clause when its positive variables are 0 and its negative ones 1
+            words = words[(words & np.uint64(pos | neg)) != np.uint64(neg)]
+        chunks.append(words)
     out = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.uint64)
     out.flags.writeable = False
     return out
@@ -75,7 +76,7 @@ def enumerate_models(formula: CnfFormula, limit: int = MODEL_LIMIT) -> FunctionT
     """Exact onset of the formula over its full universe."""
     _check_limit(formula, limit)
     words = _model_words(formula)
-    return FunctionTable(tuple(formula.variables), frozenset(int(w) for w in words))
+    return FunctionTable(tuple(formula.variables), frozenset(words.tolist()))
 
 
 def satisfiable(formula: CnfFormula, limit: int = MODEL_LIMIT) -> bool:
@@ -141,7 +142,19 @@ def is_encoding_of(encoding: EncodingFormula, table: FunctionTable, limit: int =
     projected = np.zeros(len(models), dtype=np.uint64)
     for j, v in enumerate(encoding.input_vars):
         projected |= ((models >> np.uint64(v - 1)) & np.uint64(1)) << np.uint64(j)
-    return frozenset(int(w) for w in projected) == table.onset
+    projected.sort()
+    distinct = np.ones(len(projected), dtype=bool)
+    np.not_equal(projected[1:], projected[:-1], out=distinct[1:])
+    projected = projected[distinct]
+    onset = table.onset
+    if len(onset) != len(projected):
+        return False
+    try:
+        expected = np.fromiter(onset, dtype=np.uint64, count=len(onset))
+    except OverflowError:
+        return False  # a negative word, or one of 64 bits or more, is never a projection
+    # distinct ints stay distinct as uint64; a word of 2**arity or more matches no projection
+    return bool(np.array_equal(projected, np.sort(expected)))
 
 
 def _mask_to_clause(mask: int, n: int) -> Clause:

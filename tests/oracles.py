@@ -130,3 +130,57 @@ def qhorn_brute(formula) -> bool:
         if all(sum(doubled(lit) for lit in clause) <= 2 for clause in formula.clauses):
             return True
     return False
+
+
+def _clause_key(clause):
+    return (len(clause), tuple((abs(lit), lit < 0) for lit in clause))
+
+
+def _resolvent_all_pairs(ci, cj):
+    """Resolvent of two clauses clashing on exactly one literal, else None."""
+    pivots = [lit for lit in ci if -lit in cj]
+    if len(pivots) != 1:
+        return None
+    lits = {lit for lit in ci if lit != pivots[0]} | {lit for lit in cj if lit != -pivots[0]}
+    return tuple(sorted(lits, key=lambda l: (abs(l), l < 0)))
+
+
+def phi_q_plus_all_pairs(split):
+    """Binary resolution closure over the half-weight literals, every new clause against all others.
+
+    Returns the clauses in canonical order (size, then (variable, polarity)).
+    """
+    half = set(split.x2)
+    closure = set()
+    for clause in split.phi2.clauses:
+        projection = tuple(sorted({lit for lit in clause if abs(lit) in half}, key=lambda l: (abs(l), l < 0)))
+        if len(projection) == 2:
+            closure.add(projection)
+    frontier = list(closure)
+    while frontier:
+        clause = frontier.pop()
+        for other in list(closure):
+            resolvent = _resolvent_all_pairs(clause, other)
+            if resolvent is not None and len(resolvent) == 2 and resolvent not in closure:
+                closure.add(resolvent)
+                frontier.append(resolvent)
+    return sorted(closure, key=_clause_key)
+
+
+def resolution_pairs_all_pairs(clauses):
+    """(ci, cj, resolvent) for every resolvable pair i < j, testing all pairs in (i, j) order."""
+    out = []
+    for i in range(len(clauses)):
+        for j in range(i + 1, len(clauses)):
+            resolvent = _resolvent_all_pairs(clauses[i], clauses[j])
+            if resolvent is not None:
+                out.append((clauses[i], clauses[j], resolvent))
+    return out
+
+
+def encoding_onset_brute(encoding) -> frozenset[int]:
+    """Projection of the encoding's models onto its input variables, as a frozenset of words."""
+    out = set()
+    for w in models_brute(encoding.formula):
+        out.add(sum(((w >> (v - 1)) & 1) << j for j, v in enumerate(encoding.input_vars)))
+    return frozenset(out)

@@ -5,7 +5,6 @@ from pcforge.cnf import (
     CnfFormula,
     EncodingFormula,
     apply_assignment,
-    is_autark,
     literal_masks,
     make_assignment,
     make_clause,
@@ -15,7 +14,7 @@ from pcforge.cnf import (
 )
 from pcforge.errors import DimacsError
 
-from oracles import all_partial_assignments, models_brute, satisfiable_brute, word_matches
+from oracles import all_partial_assignments, models_brute, word_matches
 
 
 def F(clauses, num_vars=None):
@@ -80,6 +79,42 @@ def test_parse_non_ascii_byte_carries_line_number():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("text,line", [
+    ("p cnf 10 1\n1_0 0\n", 2),
+    ("p cnf 2 1\n+1 0\n", 2),
+    ("p cnf 2 1\n\u0661 0\n", 2),
+    ("p cnf 1_0 1\n1 0\n", 1),
+    ("p cnf +2 1\n1 0\n", 1),
+    ("p cnf \u0662 1\n1 0\n", 1),
+    ("c aux 1_0 0\np cnf 10 0\n", 1),
+    ("c x\nc aux +2 0\np cnf 2 0\n", 2),
+    ("c aux \u0662 0\np cnf 2 0\n", 1),
+])
+def test_parse_accepts_only_ascii_decimal_integers(text, line):
+    with pytest.raises(DimacsError) as err:
+        parse_dimacs(text)
+    assert err.value.line == line
+
+
+def test_parse_signed_zero_and_leading_zeros_still_accepted():
+    assert parse_dimacs("p cnf 02 1\n-01 2 -0\n") == F([[-1, 2]], 2)
+
+
+def test_parse_duplicate_aux_reported_at_repeating_line():
+    with pytest.raises(DimacsError) as err:
+        parse_dimacs("c x\nc aux 2 0\nc aux 2 0\np cnf 2 0\n")
+    assert err.value.line == 3
+    with pytest.raises(DimacsError) as err:
+        parse_dimacs("c aux 1 1 0\np cnf 2 0\n")
+    assert err.value.line == 1
+
+
+def test_parse_aux_above_count_reported_at_declaring_line():
+    with pytest.raises(DimacsError) as err:
+        parse_dimacs("c x\nc aux 1 0\nc aux 5 0\np cnf 2 1\n1 2 0\n")
+    assert err.value.line == 3
+
+
 def test_parse_clause_count_mismatch():
     with pytest.raises(DimacsError):
         parse_dimacs("p cnf 2 2\n1 0\n")
@@ -141,12 +176,6 @@ def test_apply_assignment_idempotent():
     assert apply_assignment(once, beta) == once
 
 
-def test_autark_examples():
-    assert is_autark(F([[1, 2], [-1, 2]]), frozenset({2}))
-    assert not is_autark(F([[1, 2], [-1, 3]]), frozenset({1}))
-    assert is_autark(F([[1, 2], [-1, 3]]), frozenset())
-
-
 clause_st = st.lists(
     st.integers(min_value=1, max_value=5).flatmap(lambda v: st.sampled_from([v, -v])),
     min_size=1, max_size=4,
@@ -157,15 +186,6 @@ formula_st = st.lists(clause_st, min_size=0, max_size=8).map(lambda cls: CnfForm
 @given(formula_st)
 def test_roundtrip(formula):
     assert parse_dimacs(write_dimacs(formula)) == formula
-
-
-@given(formula_st, st.lists(st.integers(min_value=1, max_value=5), max_size=3))
-def test_autark_preserves_satisfiability(formula, pos_vars):
-    beta = frozenset(pos_vars)
-    if not is_autark(formula, beta):
-        return
-    reduced = apply_assignment(formula, beta)
-    assert satisfiable_brute(formula) == satisfiable_brute(reduced)
 
 
 @given(formula_st, st.sets(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=3))

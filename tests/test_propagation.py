@@ -3,9 +3,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from pcforge.cnf import CnfFormula
+from pcforge.cnf import CnfFormula, make_assignment
+from pcforge.corpus import qhorn_formulas, satisfiable_formulas
 from pcforge.families import gen_psi_qhorn
-from pcforge.propagation import all_literals, up_closure
+from pcforge.propagation import PropagationResult, UnitPropagator, all_literals, up_closure
+from pcforge.qhorn import compile_urc_encoding
 from pcforge.semantics import cl_sem
 
 from oracles import all_partial_assignments, cl_sem_brute, up_fixpoint_brute
@@ -124,3 +126,33 @@ def test_cl_sem_agrees_with_package_engine():
         formula = CnfFormula.from_clauses(clauses, n)
         for alpha in all_partial_assignments(n):
             assert cl_sem(formula, alpha) == cl_sem_brute(formula, alpha)
+
+
+def test_static_units_before_an_empty_clause_are_on_the_trail():
+    formula = CnfFormula(((1,), (), (2,)), 2)
+    assert UnitPropagator(formula).run(()) == (True, [1], 1)
+    assert UnitPropagator(formula).run((-2,)) == (True, [-2, 1], 1)
+
+
+def test_cached_engine_matches_a_fresh_engine_when_formulas_alternate():
+    formulas = satisfiable_formulas(23, 20, max_vars=6)
+    formulas += [gen_psi_qhorn(n)[0] for n in (2, 3, 4)]
+    formulas += [compile_urc_encoding(f, v).formula for f, v in qhorn_formulas(29, 4, max_vars=8)]
+    # equal clauses over different universes are different formulas
+    formulas += [F([[1], [-1]], 1), F([[1], [-1]], 2), F([[1, 2], [-1]], 2), F([[1, 2], [-1]], 3)]
+    rng = random.Random(31)
+    # more formulas than the engine cache holds: first round-robin, then at random, sometimes an equal copy
+    for step in range(800):
+        formula = formulas[step % len(formulas)] if step < 400 else rng.choice(formulas)
+        if rng.random() < 0.2:
+            formula = CnfFormula(formula.clauses, formula.num_vars)
+        size = rng.randint(0, min(4, formula.num_vars))
+        alpha = frozenset(v * rng.choice((1, -1)) for v in rng.sample(range(1, formula.num_vars + 1), size))
+        # the engine sees alpha in make_assignment's iteration order, as up_closure passes it
+        conflict, trail, empty_idx = UnitPropagator(formula).run(make_assignment(alpha))
+        if conflict:
+            empty = formula.clauses[empty_idx] if empty_idx is not None else None
+            expected = PropagationResult(True, all_literals(formula.num_vars), empty)
+        else:
+            expected = PropagationResult(False, frozenset(trail), None)
+        assert up_closure(formula, alpha) == expected

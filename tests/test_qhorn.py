@@ -4,12 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from pcforge.cnf import CnfFormula, make_clause
+from pcforge import qhorn
+from pcforge.cnf import CnfFormula, make_clause, write_dimacs
+from pcforge.corpus import qhorn_formulas
 from pcforge.deciders import is_urc
 from pcforge.errors import NotQHornError, PreconditionError, TautologyError
 from pcforge.families import gen_psi_qhorn
 from pcforge.qhorn import (
     Valuation,
+    _resolution_pairs,
     _two_sat_satisfiable,
     compile_urc_encoding,
     normalize,
@@ -19,7 +22,7 @@ from pcforge.qhorn import (
 )
 from pcforge.semantics import entails, enumerate_models, is_encoding_of, satisfiable
 
-from oracles import qhorn_brute, satisfiable_brute
+from oracles import phi_q_plus_all_pairs, qhorn_brute, resolution_pairs_all_pairs, satisfiable_brute
 
 
 def F(clauses, num_vars=None):
@@ -111,7 +114,6 @@ def test_normalize_validates_valuation():
 
 
 def test_half_clauses_carry_negative_integral_literals():
-    from pcforge.corpus import qhorn_formulas
     for formula, valuation in qhorn_formulas(900, 25):
         split = normalize(formula, valuation)
         x2 = set(split.x2)
@@ -141,7 +143,6 @@ def test_qhorn_sat_activated_family_is_unsat():
 
 
 def test_qhorn_sat_matches_brute_force():
-    from pcforge.corpus import qhorn_formulas
     for idx, (formula, valuation) in enumerate(qhorn_formulas(901, 60, max_vars=8)):
         use = valuation if idx % 2 == 0 else recognize_qhorn(formula)
         assert qhorn_sat(normalize(formula, use)) == satisfiable_brute(formula)
@@ -236,3 +237,30 @@ def test_resolution_helper_clauses_are_implied_by_definitions():
     assert helper_clauses  # psi_2 has resolvable pairs
     for clause in helper_clauses:
         assert entails(definitions, clause)
+
+
+def _differential_corpus():
+    """psi_qhorn for n = 2..6 and seeded random q-Horn formulas, small and wide."""
+    cases = [pytest.param(gen_psi_qhorn(n)[0], None, id=f"psi_qhorn({n})") for n in range(2, 7)]
+    cases += [pytest.param(f, v, id=f"corpus-1003-{i}") for i, (f, v) in enumerate(qhorn_formulas(1003, 40))]
+    wide = qhorn_formulas(77, 6, max_vars=14, max_half=7, max_clauses=24, max_aux=120)
+    cases += [pytest.param(f, v, id=f"wide-77-{i}") for i, (f, v) in enumerate(wide)]
+    # random 2-CNFs put every variable at weight 1/2; these have closures of 54 to 78 clauses
+    rng = random.Random(78)
+    for i in range(4):
+        clauses = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 13), 2)] for _ in range(14)]
+        cases.append(pytest.param(F(clauses, 12), None, id=f"two-cnf-78-{i}"))
+    return cases
+
+
+@pytest.mark.parametrize("formula,valuation", _differential_corpus())
+def test_indexed_resolution_matches_all_pairs_reference(formula, valuation, monkeypatch):
+    valuation = valuation if valuation is not None else recognize_qhorn(formula)
+    split = normalize(formula, valuation)
+    closure = phi_q_plus(split)
+    assert list(closure.clauses) == phi_q_plus_all_pairs(split)
+    assert list(_resolution_pairs(closure.clauses)) == resolution_pairs_all_pairs(closure.clauses)
+    compiled = write_dimacs(compile_urc_encoding(formula, valuation))
+    monkeypatch.setattr(qhorn, "phi_q_plus", lambda s: CnfFormula(tuple(phi_q_plus_all_pairs(s)), s.num_vars))
+    monkeypatch.setattr(qhorn, "_resolution_pairs", resolution_pairs_all_pairs)
+    assert compiled == write_dimacs(compile_urc_encoding(formula, valuation))

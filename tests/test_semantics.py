@@ -8,6 +8,7 @@ from pcforge.errors import LimitError, PreconditionError
 from pcforge.families import gen_gamma, gen_parity, gen_psi_horn, gen_psi_qhorn, gen_psi_qhorn_pc
 from pcforge.propagation import all_literals
 from pcforge.semantics import (
+    FunctionTable,
     cl_sem,
     entails,
     enumerate_models,
@@ -17,7 +18,7 @@ from pcforge.semantics import (
     satisfiable,
 )
 
-from oracles import all_partial_assignments, cl_sem_brute, entails_brute, primes_brute
+from oracles import all_partial_assignments, cl_sem_brute, encoding_onset_brute, entails_brute, models_brute, primes_brute
 
 
 def F(clauses, num_vars=None):
@@ -35,6 +36,18 @@ def test_enumerate_models_examples():
     assert enumerate_models(F([[1], [2]])).onset == frozenset({0b11})
     assert enumerate_models(CnfFormula((), 2)).onset == frozenset({0, 1, 2, 3})
     assert enumerate_models(F([[1, 2], [-1, -2]])).onset == frozenset({0b01, 0b10})
+
+
+def test_models_match_brute_oracle_with_tautological_clauses():
+    rng = random.Random(43)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        clauses = [[v * rng.choice((1, -1)) for v in rng.choices(range(1, n + 1), k=rng.randint(1, 4))]
+                   for _ in range(rng.randint(0, 6))]
+        formula = CnfFormula.from_clauses(clauses, n)
+        assert enumerate_models(formula).onset == frozenset(models_brute(formula))
+    assert enumerate_models(F([[1, -1]], 1)).onset == frozenset({0, 1})
+    assert enumerate_models(F([[1, -1], [-1, 2]], 2)).onset == frozenset({0, 2, 3})
 
 
 def test_enumerate_models_limit():
@@ -162,3 +175,34 @@ def test_cl_sem_matches_brute_oracle():
         formula = random_formula(rng, max_vars=4)
         for alpha in all_partial_assignments(formula.num_vars):
             assert cl_sem(formula, alpha) == cl_sem_brute(formula, alpha)
+
+
+def _table_variants(table):
+    """The table itself, with one word dropped or added, and with words no projection can produce."""
+    onset, arity = table.onset, table.arity
+    variants = [onset, frozenset(), frozenset({0}), onset | {(1 << arity) - 1},
+                onset | {1 << arity}, onset | {-1}, onset | {1 << 64}, onset | {1 << 70}]
+    if onset:
+        dropped = onset - {min(onset)}
+        variants += [dropped, dropped | {1 << arity}, dropped | {-1}, dropped | {1 << 64}]
+    return [FunctionTable(table.input_vars, words) for words in variants]
+
+
+def test_is_encoding_of_matches_frozenset_oracle():
+    from pcforge.corpus import qhorn_formulas
+    from pcforge.qhorn import compile_urc_encoding
+    cases = []
+    for formula, valuation in qhorn_formulas(41, 12, max_vars=7):
+        cases.append((compile_urc_encoding(formula, valuation), enumerate_models(formula)))
+    for m in (2, 3):
+        psi, _ = gen_psi_qhorn(m)
+        cases.append((gen_psi_qhorn_pc(m), enumerate_models(psi)))
+    # inputs that are not the low variables: exists x1 (x2 | x1)(-x1 | x3) is x2 | x3
+    cases.append((EncodingFormula(F([[1, 2], [-1, 3]], 3), (2, 3), (1,)), FunctionTable((2, 3), frozenset({1, 2, 3}))))
+    # an unsatisfiable encoding projects to the empty onset
+    cases.append((EncodingFormula(F([[1], [-1]], 2), (2,), (1,)), FunctionTable((1,), frozenset())))
+    for encoding, table in cases:
+        projected = encoding_onset_brute(encoding)
+        for variant in _table_variants(table):
+            assert is_encoding_of(encoding, variant) == (projected == variant.onset)
+    assert all(is_encoding_of(encoding, table) for encoding, table in cases)
