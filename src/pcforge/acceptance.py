@@ -11,7 +11,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .cnf import partial_assignments
+import numpy as np
+
 from .corpus import horn_formulas, qhorn_formulas, satisfiable_formulas
 from .deciders import is_pc, is_urc, reduce_pc_irredundant, reduce_urc_irredundant
 from .dual_rail import assignment_vector, closed_assignments, dual_rail, pc_via_dual_rail
@@ -25,9 +26,10 @@ from .families import (
     gen_psi_qhorn,
     gen_psi_qhorn_pc,
 )
-from .propagation import UnitPropagator, up_closure
+from .propagation import up_closure
 from .qhorn import compile_urc_encoding, normalize, qhorn_sat, recognize_qhorn
-from .semantics import _model_words, cl_sem, enumerate_models, equivalent, is_encoding_of, prime_implicates, satisfiable
+from .semantics import (_model_words, assignment_walk, cl_sem, closure_masks, enumerate_models, equivalent, is_encoding_of,
+                        prime_implicates, satisfiable)
 
 SAT_CORPUS_SEED = 1001
 FUNCTION_CORPUS_SEED = 1002
@@ -167,17 +169,15 @@ def criterion_7() -> tuple[bool, str]:
     for formula in corpus:
         rail = dual_rail(formula)
         dr_vectors = {int(w) for w in _model_words(rail.horn)}
-        engine = UnitPropagator(formula)
-        up_closed = set()
-        for alpha in partial_assignments(formula.num_vars):
-            conflict, trail, _ = engine.run(alpha)
-            if not conflict and frozenset(trail) == alpha:
-                up_closed.add(assignment_vector(alpha, rail.var_map))
+        # the propagation closure contains alpha, so it is alpha when it has as many literals
+        up_closed = {assignment_vector(alpha, rail.var_map) for alpha, (pos, neg), _ in assignment_walk(formula)
+                     if (pos | neg).bit_count() == len(alpha)}
         if dr_vectors != up_closed:
             bad_models += 1
         closed = closed_assignments(formula)
         sem_vectors = {assignment_vector(alpha, rail.var_map) for alpha in closed}
-        if any(a & b not in sem_vectors for a in sem_vectors for b in sem_vectors):
+        vectors = np.fromiter(sem_vectors, dtype=np.uint64, count=len(sem_vectors))
+        if not np.isin(vectors[:, None] & vectors[None, :], vectors).all():  # closed under pairwise AND
             bad_conjunction += 1
         represents = dr_vectors == sem_vectors
         if represents != is_pc(formula, limit=10).verdict:
@@ -252,12 +252,9 @@ def criterion_11() -> tuple[bool, str]:
     corpus = satisfiable_formulas(SAT_CORPUS_SEED, SAT_CORPUS_SIZE)
     unsound = 0
     for formula in corpus:
-        engine = UnitPropagator(formula)
-        for alpha in partial_assignments(formula.num_vars):
-            conflict, trail, _ = engine.run(alpha)
-            semantic = cl_sem(formula, alpha)
-            derived = set(trail) if not conflict else None
-            if derived is not None and not derived <= semantic:
+        for _, (pos, neg), models in assignment_walk(formula):
+            entailed_pos, entailed_neg = closure_masks(models, formula.num_vars)
+            if pos & ~entailed_pos or neg & ~entailed_neg:
                 unsound += 1
                 break
     horn_corpus = horn_formulas(HORN_CORPUS_SEED, HORN_CORPUS_SIZE)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator, Union
 
 from .errors import DimacsError
@@ -61,16 +60,6 @@ def make_assignment(literals: Iterable[Literal]) -> PartialAssignment:
     return lits
 
 
-def partial_assignments(num_vars: int) -> Iterator[PartialAssignment]:
-    """All 3^n consistent partial assignments over 1..num_vars.
-
-    Each variable is unassigned, true or false in that order, the last
-    variable varying fastest.
-    """
-    for combo in product((0, 1, -1), repeat=num_vars):
-        yield frozenset(sign * (idx + 1) for idx, sign in enumerate(combo) if sign)
-
-
 def literal_masks(lits: Iterable[Literal]) -> tuple[int, int]:
     """Bitmasks (pos, neg) of a literal set: bit v-1 of pos for v, of neg for -v."""
     pos = neg = 0
@@ -80,6 +69,19 @@ def literal_masks(lits: Iterable[Literal]) -> tuple[int, int]:
         else:
             neg |= 1 << (-lit - 1)
     return pos, neg
+
+
+def mask_literals(pos: int, neg: int) -> list[Literal]:
+    """The literals of the masks (pos, neg) in literal_key order; the inverse of literal_masks."""
+    out = []
+    var = 1
+    while pos | neg:
+        if pos & 1:
+            out.append(var)
+        if neg & 1:
+            out.append(-var)
+        pos, neg, var = pos >> 1, neg >> 1, var + 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -204,7 +206,10 @@ def parse_dimacs(text: Union[str, bytes]) -> Union[CnfFormula, EncodingFormula]:
     A comment line ``c aux v1 v2 ... 0`` before the ``p`` line declares the
     listed variables auxiliary; the result is then an EncodingFormula whose
     input variables are the remaining ones.  Header counts, clause literals
-    and aux variables are ASCII decimal integers (``-?[0-9]+``).
+    and aux variables are ASCII decimal integers (``-?[0-9]+``).  A line
+    holding only ``%`` ends the input, as in the SATLIB benchmark files
+    (which follow it with a ``0`` that is not an empty clause); the clause
+    count of the header must still match.
     """
     if isinstance(text, bytes):
         try:
@@ -222,6 +227,8 @@ def parse_dimacs(text: Union[str, bytes]) -> Union[CnfFormula, EncodingFormula]:
         stripped = line.strip()
         if not stripped:
             continue
+        if stripped == "%":
+            break
         if stripped.startswith("c"):
             fields = stripped.split()
             if len(fields) >= 2 and fields[1] == "aux":

@@ -2,9 +2,11 @@
 
 Two interchangeable strategies:
 
-* ``naive`` walks every partial assignment (3^n of them) and checks the
-  defining implications directly against the semantic closure.  Used by
-  default below 10 variables.
+* ``naive`` checks the defining implications directly against the
+  semantic closure on every partial assignment whose unit propagation
+  does not conflict (conflicting ones satisfy both definitions), in one
+  depth-first walk that extends propagation and the model set by one
+  literal per step.  Used by default below 10 variables.
 * ``primes`` checks only the critical assignments.  A formula is URC iff
   unit propagation refutes the negation of every prime implicate, and PC
   iff every prime implicate is absorbed (for each literal of the prime,
@@ -22,10 +24,10 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .cnf import Clause, CnfFormula, Literal, PartialAssignment, is_tautological, literal_key, make_clause, partial_assignments
+from .cnf import Clause, CnfFormula, Literal, PartialAssignment, is_tautological, literal_key, make_clause, mask_literals
 from .errors import LimitError, PreconditionError, TautologyError
 from .propagation import UnitPropagator, all_literals
-from .semantics import MODEL_LIMIT, _model_words, _select, cl_sem, entails, prime_implicates
+from .semantics import MODEL_LIMIT, assignment_walk, closure_masks, entails, prime_implicates
 
 DECIDER_LIMIT = 14
 _NAIVE_MAX = 9
@@ -62,32 +64,19 @@ def _check_input(formula: CnfFormula, limit: int):
 
 
 def _naive_urc(formula: CnfFormula) -> DecisionReport:
-    engine = UnitPropagator(formula)
-    models = _model_words(formula)
-    failures = []
-    for alpha in partial_assignments(formula.num_vars):
-        conflict, _, _ = engine.run(alpha)
-        if conflict:
-            continue
-        if len(_select(models, alpha)) == 0:
-            failures.append(alpha)
+    failures = [alpha for alpha, _, models in assignment_walk(formula) if len(models) == 0]
     if not failures:
         return DecisionReport(True, method="naive")
-    witness = min(failures, key=_witness_key)
-    return DecisionReport(False, witness=witness, method="naive")
+    return DecisionReport(False, witness=min(failures, key=_witness_key), method="naive")
 
 
 def _naive_pc(formula: CnfFormula) -> DecisionReport:
-    engine = UnitPropagator(formula)
     failures = []
-    for alpha in partial_assignments(formula.num_vars):
-        conflict, trail, _ = engine.run(alpha)
-        if conflict:
-            continue
-        derived = set(trail)
-        missing = [lit for lit in cl_sem(formula, alpha) if lit not in derived]
+    for alpha, (pos, neg), models in assignment_walk(formula):
+        entailed_pos, entailed_neg = closure_masks(models, formula.num_vars)
+        missing = mask_literals(entailed_pos & ~pos, entailed_neg & ~neg)
         if missing:
-            failures.append((alpha, min(missing, key=literal_key)))
+            failures.append((alpha, missing[0]))
     if not failures:
         return DecisionReport(True, method="naive")
     alpha, lit = min(failures, key=lambda pair: (_witness_key(pair[0]), literal_key(pair[1])))

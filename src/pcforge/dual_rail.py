@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnf import Clause, CnfFormula, Literal, PartialAssignment, is_tautological, make_clause, partial_assignments
+from .cnf import Clause, CnfFormula, Literal, PartialAssignment, is_tautological, make_clause
 from .errors import EmptyClauseError, LimitError, PreconditionError, TautologyError, UnsatisfiableError
 from .propagation import UnitPropagator
-from .semantics import MODEL_LIMIT, cl_sem, prime_implicates, satisfiable
+from .semantics import MODEL_LIMIT, assignment_walk, closure_masks, prime_implicates, satisfiable
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,12 @@ def closed_assignments(formula: CnfFormula, limit: int = CLOSED_LIMIT) -> frozen
     n = formula.num_vars
     if n > limit:
         raise LimitError(f"{n} variables exceed the closed-assignment enumeration limit {limit}")
-    return frozenset(alpha for alpha in partial_assignments(n) if cl_sem(formula, alpha) == alpha)
+    if n == 0:
+        return frozenset({frozenset()})  # cl_sem is lit(empty universe) = {} even when unsatisfiable
+    # the walk skips conflicting assignments, whose cl_sem has all 2n literals; cl_sem
+    # contains alpha, so it is alpha when it has as many literals
+    return frozenset(alpha for alpha, _, models in assignment_walk(formula)
+                     if sum(mask.bit_count() for mask in closure_masks(models, n)) == len(alpha))
 
 
 def assignment_vector(alpha: PartialAssignment, var_map: MetaVarMap) -> int:

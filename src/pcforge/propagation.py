@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cnf import Clause, CnfFormula, Literal, PartialAssignment, make_assignment
+from .cnf import Clause, CnfFormula, Literal, PartialAssignment, literal_key, make_assignment
 
 
 @dataclass(frozen=True)
@@ -58,34 +58,32 @@ class UnitPropagator:
         nv = self.num_vars
         val = [0] * (nv + 1)  # 0 unassigned, 1 true, -1 false (for the positive literal)
         trail: list[Literal] = []
-
-        def assign(lit: Literal) -> bool:
-            var = abs(lit)
-            want = 1 if lit > 0 else -1
-            cur = val[var]
-            if cur == want:
-                return True
-            if cur != 0:
-                return False
-            val[var] = want
-            trail.append(lit)
-            return True
-
         for lit in assumptions:
             if not (1 <= abs(lit) <= nv):
                 raise ValueError(f"assumed literal {lit} outside universe 1..{nv}")
-            if not assign(lit):
+            want = 1 if lit > 0 else -1
+            if val[abs(lit)] == -want:
                 raise ValueError("inconsistent assumption set")
-
-        for lit in self.units:
             if val[abs(lit)] == 0:
-                assign(lit)
-            # a falsified static unit conflicts below, once the assumption is processed
+                val[abs(lit)] = want
+                trail.append(lit)
+        for lit in self.units:
+            # a falsified static unit conflicts in _propagate, once the assumption is processed
+            if val[abs(lit)] == 0:
+                val[abs(lit)] = 1 if lit > 0 else -1
+                trail.append(lit)
         if self.empty is not None:
             return True, trail, self.empty
-        counts = self.lengths.copy()
-        sat = [False] * len(self.clauses)
+        empty = self._propagate(val, self.lengths.copy(), [False] * len(self.clauses), trail)
+        return empty is not None, trail, empty
 
+    def _propagate(self, val: list[int], counts: list[int], sat: list[bool], trail: list[Literal]) -> int | None:
+        """Process the trail to fixpoint, updating every argument in place.
+
+        val already holds the trail's literals; counts (open literals per
+        clause) and sat reflect only the literals assigned before them.
+        Returns the index of a clause that became empty, or None.
+        """
         occ, clauses = self.occ, self.clauses
         head = 0
         while head < len(trail):
@@ -99,20 +97,18 @@ class UnitPropagator:
                 counts[idx] -= 1
                 remaining = counts[idx]
                 if remaining == 0:
-                    return True, trail, idx
+                    return idx
                 if remaining == 1:
-                    unit = None
                     for cand in clauses[idx]:
                         state = val[abs(cand)]
                         if state == 0:
-                            unit = cand
+                            val[abs(cand)] = 1 if cand > 0 else -1
+                            trail.append(cand)
                             break
                         if state == (1 if cand > 0 else -1):
                             sat[idx] = True
                             break
-                    if unit is not None:
-                        assign(unit)
-        return False, trail, None
+        return None
 
     def conflicts(self, assumptions=()) -> bool:
         conflict, _, _ = self.run(assumptions)
@@ -134,10 +130,11 @@ def up_closure(formula: CnfFormula, alpha: PartialAssignment) -> PropagationResu
     Conflict means the empty clause is derivable from the formula plus alpha,
     in which case the closure is all literals of the universe.  The engine is
     built once per formula and reused by later calls on an equal formula (a
-    small cache holds the most recent ones).
+    small cache holds the most recent ones).  The assumptions are processed
+    in literal_key order, so ``empty_clause`` depends on alpha only as a set.
     """
     alpha = make_assignment(alpha)
-    conflict, trail, empty_idx = _engine(formula).run(alpha)
+    conflict, trail, empty_idx = _engine(formula).run(sorted(alpha, key=literal_key))
     empty = formula.clauses[empty_idx] if empty_idx is not None else None
     if conflict:
         return PropagationResult(True, all_literals(formula.num_vars), empty)

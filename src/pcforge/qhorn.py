@@ -247,12 +247,19 @@ def qhorn_sat(split: QHornSplit) -> bool:
 
 
 def _binary_resolvent(ci: Clause, cj: Clause) -> Clause | None:
-    """The resolvent of two clauses clashing on exactly one literal, else None."""
-    pivots = [lit for lit in ci if -lit in cj]
-    if len(pivots) != 1:
+    """The canonical resolvent of two binary clauses clashing on exactly one literal, else None."""
+    (a, b), (c, d) = ci, cj
+    if -a in cj:
+        if -b in cj:
+            return None
+        x, y = b, d if c == -a else c
+    elif -b in cj:
+        x, y = a, d if c == -b else c
+    else:
         return None
-    pivot = pivots[0]
-    return make_clause([lit for lit in ci if lit != pivot] + [lit for lit in cj if lit != -pivot])
+    if x == y:
+        return (x,)
+    return (x, y) if abs(x) < abs(y) else (y, x)  # x == -y would need a second clash
 
 
 def phi_q_plus(split: QHornSplit) -> CnfFormula:

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
 from .cnf import (Clause, CnfFormula, EncodingFormula, Literal, PartialAssignment, is_tautological, literal_masks,
-                  make_assignment, make_clause)
+                  make_assignment, make_clause, mask_literals)
 from .errors import LimitError, PreconditionError
-from .propagation import all_literals
+from .propagation import UnitPropagator
 
 MODEL_LIMIT = 24
 _CHUNK = 1 << 20
@@ -109,20 +110,63 @@ def cl_sem(formula: CnfFormula, alpha: PartialAssignment, limit: int = MODEL_LIM
         if abs(lit) > formula.num_vars:
             raise ValueError(f"assigned variable {abs(lit)} outside universe")
     _check_limit(formula, limit)
-    sel = _select(_model_words(formula), alpha)
+    return frozenset(mask_literals(*closure_masks(_select(_model_words(formula), alpha), formula.num_vars)))
+
+
+def closure_masks(models: np.ndarray, num_vars: int) -> tuple[int, int]:
+    """Masks (pos, neg) of the literals every model agrees on: all 2n literals when there is no model."""
+    full = (1 << num_vars) - 1
+    if len(models) == 0:
+        return full, full
+    return int(np.bitwise_and.reduce(models)), full & ~int(np.bitwise_or.reduce(models))
+
+
+def assignment_walk(formula: CnfFormula) -> Iterator[tuple[PartialAssignment, tuple[int, int], np.ndarray]]:
+    """Every partial assignment whose unit propagation does not conflict.
+
+    Yields (alpha, (pos, neg), models): the literal masks of alpha's unit
+    propagation closure and the models of the formula that extend alpha.
+    The walk is depth first over the variables, each unassigned, true or
+    false in that order.  A child extends its parent's propagation state
+    and model array by one literal; below a conflict every assignment
+    conflicts too (unit propagation is monotone), so the subtree is skipped.
+    """
     n = formula.num_vars
-    if len(sel) == 0:
-        return all_literals(n)
-    common_true = int(np.bitwise_and.reduce(sel))
-    common_false = int(np.bitwise_or.reduce(sel))
-    out = set()
-    for v in range(1, n + 1):
-        bit = 1 << (v - 1)
-        if common_true & bit:
-            out.add(v)
-        elif not (common_false & bit):
-            out.add(-v)
-    return frozenset(out)
+    engine = UnitPropagator(formula)
+    if engine.empty is not None:
+        return
+    node = ([0] * (n + 1), engine.lengths.copy(), [False] * len(formula.clauses), 0, 0)
+    for lit in engine.units:
+        node = _extend(engine, node, lit)
+        if node is None:
+            return
+    stack = [(1, frozenset(), node, _model_words(formula))]
+    while stack:
+        var, alpha, node, models = stack.pop()
+        if var > n:
+            yield alpha, node[3:], models
+            continue
+        true = (models & np.uint64(1 << (var - 1))) != 0
+        for lit, keep in ((-var, ~true), (var, true)):
+            child = _extend(engine, node, lit)
+            if child is not None:
+                stack.append((var + 1, alpha | {lit}, child, models if child is node else models[keep]))
+        stack.append((var + 1, alpha, node, models))
+
+
+def _extend(engine: UnitPropagator, node: tuple, lit: Literal) -> tuple | None:
+    """The walk node (val, counts, sat, pos, neg) after assuming lit, or None on conflict."""
+    val, counts, sat, pos, neg = node
+    state = val[abs(lit)]
+    if state:  # already derived: nothing changes; its complement: a conflict
+        return node if state == (1 if lit > 0 else -1) else None
+    val, counts, sat = val.copy(), counts.copy(), sat.copy()
+    val[abs(lit)] = 1 if lit > 0 else -1
+    trail = [lit]
+    if engine._propagate(val, counts, sat, trail) is not None:
+        return None
+    new_pos, new_neg = literal_masks(trail)
+    return val, counts, sat, pos | new_pos, neg | new_neg
 
 
 def equivalent(f1: CnfFormula, f2: CnfFormula, limit: int = MODEL_LIMIT) -> bool:
@@ -158,15 +202,7 @@ def is_encoding_of(encoding: EncodingFormula, table: FunctionTable, limit: int =
 
 
 def _mask_to_clause(mask: int, n: int) -> Clause:
-    lits = []
-    lo = mask & ((1 << n) - 1)
-    hi = mask >> n
-    for v in range(1, n + 1):
-        if lo & (1 << (v - 1)):
-            lits.append(v)
-        if hi & (1 << (v - 1)):
-            lits.append(-v)
-    return make_clause(lits)
+    return tuple(mask_literals(mask & ((1 << n) - 1), mask >> n))
 
 
 def clause_sort_key(clause: Clause):

@@ -85,6 +85,19 @@ def test_up_conflict(tmp_path, capsys):
     assert "CONFLICT" in err
 
 
+def test_up_empty_clause_does_not_depend_on_assumption_order(tmp_path, capsys):
+    path = tmp_path / "units.cnf"
+    path.write_text("p cnf 2 2\n1 0\n2 0\n")
+    reports = []
+    for assume in ("-1 -2", "-2 -1"):
+        code, report, _ = run(capsys, "up", str(path), "--assume", assume)
+        assert code == 0
+        report.pop("timing_ms")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["empty_clause"] == [1]
+
+
 def test_up_derives_chain(tmp_path, capsys):
     path = tmp_path / "chain.cnf"
     path.write_text("p cnf 3 2\n-1 2 0\n-2 3 0\n")

@@ -8,8 +8,8 @@ from pcforge.cnf import (
     literal_masks,
     make_assignment,
     make_clause,
+    mask_literals,
     parse_dimacs,
-    partial_assignments,
     write_dimacs,
 )
 from pcforge.errors import DimacsError
@@ -120,6 +120,25 @@ def test_parse_clause_count_mismatch():
         parse_dimacs("p cnf 2 2\n1 0\n")
 
 
+def test_parse_satlib_tail():
+    # SATLIB files end with a "%" line and then "0"; neither is a clause
+    text = "c SATLIB uf3\np cnf 3 2\n 1 -2 0\n2 3 0\n%\n0\n\n"
+    assert parse_dimacs(text) == F([[1, -2], [2, 3]], 3)
+    assert parse_dimacs(text.encode()) == F([[1, -2], [2, 3]], 3)
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("p cnf 2 2\n1 0\n%\n0\n", 5, "header declares 2 clauses, found 1"),
+    ("p cnf 2 1\n1\n%\n0\n", 2, "unterminated clause"),
+    ("%\np cnf 1 0\n", 3, "missing p line"),
+    ("p cnf 2 1\n1 0\n%0\n", 3, "non-integer token"),
+])
+def test_parse_satlib_tail_keeps_the_checks(text, line, message):
+    with pytest.raises(DimacsError) as err:
+        parse_dimacs(text)
+    assert err.value.line == line and message in str(err.value)
+
+
 def test_write_simple():
     assert write_dimacs(F([[1, -2]], 2)) == "p cnf 2 1\n1 -2 0\n"
     assert write_dimacs(CnfFormula((), 0)) == "p cnf 0 0\n"
@@ -150,14 +169,17 @@ def test_duplicate_clauses_collapse():
     assert f.clauses == ((1, 2), (1,))
 
 
-@pytest.mark.parametrize("n", range(6))
-def test_partial_assignments_match_oracle(n):
-    assert list(partial_assignments(n)) == list(all_partial_assignments(n))
-
-
 def test_literal_masks():
     assert literal_masks([1, -3, 4]) == (0b1001, 0b100)
     assert literal_masks([]) == (0, 0)
+
+
+def test_mask_literals_inverts_literal_masks():
+    assert mask_literals(0b1001, 0b100) == [1, -3, 4]
+    assert mask_literals(0b11, 0b11) == [1, -1, 2, -2]
+    assert mask_literals(0, 0) == []
+    for alpha in all_partial_assignments(4):
+        assert mask_literals(*literal_masks(alpha)) == sorted(alpha, key=lambda lit: (abs(lit), lit < 0))
 
 
 def test_apply_assignment_examples():
@@ -186,6 +208,22 @@ formula_st = st.lists(clause_st, min_size=0, max_size=8).map(lambda cls: CnfForm
 @given(formula_st)
 def test_roundtrip(formula):
     assert parse_dimacs(write_dimacs(formula)) == formula
+
+
+@st.composite
+def encoding_st(draw):
+    n = draw(st.integers(min_value=0, max_value=5))
+    literal = st.integers(min_value=1, max_value=max(n, 1)).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.lists(literal, max_size=4), max_size=6)) if n else draw(st.lists(st.just([]), max_size=2))
+    aux = tuple(sorted(draw(st.sets(st.integers(min_value=1, max_value=n), max_size=n)))) if n else ()
+    inputs = tuple(v for v in range(1, n + 1) if v not in aux)
+    return EncodingFormula(CnfFormula.from_clauses(clauses, n), inputs, aux)
+
+
+@given(encoding_st())
+def test_encoding_roundtrip(encoding):
+    # covers empty aux lists, empty clauses and the 0-variable universe
+    assert parse_dimacs(write_dimacs(encoding)) == encoding
 
 
 @given(formula_st, st.sets(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=3))

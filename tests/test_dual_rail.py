@@ -19,7 +19,7 @@ from pcforge.families import gen_gamma, gen_psi_qhorn
 from pcforge.propagation import UnitPropagator
 from pcforge.semantics import _model_words, prime_implicates
 
-from oracles import all_partial_assignments, models_brute
+from oracles import all_partial_assignments, cl_sem_brute, models_brute
 
 
 def F(clauses, num_vars=None):
@@ -121,6 +121,15 @@ def test_pc_via_dual_rail_matches_direct_decider():
 def test_closed_assignments_examples():
     assert closed_assignments(F([[1]], 1)) == frozenset({frozenset({1})})
     assert closed_assignments(CnfFormula((), 1)) == frozenset({frozenset(), frozenset({1}), frozenset({-1})})
+
+
+def test_closed_assignments_match_oracle():
+    rng = random.Random(71)
+    formulas = [CnfFormula((), 0), CnfFormula(((),), 0), CnfFormula(((),), 2), F([[1], [-1]], 1)]
+    formulas += [random_formula(rng, max_vars=4) for _ in range(30)]
+    for formula in formulas:
+        expected = {alpha for alpha in all_partial_assignments(formula.num_vars) if cl_sem_brute(formula, alpha) == alpha}
+        assert closed_assignments(formula) == expected, formula
 
 
 def test_dual_rail_models_are_up_closed_assignment_vectors():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from pcforge.cnf import CnfFormula, make_assignment
+from pcforge.cnf import CnfFormula, literal_key
 from pcforge.corpus import qhorn_formulas, satisfiable_formulas
 from pcforge.families import gen_psi_qhorn
 from pcforge.propagation import PropagationResult, UnitPropagator, all_literals, up_closure
@@ -148,11 +148,19 @@ def test_cached_engine_matches_a_fresh_engine_when_formulas_alternate():
             formula = CnfFormula(formula.clauses, formula.num_vars)
         size = rng.randint(0, min(4, formula.num_vars))
         alpha = frozenset(v * rng.choice((1, -1)) for v in rng.sample(range(1, formula.num_vars + 1), size))
-        # the engine sees alpha in make_assignment's iteration order, as up_closure passes it
-        conflict, trail, empty_idx = UnitPropagator(formula).run(make_assignment(alpha))
+        # the engine sees alpha in literal_key order, as up_closure passes it
+        conflict, trail, empty_idx = UnitPropagator(formula).run(sorted(alpha, key=literal_key))
         if conflict:
             empty = formula.clauses[empty_idx] if empty_idx is not None else None
             expected = PropagationResult(True, all_literals(formula.num_vars), empty)
         else:
             expected = PropagationResult(False, frozenset(trail), None)
         assert up_closure(formula, alpha) == expected
+
+
+def test_empty_clause_does_not_depend_on_assumption_order():
+    # -1 and -2 share a hash, so the two assumption sets iterate in different orders
+    formula = CnfFormula(((1,), (2,)), 2)
+    first, second = up_closure(formula, [-1, -2]), up_closure(formula, [-2, -1])
+    assert first.conflict and second.conflict
+    assert first.empty_clause == second.empty_clause == (1,)

@@ -22,7 +22,7 @@ from pcforge.qhorn import (
 )
 from pcforge.semantics import entails, enumerate_models, is_encoding_of, satisfiable
 
-from oracles import phi_q_plus_all_pairs, qhorn_brute, resolution_pairs_all_pairs, satisfiable_brute
+from oracles import _resolvent_all_pairs, phi_q_plus_all_pairs, qhorn_brute, resolution_pairs_all_pairs, satisfiable_brute
 
 
 def F(clauses, num_vars=None):
@@ -264,3 +264,12 @@ def test_indexed_resolution_matches_all_pairs_reference(formula, valuation, monk
     monkeypatch.setattr(qhorn, "phi_q_plus", lambda s: CnfFormula(tuple(phi_q_plus_all_pairs(s)), s.num_vars))
     monkeypatch.setattr(qhorn, "_resolution_pairs", resolution_pairs_all_pairs)
     assert compiled == write_dimacs(compile_urc_encoding(formula, valuation))
+
+
+def test_binary_resolvent_matches_all_pairs_reference():
+    lits = [lit for v in (1, 2, 3) for lit in (v, -v)]
+    binary = [make_clause([a, b]) for i, a in enumerate(lits) for b in lits[i + 1:]]
+    assert len(binary) == 15  # tautological pairs such as (1, -1) included
+    for ci in binary:
+        for cj in binary:
+            assert qhorn._binary_resolvent(ci, cj) == _resolvent_all_pairs(ci, cj), (ci, cj)

@@ -1,15 +1,19 @@
 import random
 
+import numpy as np
 import pytest
 
-from pcforge.cnf import CnfFormula, EncodingFormula, make_clause
+from pcforge.cnf import CnfFormula, EncodingFormula, make_clause, mask_literals
+from pcforge.corpus import horn_formulas, qhorn_formulas, satisfiable_formulas
 from pcforge.deciders import is_pc
 from pcforge.errors import LimitError, PreconditionError
 from pcforge.families import gen_gamma, gen_parity, gen_psi_horn, gen_psi_qhorn, gen_psi_qhorn_pc
-from pcforge.propagation import all_literals
+from pcforge.propagation import UnitPropagator, all_literals
 from pcforge.semantics import (
     FunctionTable,
+    assignment_walk,
     cl_sem,
+    closure_masks,
     entails,
     enumerate_models,
     equivalent,
@@ -18,7 +22,8 @@ from pcforge.semantics import (
     satisfiable,
 )
 
-from oracles import all_partial_assignments, cl_sem_brute, encoding_onset_brute, entails_brute, models_brute, primes_brute
+from oracles import (all_partial_assignments, cl_sem_brute, encoding_onset_brute, entails_brute, models_brute, primes_brute,
+                     up_fixpoint_brute, word_matches)
 
 
 def F(clauses, num_vars=None):
@@ -206,3 +211,59 @@ def test_is_encoding_of_matches_frozenset_oracle():
         for variant in _table_variants(table):
             assert is_encoding_of(encoding, variant) == (projected == variant.onset)
     assert all(is_encoding_of(encoding, table) for encoding, table in cases)
+
+
+def _walk_expected(formula):
+    """{alpha: (propagation closure, models extending alpha)} over every alpha whose propagation does not conflict."""
+    models = models_brute(formula)
+    engine = UnitPropagator(formula)
+    out = {}
+    for alpha in all_partial_assignments(formula.num_vars):
+        conflict, derived = up_fixpoint_brute(formula, alpha)
+        engine_conflict, trail, _ = engine.run(alpha)
+        assert engine_conflict == conflict
+        if not conflict:
+            assert frozenset(trail) == frozenset(derived)
+            out[alpha] = (frozenset(derived), [w for w in models if word_matches(alpha, w)])
+    return out
+
+
+def _assert_walk_matches_oracle(formula):
+    got = [(alpha, frozenset(mask_literals(*masks)), models.tolist()) for alpha, masks, models in assignment_walk(formula)]
+    assert len({alpha for alpha, _, _ in got}) == len(got)  # each assignment once
+    assert {alpha: (derived, models) for alpha, derived, models in got} == _walk_expected(formula)
+
+
+def _walk_formulas(n):
+    rng = random.Random(1000 + n)
+    out = [CnfFormula((), n), CnfFormula(((),), n)]
+    if n:
+        out += [F([[1], [-1]], n), F([[-1], [1], []], n)]
+    if n >= 2:
+        out += [F([[1], [-1, 2]], n), F([[1, 2], [1, -2], [-1, 2], [-1, -2]], n)]
+    for _ in range(25):
+        # mostly short clauses, so that units, chains and conflicts all occur
+        clauses = [[v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), rng.randint(1, min(3, n)))]
+                   for _ in range(rng.randint(0, 2 * n + 1))] if n else []
+        out.append(CnfFormula.from_clauses(clauses, n))
+    return out
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_assignment_walk_matches_oracle(n):
+    for formula in _walk_formulas(n):
+        _assert_walk_matches_oracle(formula)
+
+
+def test_assignment_walk_matches_oracle_on_seeded_corpora():
+    corpora = (satisfiable_formulas(1001, 40) + horn_formulas(1004, 10, max_vars=6)
+               + [formula for formula, _ in qhorn_formulas(1003, 10, max_vars=6)])
+    for formula in corpora:
+        _assert_walk_matches_oracle(formula)
+
+
+def test_closure_masks():
+    models = np.array([0b011, 0b111], dtype=np.uint64)
+    assert closure_masks(models, 4) == (0b011, 0b1000)
+    assert closure_masks(np.empty(0, dtype=np.uint64), 3) == (0b111, 0b111)
+    assert closure_masks(np.array([0], dtype=np.uint64), 0) == (0, 0)
