@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
-from .errors import DimacsError
+from .errors import DimacsError, TautologyError
 
 Literal = int
 Clause = tuple[Literal, ...]
@@ -142,6 +142,11 @@ class CnfFormula:
 
     def tautological_clauses(self) -> tuple[Clause, ...]:
         return tuple(clause for clause in self.clauses if is_tautological(clause))
+
+    def reject_tautologies(self, message: str):
+        """Raise TautologyError(message) when a clause holds a complementary pair."""
+        if self.tautological_clauses():
+            raise TautologyError(message)
 
     def without(self, index: int) -> "CnfFormula":
         """The formula with the clause at the given position removed."""

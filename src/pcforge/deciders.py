@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .cnf import Clause, CnfFormula, Literal, PartialAssignment, is_tautological, literal_key, make_clause, mask_literals
 from .errors import LimitError, PreconditionError, TautologyError
@@ -57,8 +57,7 @@ def _witness_key(alpha: PartialAssignment):
 
 
 def _check_input(formula: CnfFormula, limit: int):
-    if formula.tautological_clauses():
-        raise TautologyError("deciders do not accept tautological clauses")
+    formula.reject_tautologies("deciders do not accept tautological clauses")
     if formula.num_vars > limit:
         raise LimitError(f"{formula.num_vars} variables exceed limit {limit} (raise --limit to override)")
 
@@ -83,28 +82,26 @@ def _naive_pc(formula: CnfFormula) -> DecisionReport:
     return DecisionReport(False, witness=alpha, literal=lit, method="naive")
 
 
-def _prime_urc(formula: CnfFormula, primes: CnfFormula | None = None) -> DecisionReport:
-    if primes is None:
-        primes = prime_implicates(formula)
-    engine = UnitPropagator(formula)
-    if primes.has_empty_clause():
-        # unsatisfiable formula: URC iff propagation alone refutes it
-        if engine.conflicts(()):
-            return DecisionReport(True, method="primes")
-        return DecisionReport(False, witness=frozenset(), method="primes")
-    failures = []
+def _unrefuted_primes(engine: UnitPropagator, primes: CnfFormula) -> Iterator[PartialAssignment]:
+    """The negated primes whose unit propagation does not conflict: the formula is URC iff there are none.
+
+    The empty prime of an unsatisfiable formula negates to the empty assignment.
+    """
     for prime in primes.clauses:
         alpha = frozenset(-lit for lit in prime)
         if not engine.conflicts(alpha):
-            failures.append(alpha)
+            yield alpha
+
+
+def _prime_urc(formula: CnfFormula) -> DecisionReport:
+    failures = list(_unrefuted_primes(UnitPropagator(formula), prime_implicates(formula)))
     if not failures:
         return DecisionReport(True, method="primes")
     return DecisionReport(False, witness=min(failures, key=_witness_key), method="primes")
 
 
-def _prime_pc(formula: CnfFormula, primes: CnfFormula | None = None) -> DecisionReport:
-    if primes is None:
-        primes = prime_implicates(formula)
+def _prime_pc(formula: CnfFormula) -> DecisionReport:
+    primes = prime_implicates(formula)
     engine = UnitPropagator(formula)
     if primes.has_empty_clause():
         conflict, trail, _ = engine.run(())
@@ -212,10 +209,7 @@ def reduce_urc_irredundant(formula: CnfFormula, seed: int | None = None, limit: 
     primes = prime_implicates(formula)
 
     def still_urc(rest: CnfFormula) -> bool:
-        engine = UnitPropagator(rest)
-        if primes.has_empty_clause():
-            return engine.conflicts(())
-        return all(engine.conflicts(frozenset(-lit for lit in p)) for p in primes.clauses)
+        return next(_unrefuted_primes(UnitPropagator(rest), primes), None) is None
 
     # a clause the rest does not entail cannot go: its removal would change the function
     result = _greedy_reduce(formula, seed, lambda clause, rest: entails(rest, clause) and still_urc(rest))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cnf import Clause, CnfFormula, Literal, PartialAssignment, is_tautological, make_clause
-from .errors import EmptyClauseError, LimitError, PreconditionError, TautologyError, UnsatisfiableError
+from .errors import EmptyClauseError, LimitError, PreconditionError, UnsatisfiableError
 from .propagation import UnitPropagator
 from .semantics import MODEL_LIMIT, assignment_walk, closure_masks, prime_implicates, satisfiable
 
@@ -121,8 +121,7 @@ def pc_via_dual_rail(formula: CnfFormula, limit: int = MODEL_LIMIT) -> bool:
     A satisfiable formula is PC iff its dual-rail translation is Horn-
     equivalent to the translation of its full prime implicate set.
     """
-    if formula.tautological_clauses():
-        raise TautologyError("pc_via_dual_rail does not accept tautological clauses")
+    formula.reject_tautologies("pc_via_dual_rail does not accept tautological clauses")
     if formula.has_empty_clause():
         raise EmptyClauseError("pc_via_dual_rail does not accept the empty clause")
     if not satisfiable(formula, limit=limit):

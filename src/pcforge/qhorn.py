@@ -26,10 +26,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .cnf import Clause, CnfFormula, EncodingFormula, Literal, apply_assignment, make_clause
-from .errors import NotQHornError, PreconditionError, TautologyError
+from .cnf import Clause, CnfFormula, EncodingFormula, Literal, apply_assignment, literal_key, make_clause
+from .errors import NotQHornError, PreconditionError
 from .propagation import UnitPropagator
 from .semantics import clause_sort_key
+
+_TAUTOLOGY_MESSAGE = "q-Horn operations do not accept tautological clauses"
 
 
 @dataclass(frozen=True)
@@ -60,11 +62,6 @@ class Valuation:
         return all(sum(self.doubled_weight(lit) for lit in clause) <= 2 for clause in formula.clauses)
 
 
-def _check_no_tautologies(formula: CnfFormula):
-    if formula.tautological_clauses():
-        raise TautologyError("q-Horn operations do not accept tautological clauses")
-
-
 def recognize_qhorn(formula: CnfFormula) -> Valuation | None:
     """Find a witnessing valuation, or None when none exists (exact).
 
@@ -72,7 +69,7 @@ def recognize_qhorn(formula: CnfFormula) -> Valuation | None:
     formula weight 1 everywhere.  Otherwise a backtracking search over
     per-variable weights, pruning on partial clause sums.
     """
-    _check_no_tautologies(formula)
+    formula.reject_tautologies(_TAUTOLOGY_MESSAGE)
     n = formula.num_vars
     if all(len(clause) <= 2 for clause in formula.clauses):
         return Valuation((1,) * n)
@@ -132,7 +129,7 @@ class QHornSplit:
 
 def normalize(formula: CnfFormula, valuation: Valuation) -> QHornSplit:
     """Rename weight-0 variables and split into the Horn and half-weight parts."""
-    _check_no_tautologies(formula)
+    formula.reject_tautologies(_TAUTOLOGY_MESSAGE)
     if not valuation.witnesses(formula):
         raise PreconditionError("valuation does not witness the formula")
     n = formula.num_vars
@@ -317,7 +314,7 @@ def compile_urc_encoding(formula: CnfFormula, valuation: Valuation | None = None
     output is an encoding of the input's function over the original,
     un-renamed variables.
     """
-    _check_no_tautologies(formula)
+    formula.reject_tautologies(_TAUTOLOGY_MESSAGE)
     if valuation is None:
         valuation = recognize_qhorn(formula)
         if valuation is None:
@@ -327,43 +324,48 @@ def compile_urc_encoding(formula: CnfFormula, valuation: Valuation | None = None
     n = formula.num_vars
     aux_of = {clause: n + 1 + idx for idx, clause in enumerate(fq.clauses)}
     x2_set = set(split.x2)
+    unflip = split.unflip
 
-    def unflip_clause(lits) -> Clause:
-        return make_clause(split.unflip(lit) if abs(lit) <= n else lit for lit in lits)
+    # Each output clause is built canonical once: its literals have distinct variables
+    # (the input has no tautology and unflip keeps variables), so a literal_key sort suffices.
+    def canonical(lits) -> Clause:
+        return tuple(sorted(lits, key=literal_key))
 
     group1: list[Clause] = []
     group2: list[Clause] = []
     for clause in split.phi1.clauses:
-        group1.append(unflip_clause(clause))
+        group1.append(canonical(map(unflip, clause)))
     for clause in split.phi2.clauses:
-        half = [lit for lit in clause if abs(lit) in x2_set]
+        half = tuple(lit for lit in clause if abs(lit) in x2_set)
         if len(half) <= 1:
-            group1.append(unflip_clause(clause))
+            group1.append(canonical(map(unflip, clause)))
         else:
-            key = make_clause(half)
-            rest = [lit for lit in clause if abs(lit) not in x2_set]
-            group2.append(unflip_clause(rest + [aux_of[key]]))
+            rest = [unflip(lit) for lit in clause if abs(lit) not in x2_set]
+            group2.append(canonical(rest + [aux_of[half]]))
 
     group3: list[Clause] = []
     group4: list[Clause] = []
     clauses_list = fq.clauses
     for ci, cj, resolvent in _resolution_pairs(clauses_list):
+        a, b = aux_of[ci], aux_of[cj]  # a < b, since ci comes first
         if len(resolvent) == 1:
-            group4.append(unflip_clause([-aux_of[ci], -aux_of[cj], resolvent[0]]))
+            group4.append(canonical((-a, -b, unflip(resolvent[0]))))
         else:
-            group3.append(make_clause([-aux_of[ci], -aux_of[cj], aux_of[resolvent]]))
+            # the resolvent differs from both parents, so only its auxiliary needs placing
+            r = aux_of[resolvent]
+            group3.append((r, -a, -b) if r < a else (-a, r, -b) if r < b else (-a, -b, r))
 
     group5: list[Clause] = []
     group6: list[Clause] = []
     for clause in clauses_list:
-        u, v = clause
+        u, v = unflip(clause[0]), unflip(clause[1])
         aux = aux_of[clause]
-        group5.append(unflip_clause([-aux, u, v]))
-        group6.append(unflip_clause([-u, aux]))
-        group6.append(unflip_clause([-v, aux]))
+        group5.append(canonical((-aux, u, v)))
+        group6.append(canonical((-u, aux)))
+        group6.append(canonical((-v, aux)))
 
     all_clauses = group1 + group2 + group3 + group4 + group5 + group6
-    encoded = CnfFormula.from_clauses(all_clauses, n + len(clauses_list))
+    encoded = CnfFormula(tuple(dict.fromkeys(all_clauses)), n + len(clauses_list))
     inputs = tuple(range(1, n + 1))
     aux_vars = tuple(range(n + 1, n + 1 + len(clauses_list)))
     return EncodingFormula(encoded, inputs, aux_vars)

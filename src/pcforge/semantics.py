@@ -5,16 +5,19 @@ encoding check, and prime implicates.  Everything here is exponential in
 the number of variables by design; limits make the operations fail closed
 instead of approximating.
 
-Models of a formula are cached as sorted numpy arrays of assignment words
-(bit v-1 of a word holds the value of variable v), so repeated queries
-against the same formula are cheap.
+Models of a formula are cached as sorted, read-only numpy uint64 arrays of
+assignment words (bit v-1 of a word holds the value of variable v), so
+repeated queries against the same formula are cheap.  The table returned by
+enumerate_models holds that cached array itself as its onset; no copy is
+made.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -27,19 +30,51 @@ MODEL_LIMIT = 24
 _CHUNK = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionTable:
     """A boolean function given extensionally by its onset.
 
-    Bit j of an onset word is the value of input_vars[j].
+    Bit j of an onset word is the value of input_vars[j].  The onset may be
+    given as any iterable of ints; it is kept as a sorted, duplicate-free,
+    read-only numpy uint64 array, and a word outside 0..2**arity-1 (or one
+    that does not fit 64 bits) raises ValueError.  An array already in that
+    form, such as the cached model array enumerate_models passes, is checked
+    in one pass and kept without a copy.  Tables are equal when their input
+    variables and onset words are.
     """
 
     input_vars: tuple[int, ...]
-    onset: frozenset[int]
+    onset: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "onset", _onset_array(self.onset, self.arity))
 
     @property
     def arity(self) -> int:
         return len(self.input_vars)
+
+    def __eq__(self, other):
+        if not isinstance(other, FunctionTable):
+            return NotImplemented
+        return self.input_vars == other.input_vars and bool(np.array_equal(self.onset, other.onset))
+
+    def __hash__(self) -> int:
+        return hash((self.input_vars, self.onset.tobytes()))
+
+
+def _onset_array(words: Iterable[int], arity: int) -> np.ndarray:
+    """The words as a sorted, duplicate-free, read-only uint64 array, each below 2**arity."""
+    bound = 1 << min(arity, 64)
+    if (isinstance(words, np.ndarray) and words.dtype == np.uint64 and words.ndim == 1 and not words.flags.writeable
+            and (len(words) == 0 or int(words[-1]) < bound) and bool(np.all(words[1:] > words[:-1]))):
+        return words
+    ints = sorted({operator.index(w) for w in (words.tolist() if isinstance(words, np.ndarray) else words)})
+    if ints and (ints[0] < 0 or ints[-1] >= bound):
+        bad = ints[0] if ints[0] < 0 else ints[-1]
+        raise ValueError(f"onset word {bad} outside 0..{bound - 1}")
+    out = np.array(ints, dtype=np.uint64)
+    out.flags.writeable = False
+    return out
 
 
 def _check_limit(formula: CnfFormula, limit: int):
@@ -74,10 +109,9 @@ def _select(models: np.ndarray, alpha: PartialAssignment) -> np.ndarray:
 
 
 def enumerate_models(formula: CnfFormula, limit: int = MODEL_LIMIT) -> FunctionTable:
-    """Exact onset of the formula over its full universe."""
+    """Exact onset of the formula over its full universe; the onset is the cached model array itself."""
     _check_limit(formula, limit)
-    words = _model_words(formula)
-    return FunctionTable(tuple(formula.variables), frozenset(words.tolist()))
+    return FunctionTable(tuple(formula.variables), _model_words(formula))
 
 
 def satisfiable(formula: CnfFormula, limit: int = MODEL_LIMIT) -> bool:
@@ -189,16 +223,8 @@ def is_encoding_of(encoding: EncodingFormula, table: FunctionTable, limit: int =
     projected.sort()
     distinct = np.ones(len(projected), dtype=bool)
     np.not_equal(projected[1:], projected[:-1], out=distinct[1:])
-    projected = projected[distinct]
-    onset = table.onset
-    if len(onset) != len(projected):
-        return False
-    try:
-        expected = np.fromiter(onset, dtype=np.uint64, count=len(onset))
-    except OverflowError:
-        return False  # a negative word, or one of 64 bits or more, is never a projection
-    # distinct ints stay distinct as uint64; a word of 2**arity or more matches no projection
-    return bool(np.array_equal(projected, np.sort(expected)))
+    # both sides are sorted and duplicate-free
+    return bool(np.array_equal(projected[distinct], table.onset))
 
 
 def _mask_to_clause(mask: int, n: int) -> Clause:

@@ -5,12 +5,16 @@ without reusing the package's engines: model sets by direct evaluation,
 entailment and closures by scanning models, prime implicates by filtering
 all candidate clauses, unit propagation by a quadratic fixpoint scan, and
 the completeness properties by quantifying over all partial assignments.
-Sizes are expected to stay small (around 8 variables or fewer).
+The q-Horn encoding reference uses only the package's data model
+(make_clause, CnfFormula.from_clauses).  Sizes are expected to stay small
+(around 8 variables or fewer).
 """
 
 from __future__ import annotations
 
 from itertools import product
+
+from pcforge.cnf import CnfFormula, EncodingFormula, make_clause
 
 
 def eval_clause(clause, word: int) -> bool:
@@ -184,3 +188,42 @@ def encoding_onset_brute(encoding) -> frozenset[int]:
     for w in models_brute(encoding.formula):
         out.add(sum(((w >> (v - 1)) & 1) << j for j, v in enumerate(encoding.input_vars)))
     return frozenset(out)
+
+
+def compile_urc_encoding_reference(split):
+    """The URC encoding of a normalized q-Horn formula, clause by clause through make_clause.
+
+    One auxiliary per clause of the all-pairs binary closure; the six clause
+    groups in order, each clause canonicalised by make_clause, and the list
+    canonicalised again and deduplicated by CnfFormula.from_clauses.
+    """
+    n = split.num_vars
+    closure = phi_q_plus_all_pairs(split)
+    aux_of = {clause: n + 1 + idx for idx, clause in enumerate(closure)}
+    half = set(split.x2)
+
+    def unflip_clause(lits):
+        return make_clause(split.unflip(lit) if abs(lit) <= n else lit for lit in lits)
+
+    groups = [[] for _ in range(6)]
+    for clause in split.phi1.clauses:
+        groups[0].append(unflip_clause(clause))
+    for clause in split.phi2.clauses:
+        half_lits = [lit for lit in clause if abs(lit) in half]
+        if len(half_lits) <= 1:
+            groups[0].append(unflip_clause(clause))
+        else:
+            rest = [lit for lit in clause if abs(lit) not in half]
+            groups[1].append(unflip_clause(rest + [aux_of[make_clause(half_lits)]]))
+    for ci, cj, resolvent in resolution_pairs_all_pairs(closure):
+        if len(resolvent) == 1:
+            groups[3].append(unflip_clause([-aux_of[ci], -aux_of[cj], resolvent[0]]))
+        else:
+            groups[2].append(make_clause([-aux_of[ci], -aux_of[cj], aux_of[resolvent]]))
+    for clause in closure:
+        u, v = clause
+        aux = aux_of[clause]
+        groups[4].append(unflip_clause([-aux, u, v]))
+        groups[5] += [unflip_clause([-u, aux]), unflip_clause([-v, aux])]
+    formula = CnfFormula.from_clauses([c for group in groups for c in group], n + len(closure))
+    return EncodingFormula(formula, tuple(range(1, n + 1)), tuple(range(n + 1, n + 1 + len(closure))))

@@ -125,13 +125,20 @@ def test_decider_rejects_tautologies_and_limits():
 
 
 def test_unsatisfiable_formulas():
-    # refutable by propagation: URC and PC hold
-    assert is_urc(F([[1], [-1]])).verdict
-    assert is_pc(F([[1], [-1]])).verdict
-    # 2-CNF contradiction needs two-literal clauses, propagation never fires
     square = F([[1, 2], [1, -2], [-1, 2], [-1, -2]])
-    assert not is_urc(square).verdict
-    assert is_urc(square).witness == frozenset()
+    for method in ("naive", "primes"):
+        # refutable by propagation: URC and PC hold
+        assert is_urc(F([[1], [-1]]), method=method).verdict
+        assert is_pc(F([[1], [-1]]), method=method).verdict
+        # 2-CNF contradiction needs two-literal clauses, propagation never fires
+        assert not is_urc(square, method=method).verdict
+        assert is_urc(square, method=method).witness == frozenset()
+
+
+def test_reduce_urc_keeps_an_unsatisfiable_formula_refutable():
+    # without (1) the rest is still unsatisfiable, but propagation no longer refutes it
+    formula = F([[1], [1, 2], [1, -2], [-1, 2], [-1, -2]])
+    assert reduce_urc_irredundant(formula).clauses == ((1,), (-1, 2), (-1, -2))
 
 
 def test_absorbed_member_and_superclause():

@@ -135,7 +135,7 @@ def test_parity_cnf():
     assert all(len(c) == 3 for c in f.clauses)
     assert set(prime_implicates(f).clauses) == set(f.clauses)
     onset = enumerate_models(f).onset
-    assert onset == {w for w in range(8) if bin(w).count("1") % 2 == 1}
+    assert set(onset.tolist()) == {w for w in range(8) if bin(w).count("1") % 2 == 1}
 
 
 def test_parity_encoding():

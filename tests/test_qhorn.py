@@ -22,7 +22,8 @@ from pcforge.qhorn import (
 )
 from pcforge.semantics import entails, enumerate_models, is_encoding_of, satisfiable
 
-from oracles import _resolvent_all_pairs, phi_q_plus_all_pairs, qhorn_brute, resolution_pairs_all_pairs, satisfiable_brute
+from oracles import (_resolvent_all_pairs, compile_urc_encoding_reference, phi_q_plus_all_pairs, qhorn_brute,
+                     resolution_pairs_all_pairs, satisfiable_brute)
 
 
 def F(clauses, num_vars=None):
@@ -239,10 +240,10 @@ def test_resolution_helper_clauses_are_implied_by_definitions():
         assert entails(definitions, clause)
 
 
-def _differential_corpus():
+def _differential_corpus(corpus_count=40):
     """psi_qhorn for n = 2..6 and seeded random q-Horn formulas, small and wide."""
     cases = [pytest.param(gen_psi_qhorn(n)[0], None, id=f"psi_qhorn({n})") for n in range(2, 7)]
-    cases += [pytest.param(f, v, id=f"corpus-1003-{i}") for i, (f, v) in enumerate(qhorn_formulas(1003, 40))]
+    cases += [pytest.param(f, v, id=f"corpus-1003-{i}") for i, (f, v) in enumerate(qhorn_formulas(1003, corpus_count))]
     wide = qhorn_formulas(77, 6, max_vars=14, max_half=7, max_clauses=24, max_aux=120)
     cases += [pytest.param(f, v, id=f"wide-77-{i}") for i, (f, v) in enumerate(wide)]
     # random 2-CNFs put every variable at weight 1/2; these have closures of 54 to 78 clauses
@@ -264,6 +265,15 @@ def test_indexed_resolution_matches_all_pairs_reference(formula, valuation, monk
     monkeypatch.setattr(qhorn, "phi_q_plus", lambda s: CnfFormula(tuple(phi_q_plus_all_pairs(s)), s.num_vars))
     monkeypatch.setattr(qhorn, "_resolution_pairs", resolution_pairs_all_pairs)
     assert compiled == write_dimacs(compile_urc_encoding(formula, valuation))
+
+
+@pytest.mark.parametrize("formula,valuation", _differential_corpus(100))
+def test_compiled_encoding_matches_make_clause_reference(formula, valuation):
+    valuation = valuation if valuation is not None else recognize_qhorn(formula)
+    expected = compile_urc_encoding_reference(normalize(formula, valuation))
+    encoding = compile_urc_encoding(formula, valuation)
+    assert encoding == expected
+    assert write_dimacs(encoding) == write_dimacs(expected)
 
 
 def test_binary_resolvent_matches_all_pairs_reference():

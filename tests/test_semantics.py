@@ -11,6 +11,7 @@ from pcforge.families import gen_gamma, gen_parity, gen_psi_horn, gen_psi_qhorn,
 from pcforge.propagation import UnitPropagator, all_literals
 from pcforge.semantics import (
     FunctionTable,
+    _model_words,
     assignment_walk,
     cl_sem,
     closure_masks,
@@ -37,10 +38,65 @@ def random_formula(rng, max_vars=5, max_clauses=8):
     return CnfFormula.from_clauses(clauses, n)
 
 
+def onset_set(formula):
+    return set(enumerate_models(formula).onset.tolist())
+
+
 def test_enumerate_models_examples():
-    assert enumerate_models(F([[1], [2]])).onset == frozenset({0b11})
-    assert enumerate_models(CnfFormula((), 2)).onset == frozenset({0, 1, 2, 3})
-    assert enumerate_models(F([[1, 2], [-1, -2]])).onset == frozenset({0b01, 0b10})
+    assert onset_set(F([[1], [2]])) == {0b11}
+    assert onset_set(CnfFormula((), 2)) == {0, 1, 2, 3}
+    assert onset_set(F([[1, 2], [-1, -2]])) == {0b01, 0b10}
+
+
+def test_enumerate_models_shares_the_cached_model_array():
+    formula = F([[1, 2], [-1, 3], [2, -3]], 4)
+    onset = enumerate_models(formula).onset
+    assert np.shares_memory(onset, _model_words(formula))
+    assert onset.dtype == np.uint64 and not onset.flags.writeable
+    assert onset.tolist() == models_brute(formula)
+
+
+def test_function_table_canonicalises_its_onset():
+    for words in ([5, 1, 3, 1, 5], {3, 1, 5}, (w for w in (3, 5, 1)), np.array([5, 3, 1, 3], dtype=np.int64),
+                  np.array([1, 3, 5, 5], dtype=np.uint64)):
+        onset = FunctionTable((1, 2, 3), words).onset
+        assert onset.dtype == np.uint64 and onset.ndim == 1 and not onset.flags.writeable
+        assert onset.tolist() == [1, 3, 5]
+    assert FunctionTable((), []).onset.tolist() == []
+    assert FunctionTable((), [0]).onset.tolist() == [0]
+    # an unsorted read-only uint64 array is sorted, not kept
+    unsorted = np.array([3, 1], dtype=np.uint64)
+    unsorted.flags.writeable = False
+    assert FunctionTable((1, 2), unsorted).onset.tolist() == [1, 3]
+    # a canonical array is kept as it is
+    canonical = np.array([1, 3], dtype=np.uint64)
+    canonical.flags.writeable = False
+    assert FunctionTable((1, 2), canonical).onset is canonical
+    with pytest.raises(TypeError):
+        FunctionTable((1, 2), [1.5])
+
+
+@pytest.mark.parametrize("word", [-1, 1 << 3, 1 << 64, 1 << 70])
+def test_function_table_rejects_words_out_of_range(word):
+    with pytest.raises(ValueError):
+        FunctionTable((1, 2, 3), [0, word])
+    if 0 <= word < 1 << 64:
+        array = np.array([0, word], dtype=np.uint64)
+        array.flags.writeable = False
+        with pytest.raises(ValueError):
+            FunctionTable((1, 2, 3), array)
+
+
+def test_function_tables_with_equal_contents_are_equal():
+    a = FunctionTable((1, 2), [3, 0, 3])
+    b = FunctionTable((1, 2), np.array([0, 3], dtype=np.uint64))
+    c = enumerate_models(F([[1, -2], [-1, 2]], 2))
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert len({a, b, c}) == 1
+    assert a != FunctionTable((1, 2), [0])
+    assert a != FunctionTable((2, 1), [0, 3])
+    assert a != FunctionTable((1, 2, 3), [0, 3])
+    assert a != (1, 2)
 
 
 def test_models_match_brute_oracle_with_tautological_clauses():
@@ -50,9 +106,9 @@ def test_models_match_brute_oracle_with_tautological_clauses():
         clauses = [[v * rng.choice((1, -1)) for v in rng.choices(range(1, n + 1), k=rng.randint(1, 4))]
                    for _ in range(rng.randint(0, 6))]
         formula = CnfFormula.from_clauses(clauses, n)
-        assert enumerate_models(formula).onset == frozenset(models_brute(formula))
-    assert enumerate_models(F([[1, -1]], 1)).onset == frozenset({0, 1})
-    assert enumerate_models(F([[1, -1], [-1, 2]], 2)).onset == frozenset({0, 2, 3})
+        assert onset_set(formula) == set(models_brute(formula))
+    assert onset_set(F([[1, -1]], 1)) == {0, 1}
+    assert onset_set(F([[1, -1], [-1, 2]], 2)) == {0, 2, 3}
 
 
 def test_enumerate_models_limit():
@@ -183,14 +239,16 @@ def test_cl_sem_matches_brute_oracle():
 
 
 def _table_variants(table):
-    """The table itself, with one word dropped or added, and with words no projection can produce."""
-    onset, arity = table.onset, table.arity
-    variants = [onset, frozenset(), frozenset({0}), onset | {(1 << arity) - 1},
-                onset | {1 << arity}, onset | {-1}, onset | {1 << 64}, onset | {1 << 70}]
+    """Word sets of the table's arity: the onset itself, and with one word dropped or added;
+    and word sets holding a word outside 0..2**arity-1, which no table may hold."""
+    onset, arity = frozenset(table.onset.tolist()), table.arity
+    in_range = [onset, frozenset(), frozenset({0}), onset | {(1 << arity) - 1}]
+    out_of_range = [onset | {1 << arity}, onset | {-1}, onset | {1 << 64}, onset | {1 << 70}]
     if onset:
         dropped = onset - {min(onset)}
-        variants += [dropped, dropped | {1 << arity}, dropped | {-1}, dropped | {1 << 64}]
-    return [FunctionTable(table.input_vars, words) for words in variants]
+        in_range.append(dropped)
+        out_of_range += [dropped | {1 << arity}, dropped | {-1}, dropped | {1 << 64}]
+    return in_range, out_of_range
 
 
 def test_is_encoding_of_matches_frozenset_oracle():
@@ -208,8 +266,12 @@ def test_is_encoding_of_matches_frozenset_oracle():
     cases.append((EncodingFormula(F([[1], [-1]], 2), (2,), (1,)), FunctionTable((1,), frozenset())))
     for encoding, table in cases:
         projected = encoding_onset_brute(encoding)
-        for variant in _table_variants(table):
-            assert is_encoding_of(encoding, variant) == (projected == variant.onset)
+        in_range, out_of_range = _table_variants(table)
+        for words in in_range:
+            assert is_encoding_of(encoding, FunctionTable(table.input_vars, words)) == (projected == words)
+        for words in out_of_range:
+            with pytest.raises(ValueError):
+                FunctionTable(table.input_vars, words)
     assert all(is_encoding_of(encoding, table) for encoding, table in cases)
 
 
