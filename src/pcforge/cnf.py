@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Union
 
 from .errors import DimacsError, TautologyError
@@ -94,27 +96,26 @@ class CnfFormula:
     def __post_init__(self):
         if self.num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
-        for clause in self.clauses:
-            for lit in clause:
-                if not 1 <= abs(lit) <= self.num_vars:
-                    raise ValueError(f"literal {lit} outside universe 1..{self.num_vars}")
+        lits = set(chain.from_iterable(self.clauses))  # one C-level pass over the literals
+        if lits and (0 in lits or min(lits) < -self.num_vars or max(lits) > self.num_vars):
+            bad = next(lit for clause in self.clauses for lit in clause if not 1 <= abs(lit) <= self.num_vars)
+            raise ValueError(f"literal {bad} outside universe 1..{self.num_vars}")
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.clauses, self.num_vars))
+
+    def __hash__(self) -> int:
+        """Hashed once per object: formulas key the engine, model and prime caches."""
+        return self._hash
 
     @classmethod
     def from_clauses(cls, clauses: Iterable[Iterable[Literal]], num_vars: int | None = None) -> "CnfFormula":
         """Canonicalize every clause, collapse duplicates, infer the universe if absent."""
-        canon: list[Clause] = []
-        seen: set[Clause] = set()
-        occurring = 0
-        for raw in clauses:
-            clause = make_clause(raw)
-            if clause not in seen:
-                seen.add(clause)
-                canon.append(clause)
-            if clause:
-                occurring = max(occurring, max(abs(lit) for lit in clause))
+        canon = tuple(dict.fromkeys(map(make_clause, clauses)))  # first occurrences, in order
         if num_vars is None:
-            num_vars = occurring
-        return cls(tuple(canon), num_vars)
+            num_vars = max(map(abs, chain.from_iterable(canon)), default=0)
+        return cls(canon, num_vars)
 
     def __len__(self) -> int:
         return len(self.clauses)

@@ -4,16 +4,17 @@ A formula is q-Horn when its literals admit weights in {0, 1/2, 1} with
 complementary literals summing to 1 and every clause summing to at most 1.
 After renaming so that no variable has weight 0, the weight-1 part is Horn
 and the remaining clauses carry one or two half-weight literals.  The
-satisfiability procedure propagates on the Horn part, projects the rest to
-a 2-CNF and decides it by implication-graph reachability.
+satisfiability procedure propagates on the Horn part and projects the rest
+to a 2-CNF, which is unsatisfiable iff some variable shares a strongly
+connected component of its implication graph with its complement.
 
 The compiler turns the same structure into a unit-propagation-friendly
 encoding: one auxiliary variable per binary clause derivable over the
-half-weight literals, definitional clauses tying each auxiliary to its
+half-weight literals (read off as reachability in the implication graph of
+their binary projections), definitional clauses tying each auxiliary to its
 clause, and ternary clauses that let unit propagation simulate binary
 resolution.  The result represents the same function over the original
-variables and is unit refutation complete; it is generally not q-Horn
-itself.
+variables and is unit refutation complete; it is generally not q-Horn itself.
 
 Weights are stored doubled (0, 1, 2) so all arithmetic is exact integer
 arithmetic.
@@ -24,6 +25,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Iterator
 
 from .cnf import Clause, CnfFormula, EncodingFormula, Literal, apply_assignment, literal_key, make_clause
@@ -155,74 +157,71 @@ def normalize(formula: CnfFormula, valuation: Valuation) -> QHornSplit:
     )
 
 
-def _two_sat_satisfiable(clauses: list[Clause]) -> bool:
-    """Decide a CNF of empty, unit and binary clauses exactly.
+def _implication_graph(clauses: list[Clause]) -> tuple[list[Literal], list[list[int]], list[list[int]]]:
+    """The implication graph of unit and binary clauses, with its strongly connected components.
 
-    Unit propagation settles the units.  Without a conflict, every binary
-    clause touching an assigned variable is then satisfied, and the binary
-    clauses with neither variable assigned are decided through the strongly
-    connected components of their implication graph.
+    Nodes are the occurring literals and their complements in literal_key
+    order, so node ``i ^ 1`` is the complement of node ``i``.  A binary
+    clause (a ∨ b) gives the edges ¬a → b and ¬b → a, a unit clause (a) the
+    edge ¬a → a.  Returns (nodes, successors, components): one iterative
+    Tarjan pass lists the components as node indices, sinks first.
     """
-    num_vars = max((abs(lit) for clause in clauses for lit in clause), default=0)
-    conflict, trail, _ = UnitPropagator(CnfFormula(tuple(clauses), num_vars)).run(())
-    if conflict:
-        return False
-    assigned = {abs(lit) for lit in trail}
-    residue = [c for c in clauses if len(c) == 2 and abs(c[0]) not in assigned and abs(c[1]) not in assigned]
-
-    nodes = sorted({lit for pair in residue for lit in pair} | {-lit for pair in residue for lit in pair})
+    nodes = [lit for var in sorted({abs(lit) for clause in clauses for lit in clause}) for lit in (var, -var)]
     index_of = {lit: i for i, lit in enumerate(nodes)}
-    edges: list[list[int]] = [[] for _ in nodes]
-    for a, b in residue:
-        edges[index_of[-a]].append(index_of[b])
-        edges[index_of[-b]].append(index_of[a])
+    succ: list[list[int]] = [[] for _ in nodes]
+    for clause in clauses:
+        a, b = index_of[clause[0]], index_of[clause[-1]]
+        succ[a ^ 1].append(b)
+        if a != b:
+            succ[b ^ 1].append(a)
 
-    # iterative Tarjan
-    comp = [-1] * len(nodes)
-    low = [0] * len(nodes)
+    listed = len(nodes)  # the DFS number of a node once its component is listed, above every live one
     num = [-1] * len(nodes)
+    low = [0] * len(nodes)
     stack: list[int] = []
-    on_stack = [False] * len(nodes)
-    counter = 0
-    comp_count = 0
+    components: list[list[int]] = []
+    counter = count()
     for root in range(len(nodes)):
         if num[root] != -1:
             continue
-        work = [(root, 0)]
+        num[root] = low[root] = next(counter)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            node, edge_idx = work.pop()
-            if edge_idx == 0:
-                num[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            for next_idx in range(edge_idx, len(edges[node])):
-                succ = edges[node][next_idx]
-                if num[succ] == -1:
-                    work.append((node, next_idx + 1))
-                    work.append((succ, 0))
-                    advanced = True
+            node, successors = work[-1]
+            for nxt in successors:
+                if num[nxt] == -1:
+                    num[nxt] = low[nxt] = next(counter)
+                    stack.append(nxt)
+                    work.append((nxt, iter(succ[nxt])))
                     break
-                if on_stack[succ]:
-                    low[node] = min(low[node], num[succ])
-            if advanced:
-                continue
-            if low[node] == num[node]:
-                while True:
-                    top = stack.pop()
-                    on_stack[top] = False
-                    comp[top] = comp_count
-                    if top == node:
-                        break
-                comp_count += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    for lit in nodes:
-        if lit > 0 and -lit in index_of and comp[index_of[lit]] == comp[index_of[-lit]]:
-            return False
-    return True
+                if num[nxt] < low[node]:
+                    low[node] = num[nxt]
+            else:  # every successor explored
+                work.pop()
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] == num[node]:
+                    members = [stack.pop()]
+                    while members[-1] != node:
+                        members.append(stack.pop())
+                    for member in members:
+                        num[member] = listed
+                    components.append(members)
+    return nodes, succ, components
+
+
+def _two_sat_satisfiable(clauses: list[Clause]) -> bool:
+    """Decide a CNF of empty, unit and binary clauses exactly.
+
+    Without an empty clause it is satisfiable iff no variable shares a
+    strongly connected component of the implication graph with its
+    complement (Aspvall, Plass and Tarjan, IPL 8, 1979).
+    """
+    if any(not clause for clause in clauses):
+        return False
+    _, _, components = _implication_graph(clauses)
+    return not any(i ^ 1 in members for members in map(set, components) for i in members)
 
 
 def qhorn_sat(split: QHornSplit) -> bool:
@@ -262,34 +261,32 @@ def _binary_resolvent(ci: Clause, cj: Clause) -> Clause | None:
 def phi_q_plus(split: QHornSplit) -> CnfFormula:
     """All binary clauses over the half-weight literals derivable by resolution.
 
-    Seeded by the binary projections of phi2 onto the half-weight literals
-    and closed under binary-by-binary resolution; unit or tautological
-    resolvents are discarded (units cannot breed new binary clauses here).
+    The binary projections of phi2 onto the half-weight literals form an
+    implication graph; their binary resolution closure (unit and
+    tautological resolvents discarded) is (x ∨ y) for each literal y, on
+    another variable than x, reachable from ¬x.  Reachability rows are
+    bitsets over the nodes, folded over the components sinks first.
     """
     x2_set = set(split.x2)
-    seeds = set()
-    for clause in split.phi2.clauses:
-        projection = make_clause(lit for lit in clause if abs(lit) in x2_set)
-        if len(projection) == 2:
-            seeds.add(projection)
-    closure = set(seeds)
-    by_lit: dict[Literal, list[Clause]] = defaultdict(list)
-    for clause in seeds:
-        for lit in clause:
-            by_lit[lit].append(clause)
-    frontier = list(seeds)
-    while frontier:
-        clause = frontier.pop()
-        # a partner must contain the complement of one of the clause's two literals
-        for other in by_lit[-clause[0]] + by_lit[-clause[1]]:
-            resolvent = _binary_resolvent(clause, other)
-            if resolvent is not None and len(resolvent) == 2 and resolvent not in closure:
-                closure.add(resolvent)
-                frontier.append(resolvent)
-                for lit in resolvent:
-                    by_lit[lit].append(resolvent)
-    ordered = sorted(closure, key=clause_sort_key)
-    return CnfFormula(tuple(ordered), split.num_vars)
+    projections = (tuple(lit for lit in clause if abs(lit) in x2_set) for clause in split.phi2.clauses)
+    nodes, succ, components = _implication_graph([pair for pair in projections if len(pair) == 2])
+    reach = [0] * len(nodes)  # bit j of reach[i]: node j lies at the end of a path from node i
+    for members in components:
+        row = 0
+        for i in members:
+            for j in succ[i]:
+                row |= (1 << j) | reach[j]  # reach[j] is still 0 inside this component
+        for i in members:
+            reach[i] = row
+    closure: list[Clause] = []
+    for i, x in enumerate(nodes):
+        above = (i | 1) + 1  # the first node on a later variable than x
+        row = reach[i ^ 1] >> above
+        while row:
+            low = row & -row
+            closure.append((x, nodes[above + low.bit_length() - 1]))
+            row ^= low
+    return CnfFormula(tuple(sorted(closure, key=clause_sort_key)), split.num_vars)
 
 
 def _resolution_pairs(clauses: tuple[Clause, ...]) -> Iterator[tuple[Clause, Clause, Clause]]:

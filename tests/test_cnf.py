@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -258,6 +261,28 @@ def test_universe_may_exceed_occurring_variables():
     assert f.occurring_variables() == frozenset({1})
     with pytest.raises(ValueError):
         CnfFormula(((6,),), 5)
+
+
+@pytest.mark.parametrize("clauses,bad", [
+    (((1,), (2, 0)), 0),
+    (((1, 2), (-3,), (4,)), 4),
+    (((1, 2), (-1,), (-4,)), -4),
+    (((1,), (2, 4), (-5,)), 4),  # the first offending literal in clause order, not the largest
+    (((1,), (-5,), (4,)), -5),
+])
+def test_formula_rejects_literals_outside_the_universe(clauses, bad):
+    with pytest.raises(ValueError, match=rf"^literal {bad} outside universe 1\.\.3$"):
+        CnfFormula(clauses, 3)
+
+
+def test_equal_formulas_hash_equal_through_pickle_and_copy():
+    first = F([[2, -1], [3], [1, 2]], 3)
+    second = CnfFormula(((-1, 2), (3,), (1, 2)), 3)
+    assert first is not second and first == second and hash(first) == hash(second)
+    for clone in (pickle.loads(pickle.dumps(first)), copy.copy(first), copy.deepcopy(first)):
+        assert clone == second and hash(clone) == hash(second)
+        assert {clone: "cached"}[second] == "cached"
+    assert first != F([[2, -1], [3], [1, 2]], 4) and F([[1]], 2) != F([[2]], 2)
 
 
 def test_encoding_partition_validated():

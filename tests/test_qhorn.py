@@ -159,6 +159,28 @@ def test_two_sat_matches_brute_force(clauses):
     assert _two_sat_satisfiable(clauses) == satisfiable_brute(CnfFormula(tuple(clauses), 6))
 
 
+def test_unsatisfiable_cases_in_differential_corpus():
+    cases = {case.id: case.values for case in _differential_corpus()}
+    for case_id in [f"unsat-two-cnf-80-{i}" for i in range(4)] + ["half-unsat"]:
+        formula, valuation = cases[case_id]
+        split = normalize(formula, valuation if valuation is not None else recognize_qhorn(formula))
+        projections = [tuple(lit for lit in clause if abs(lit) in split.x2) for clause in split.phi2.clauses]
+        half = [clause for clause in projections if len(clause) == 2]
+        assert not _two_sat_satisfiable(half) and not satisfiable_brute(CnfFormula(tuple(half), formula.num_vars))
+    assert satisfiable_brute(cases["half-unsat"][0])
+
+
+def _implication_chain(num_vars, last):
+    """x1, x1 → x2 → ... → x_n and the unit (last); unsatisfiable iff last is ¬x_n."""
+    return [(1,)] + [(-v, v + 1) for v in range(1, num_vars)] + [(last,)]
+
+
+def test_two_sat_scc_pass_is_iterative():
+    # one strongly connected component of 10,000 literal nodes, far deeper than the recursion limit
+    assert _two_sat_satisfiable(_implication_chain(5000, -5000)) is False
+    assert _two_sat_satisfiable(_implication_chain(5000, 5000)) is True
+
+
 def test_phi_q_plus_examples():
     split = normalize(F([[1, 2], [-2, 3]]), Valuation((1, 1, 1)))
     assert set(phi_q_plus(split).clauses) == {(1, 2), (-2, 3), (1, 3)}
@@ -251,7 +273,17 @@ def _differential_corpus(corpus_count=40):
     for i in range(4):
         clauses = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 13), 2)] for _ in range(14)]
         cases.append(pytest.param(F(clauses, 12), None, id=f"two-cnf-78-{i}"))
-    return cases
+    # unsatisfiable 2-CNFs: some variable shares a strongly connected component with its complement
+    rng = random.Random(80)
+    unsat = []
+    while len(unsat) < 4:
+        clauses = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 9), 2)] for _ in range(16)]
+        if not satisfiable_brute(F(clauses, 8)):
+            unsat.append(pytest.param(F(clauses, 8), None, id=f"unsat-two-cnf-80-{len(unsat)}"))
+    # a q-Horn formula whose half-weight projection {1∨2, ¬1∨2, 1∨¬2, ¬1∨¬2} is unsatisfiable;
+    # the formula itself is satisfied by setting the weight-1 guard 3 false
+    half_unsat = F([[1, 2], [-1, 2], [1, -2], [-1, -2, -3], [-3, 4]], 4)
+    return cases + unsat + [pytest.param(half_unsat, Valuation((1, 1, 2, 2)), id="half-unsat")]
 
 
 @pytest.mark.parametrize("formula,valuation", _differential_corpus())
