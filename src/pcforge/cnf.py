@@ -301,9 +301,5 @@ def write_dimacs(obj: Union[CnfFormula, EncodingFormula]) -> str:
         formula = obj
         head = ""
     lines = [f"p cnf {formula.num_vars} {len(formula.clauses)}"]
-    for clause in formula.clauses:
-        if clause:
-            lines.append(" ".join(str(lit) for lit in clause) + " 0")
-        else:
-            lines.append("0")
+    lines += [" ".join(map(str, clause)) + " 0" if clause else "0" for clause in formula.clauses]
     return head + "\n".join(lines) + "\n"

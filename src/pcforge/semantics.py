@@ -7,9 +7,12 @@ instead of approximating.
 
 Models of a formula are cached as sorted, read-only numpy uint64 arrays of
 assignment words (bit v-1 of a word holds the value of variable v), so
-repeated queries against the same formula are cheap.  The table returned by
-enumerate_models holds that cached array itself as its onset; no copy is
-made.
+repeated queries against the same formula are cheap.  The array is grown
+one variable at a time: the models over variables 1..v are the models over
+1..v-1, each with variable v false and then true, filtered by the clauses
+whose highest variable is v.  The cost follows those prefix model counts,
+not 2**n.  The table returned by enumerate_models holds that cached array
+itself as its onset; no copy is made.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .errors import LimitError, PreconditionError
 from .propagation import UnitPropagator
 
 MODEL_LIMIT = 24
-_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,22 +86,31 @@ def _check_limit(formula: CnfFormula, limit: int):
 
 @lru_cache(maxsize=64)
 def _model_words(formula: CnfFormula) -> np.ndarray:
-    """Sorted array of satisfying assignment words of the formula."""
-    n = formula.num_vars
-    # shortest clauses first: they rule out the most words, so later clauses test fewer;
-    # a tautological clause rules out none and would break the one-comparison test below
-    masks = [(pos, neg) for pos, neg in map(literal_masks, sorted(formula.clauses, key=len)) if not pos & neg]
-    total = 1 << n
-    chunks = []
-    for start in range(0, total, _CHUNK):
-        words = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
-        for pos, neg in masks:
+    """Sorted, read-only array of satisfying assignment words of the formula.
+
+    The array is built one variable at a time.  It starts as the one empty
+    word; at variable v a copy with bit v-1 set is appended, which keeps it
+    sorted because every earlier word is below 2**(v-1), and then each
+    clause whose highest variable is v filters it.  After step v the array
+    holds the models of the clauses over variables 1..v, so work and memory
+    follow those model counts rather than 2**n.
+    """
+    # per highest variable, shortest clauses first: they rule out the most words, so later
+    # clauses test fewer; a tautological clause rules out none and would break the
+    # one-comparison test below; the empty clause sits at variable 0 and rules out the start
+    levels = [[] for _ in range(formula.num_vars + 1)]
+    for pos, neg in map(literal_masks, sorted(formula.clauses, key=len)):
+        if not pos & neg:
+            levels[(pos | neg).bit_length()].append((np.uint64(pos | neg), np.uint64(neg)))
+    words = np.zeros(1, dtype=np.uint64)
+    for v, clauses in enumerate(levels):
+        if v:
+            words = np.concatenate((words, words | np.uint64(1 << (v - 1))))
+        for both, neg in clauses:
             # a word violates the clause when its positive variables are 0 and its negative ones 1
-            words = words[(words & np.uint64(pos | neg)) != np.uint64(neg)]
-        chunks.append(words)
-    out = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.uint64)
-    out.flags.writeable = False
-    return out
+            words = words[(words & both) != neg]
+    words.flags.writeable = False
+    return words
 
 
 def _select(models: np.ndarray, alpha: PartialAssignment) -> np.ndarray:
@@ -217,9 +228,15 @@ def is_encoding_of(encoding: EncodingFormula, table: FunctionTable, limit: int =
         raise PreconditionError("encoding and table have different input arity")
     _check_limit(encoding.formula, limit)
     models = _model_words(encoding.formula)
-    projected = np.zeros(len(models), dtype=np.uint64)
+    # input j is in place when it is variable j+1: its bit needs no move
+    in_place = sum(1 << j for j, v in enumerate(encoding.input_vars) if v == j + 1)
+    if not encoding.aux_vars and in_place == (1 << len(encoding.input_vars)) - 1:
+        # the inputs are the whole universe in order: the models are the projection
+        return bool(np.array_equal(models, table.onset))
+    projected = models & np.uint64(in_place)
     for j, v in enumerate(encoding.input_vars):
-        projected |= ((models >> np.uint64(v - 1)) & np.uint64(1)) << np.uint64(j)
+        if v != j + 1:
+            projected |= ((models >> np.uint64(v - 1)) & np.uint64(1)) << np.uint64(j)
     projected.sort()
     distinct = np.ones(len(projected), dtype=bool)
     np.not_equal(projected[1:], projected[:-1], out=distinct[1:])

@@ -7,14 +7,18 @@ all candidate clauses, unit propagation by a quadratic fixpoint scan, and
 the completeness properties by quantifying over all partial assignments.
 The q-Horn encoding reference uses only the package's data model
 (make_clause, CnfFormula.from_clauses).  Sizes are expected to stay small
-(around 8 variables or fewer).
+(around 8 variables or fewer), except for model_words_chunked: the model
+enumerator that scanned all 2**n words in chunks, kept as the reference for
+the engine that replaced it.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from pcforge.cnf import CnfFormula, EncodingFormula, make_clause
+import numpy as np
+
+from pcforge.cnf import CnfFormula, EncodingFormula, literal_masks, make_clause
 
 
 def eval_clause(clause, word: int) -> bool:
@@ -29,6 +33,22 @@ def eval_clause(clause, word: int) -> bool:
 def models_brute(formula) -> list[int]:
     n = formula.num_vars
     return [w for w in range(1 << n) if all(eval_clause(c, w) for c in formula.clauses)]
+
+
+def model_words_chunked(formula) -> np.ndarray:
+    """Sorted, read-only uint64 array of model words, filtering all 2**n words in chunks of 2**20."""
+    n, chunk = formula.num_vars, 1 << 20
+    masks = [(pos, neg) for pos, neg in map(literal_masks, sorted(formula.clauses, key=len)) if not pos & neg]
+    total = 1 << n
+    chunks = []
+    for start in range(0, total, chunk):
+        words = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+        for pos, neg in masks:
+            words = words[(words & np.uint64(pos | neg)) != np.uint64(neg)]
+        chunks.append(words)
+    out = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.uint64)
+    out.flags.writeable = False
+    return out
 
 
 def satisfiable_brute(formula) -> bool:

@@ -145,6 +145,9 @@ def test_parse_satlib_tail_keeps_the_checks(text, line, message):
 def test_write_simple():
     assert write_dimacs(F([[1, -2]], 2)) == "p cnf 2 1\n1 -2 0\n"
     assert write_dimacs(CnfFormula((), 0)) == "p cnf 0 0\n"
+    # an empty clause is the bare line 0, wherever it stands
+    assert write_dimacs(F([[1], [], [-2, 3]], 3)) == "p cnf 3 3\n1 0\n0\n-2 3 0\n"
+    assert write_dimacs(CnfFormula(((),), 0)) == "p cnf 0 1\n0\n"
 
 
 def test_write_aux_header_before_p_line():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from pcforge.cnf import CnfFormula, EncodingFormula, make_clause, mask_literals
 from pcforge.corpus import horn_formulas, qhorn_formulas, satisfiable_formulas
 from pcforge.deciders import is_pc
 from pcforge.errors import LimitError, PreconditionError
-from pcforge.families import gen_gamma, gen_parity, gen_psi_horn, gen_psi_qhorn, gen_psi_qhorn_pc
+from pcforge.families import (gen_cycle_extension, gen_gamma, gen_parity, gen_psi_horn, gen_psi_horn_pc, gen_psi_qhorn,
+                              gen_psi_qhorn_pc)
 from pcforge.propagation import UnitPropagator, all_literals
 from pcforge.semantics import (
     FunctionTable,
@@ -23,8 +25,8 @@ from pcforge.semantics import (
     satisfiable,
 )
 
-from oracles import (all_partial_assignments, cl_sem_brute, encoding_onset_brute, entails_brute, models_brute, primes_brute,
-                     up_fixpoint_brute, word_matches)
+from oracles import (all_partial_assignments, cl_sem_brute, encoding_onset_brute, entails_brute, model_words_chunked,
+                     models_brute, primes_brute, up_fixpoint_brute, word_matches)
 
 
 def F(clauses, num_vars=None):
@@ -109,6 +111,51 @@ def test_models_match_brute_oracle_with_tautological_clauses():
         assert onset_set(formula) == set(models_brute(formula))
     assert onset_set(F([[1, -1]], 1)) == {0, 1}
     assert onset_set(F([[1, -1], [-1, 2]], 2)) == {0, 2, 3}
+
+
+def _model_words_corpus():
+    rng = random.Random(53)
+    out = [CnfFormula((), 0), CnfFormula(((),), 0), CnfFormula((), 5),
+           F([[1, 2], [], [-3]], 3), F([[-2], [1, 3], []], 3),  # an empty clause that is not the first
+           F([[-4]], 4), F([[4]], 4), F([[1, -4], [-4]], 4), F([[4, -4]], 4)]  # clauses on the top variable only
+    for _ in range(60):  # tautological clauses among the rest
+        n = rng.randint(1, 6)
+        clauses = [[v * rng.choice((1, -1)) for v in rng.choices(range(1, n + 1), k=rng.randint(1, 4))]
+                   for _ in range(rng.randint(0, 8))]
+        out.append(CnfFormula.from_clauses(clauses, n))
+    out += satisfiable_formulas(1001, 40) + [formula for formula, _ in qhorn_formulas(1003, 20)]
+    out += [gen_psi_horn(3), gen_psi_horn_pc(3), gen_cycle_extension(F([[1, 2], [-1, 3], [2, -3]], 3))]
+    for m in (2, 3):
+        out += [gen_psi_qhorn(m)[0], gen_psi_qhorn_pc(m).formula]
+        out += [gen_gamma(m, variant) for variant in ("base", "prime", "dprime")]
+    for m in range(2, 7):
+        out += [gen_parity(m, "cnf"), gen_parity(m, "encoding").formula]
+    return out
+
+
+def test_model_words_match_chunked_engine():
+    for formula in _model_words_corpus():
+        words, reference = _model_words(formula), model_words_chunked(formula)
+        assert words.dtype == reference.dtype == np.uint64 and words.ndim == 1
+        assert not words.flags.writeable
+        assert np.array_equal(words, reference)
+        assert words.tolist() == models_brute(formula)
+
+
+def test_model_words_work_follows_the_models():
+    # one unit clause per variable: one model over every prefix, so the array never holds more
+    # than two words, where a scan of all 2**26 words would hold at least one 8 MiB chunk
+    n = 26
+    formula = F([[v if v % 3 else -v] for v in range(1, n + 1)], n)
+    expected = sum(1 << (v - 1) for v in range(1, n + 1) if v % 3)
+    tracemalloc.start()
+    try:
+        onset = enumerate_models(formula, limit=n).onset
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert onset.tolist() == [expected]
+    assert peak < 1 << 20
 
 
 def test_enumerate_models_limit():
@@ -239,14 +286,19 @@ def test_cl_sem_matches_brute_oracle():
 
 
 def _table_variants(table):
-    """Word sets of the table's arity: the onset itself, and with one word dropped or added;
+    """Word sets of the table's arity: the onset itself, and with one word dropped, added or both;
     and word sets holding a word outside 0..2**arity-1, which no table may hold."""
     onset, arity = frozenset(table.onset.tolist()), table.arity
     in_range = [onset, frozenset(), frozenset({0}), onset | {(1 << arity) - 1}]
+    missing = next((w for w in range(1 << arity) if w not in onset), None)
+    if missing is not None:
+        in_range.append(onset | {missing})
     out_of_range = [onset | {1 << arity}, onset | {-1}, onset | {1 << 64}, onset | {1 << 70}]
     if onset:
         dropped = onset - {min(onset)}
         in_range.append(dropped)
+        if missing is not None:
+            in_range.append(dropped | {missing})  # as many words as the onset, not the same ones
         out_of_range += [dropped | {1 << arity}, dropped | {-1}, dropped | {1 << 64}]
     return in_range, out_of_range
 
@@ -264,6 +316,13 @@ def test_is_encoding_of_matches_frozenset_oracle():
     cases.append((EncodingFormula(F([[1, 2], [-1, 3]], 3), (2, 3), (1,)), FunctionTable((2, 3), frozenset({1, 2, 3}))))
     # an unsatisfiable encoding projects to the empty onset
     cases.append((EncodingFormula(F([[1], [-1]], 2), (2,), (1,)), FunctionTable((1,), frozenset())))
+    # input x1 in place, x3 moved to bit 1: exists x2 (x1 | x2)(-x2 | x3) is x1 | x3
+    cases.append((EncodingFormula(F([[1, 2], [-2, 3]], 3), (1, 3), (2,)), FunctionTable((1, 2), frozenset({1, 2, 3}))))
+    # the compiler layout, auxiliaries above the inputs: exists x3 (x1 | x3)(x2 | -x3) is x1 | x2
+    cases.append((EncodingFormula(F([[1, 3], [2, -3]], 3), (1, 2), (3,)), FunctionTable((1, 2), frozenset({1, 2, 3}))))
+    # no auxiliaries and every input in place: the model array is compared as it is
+    plain = F([[1, -2], [-1, 2, 3]], 3)
+    cases.append((EncodingFormula(plain, (1, 2, 3), ()), enumerate_models(plain)))
     for encoding, table in cases:
         projected = encoding_onset_brute(encoding)
         in_range, out_of_range = _table_variants(table)
