@@ -6,13 +6,18 @@ Two interchangeable strategies:
   semantic closure on every partial assignment whose unit propagation
   does not conflict (conflicting ones satisfy both definitions), in one
   depth-first walk that extends propagation and the model set by one
-  literal per step.  Used by default below 10 variables.
+  literal per step.  It is kept as the independent cross-check of the
+  other strategy.
 * ``primes`` checks only the critical assignments.  A formula is URC iff
   unit propagation refutes the negation of every prime implicate, and PC
   iff every prime implicate is absorbed (for each literal of the prime,
   propagation from the negated remainder derives that literal or a
   conflict).  Minimality of primes plus monotonicity of unit resolution
   make these finitely many checks equivalent to the full quantification.
+  ``auto`` runs it at every size: timed with cold caches on seeded
+  random, Horn, q-Horn and compiled formulas and on the paper's families
+  at 2 to 12 variables, it is faster than naive in the median at every
+  size, and on no formula slower by as much as 1 ms.
 
 Both strategies return the same verdict and a deterministic witness: the
 least failing assignment under (size, sorted (variable, polarity) key).
@@ -30,7 +35,6 @@ from .propagation import UnitPropagator, all_literals
 from .semantics import MODEL_LIMIT, assignment_walk, closure_masks, entails, prime_implicates
 
 DECIDER_LIMIT = 14
-_NAIVE_MAX = 9
 
 
 @dataclass(frozen=True)
@@ -123,11 +127,9 @@ def _prime_pc(formula: CnfFormula) -> DecisionReport:
 def is_urc(formula: CnfFormula, limit: int = DECIDER_LIMIT, method: str = "auto") -> DecisionReport:
     """Decide unit refutation completeness over all partial assignments."""
     _check_input(formula, limit)
-    if method == "auto":
-        method = "naive" if formula.num_vars <= _NAIVE_MAX else "primes"
     if method == "naive":
         return _naive_urc(formula)
-    if method == "primes":
+    if method in ("auto", "primes"):
         return _prime_urc(formula)
     raise ValueError(f"unknown method {method!r}")
 
@@ -135,11 +137,9 @@ def is_urc(formula: CnfFormula, limit: int = DECIDER_LIMIT, method: str = "auto"
 def is_pc(formula: CnfFormula, limit: int = DECIDER_LIMIT, method: str = "auto") -> DecisionReport:
     """Decide propagation completeness over all partial assignments and literals."""
     _check_input(formula, limit)
-    if method == "auto":
-        method = "naive" if formula.num_vars <= _NAIVE_MAX else "primes"
     if method == "naive":
         return _naive_pc(formula)
-    if method == "primes":
+    if method in ("auto", "primes"):
         return _prime_pc(formula)
     raise ValueError(f"unknown method {method!r}")
 

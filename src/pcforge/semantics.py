@@ -13,6 +13,10 @@ one variable at a time: the models over variables 1..v are the models over
 whose highest variable is v.  The cost follows those prefix model counts,
 not 2**n.  The table returned by enumerate_models holds that cached array
 itself as its onset; no copy is made.
+
+Prime implicates come from queue-driven consensus with subsumption, the
+clauses kept as literal bitmasks and indexed by per-literal occurrence
+bitsets, so no step scans the clause list.
 """
 
 from __future__ import annotations
@@ -89,11 +93,12 @@ def _model_words(formula: CnfFormula) -> np.ndarray:
     """Sorted, read-only array of satisfying assignment words of the formula.
 
     The array is built one variable at a time.  It starts as the one empty
-    word; at variable v a copy with bit v-1 set is appended, which keeps it
-    sorted because every earlier word is below 2**(v-1), and then each
-    clause whose highest variable is v filters it.  After step v the array
-    holds the models of the clauses over variables 1..v, so work and memory
-    follow those model counts rather than 2**n.
+    word; variable v doubles it, the copy with bit v-1 set coming after the
+    rest, which keeps it sorted because every earlier word is below
+    2**(v-1), and then each clause whose highest variable is v filters it.
+    After step v the array holds the models of the clauses over variables
+    1..v, so work and memory follow those model counts rather than 2**n.
+    A run of variables at which no clause ends is added in one step.
     """
     # per highest variable, shortest clauses first: they rule out the most words, so later
     # clauses test fewer; a tautological clause rules out none and would break the
@@ -103,9 +108,16 @@ def _model_words(formula: CnfFormula) -> np.ndarray:
         if not pos & neg:
             levels[(pos | neg).bit_length()].append((np.uint64(pos | neg), np.uint64(neg)))
     words = np.zeros(1, dtype=np.uint64)
+    done = 0  # words holds the models over variables 1..done
     for v, clauses in enumerate(levels):
-        if v:
-            words = np.concatenate((words, words | np.uint64(1 << (v - 1))))
+        if not clauses and v < formula.num_vars:
+            continue
+        if v > done:
+            # variables done+1..v in one block: row r gives them the bits of r, and as every
+            # word is below 2**done, the rows follow each other in order
+            high = np.arange(0, 1 << v, 1 << done, dtype=np.uint64)
+            words = (high[:, None] | words).ravel()
+            done = v
         for both, neg in clauses:
             # a word violates the clause when its positive variables are 0 and its negative ones 1
             words = words[(words & both) != neg]
@@ -257,6 +269,27 @@ def clause_sort_key(clause: Clause):
 def prime_implicates(formula: CnfFormula, max_clauses: int = 200_000) -> CnfFormula:
     """All prime implicates, by iterated consensus with subsumption.
 
+    Clauses are 2n-bit masks: bit v-1 for the literal v, bit n+v-1 for -v.
+    The input clauses, shortest first, and then each new resolvent are
+    admitted unless an alive clause subsumes them, and each admission kills
+    the alive clauses it subsumes.  A queue takes the admitted clauses in
+    turn and, while one stays alive, resolves it with each alive clause
+    admitted before its turn, in admission order.
+
+    The admitted clauses are indexed by one occurrence bitset per literal
+    bit (occ[b], a Python int with bit j set when clause j holds b) and one
+    alive bitset, so each test costs O(n) bigint operations, not a scan:
+
+    - cand is subsumed iff alive & ~OR(occ[b] for b not in cand) != 0;
+    - cand subsumes the clauses alive & AND(occ[b] for b in cand);
+    - ci resolves, without a tautology, with the alive clauses that hold
+      the complement of exactly one of its literals, read off
+      OR(occ[complement of b] for b in ci) and its pairwise overlaps.
+
+    max_clauses bounds the number of clauses admitted to the queue, input
+    clauses and clauses later subsumed included: LimitError is raised when
+    the admission of a resolvent takes that number past it.
+
     For an unsatisfiable formula the result is exactly the empty clause.
     Tautological input clauses are ignored (they are never prime).  Output
     clauses are sorted by clause_sort_key.
@@ -264,17 +297,24 @@ def prime_implicates(formula: CnfFormula, max_clauses: int = 200_000) -> CnfForm
     n = formula.num_vars
     lo_mask = (1 << n) - 1
     items: list[int] = []
-    alive: list[bool] = []
+    occ = [0] * (2 * n)  # occ[b]: the admitted clauses holding literal bit b
+    alive = 0
 
     def add(cand: int) -> bool:
-        for j in range(len(items)):
-            if alive[j] and items[j] & ~cand == 0:
-                return False
-        for j in range(len(items)):
-            if alive[j] and cand & ~items[j] == 0:
-                alive[j] = False
+        nonlocal alive
+        outside = 0
+        for b in range(2 * n):
+            if not cand >> b & 1:
+                outside |= occ[b]
+        if alive & ~outside:
+            return False
+        subsumed = alive
+        new = 1 << len(items)
+        for b in _mask_bits(cand):
+            subsumed &= occ[b]
+            occ[b] |= new
+        alive = (alive & ~subsumed) | new
         items.append(cand)
-        alive.append(True)
         return True
 
     seeds = []
@@ -295,24 +335,40 @@ def prime_implicates(formula: CnfFormula, max_clauses: int = 200_000) -> CnfForm
     while head < len(queue):
         i = queue[head]
         head += 1
-        if not alive[i]:
+        me = 1 << i
+        if not alive & me:
             continue
         ci = items[i]
-        for j in range(len(items)):
-            if not alive[j] or j == i or not alive[i]:
-                continue
-            cj = items[j]
+        once = twice = 0  # the clauses clashing with ci on at least one, two literals
+        for b in _mask_bits(ci):
+            other = occ[b + n if b < n else b - n]
+            twice |= once & other
+            once |= other
+        partners = once & ~twice & alive  # fixed here: later admissions wait for their own turn
+        while partners and alive & me:
+            low = partners & -partners
+            partners ^= low
+            if not alive & low:
+                continue  # killed by a resolvent of ci, which then subsumes this resolvent too
+            cj = items[low.bit_length() - 1]
             clash = ((ci & lo_mask) & (cj >> n)) | ((cj & lo_mask) & (ci >> n))
-            if clash == 0 or clash & (clash - 1):
-                continue  # not resolvable, or a tautological resolvent
-            pivot_bits = clash | (clash << n)
-            resolvent = (ci | cj) & ~pivot_bits
+            resolvent = (ci | cj) & ~(clash | clash << n)
             if resolvent == 0:
                 return CnfFormula(((),), n)
             if add(resolvent):
                 queue.append(len(items) - 1)
                 if len(queue) > max_clauses:
                     raise LimitError("prime implicate computation exceeded the size limit")
-    primes = [_mask_to_clause(m, n) for m, ok in zip(items, alive) if ok]
+    primes = [_mask_to_clause(items[j], n) for j in _mask_bits(alive)]
     primes.sort(key=clause_sort_key)
     return CnfFormula(tuple(primes), n)
+
+
+def _mask_bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out

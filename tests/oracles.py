@@ -7,9 +7,11 @@ all candidate clauses, unit propagation by a quadratic fixpoint scan, and
 the completeness properties by quantifying over all partial assignments.
 The q-Horn encoding reference uses only the package's data model
 (make_clause, CnfFormula.from_clauses).  Sizes are expected to stay small
-(around 8 variables or fewer), except for model_words_chunked: the model
-enumerator that scanned all 2**n words in chunks, kept as the reference for
-the engine that replaced it.
+(around 8 variables or fewer), except for the replaced engines kept as
+references for the engines that replaced them: model_words_chunked, the
+model enumerator that scanned all 2**n words in chunks, and
+prime_implicates_linear_scan, the consensus procedure that scanned every
+admitted clause for each subsumption test and each resolution partner.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from itertools import product
 
 import numpy as np
 
-from pcforge.cnf import CnfFormula, EncodingFormula, literal_masks, make_clause
+from pcforge.cnf import CnfFormula, EncodingFormula, is_tautological, literal_masks, make_clause, mask_literals
+from pcforge.errors import LimitError
 
 
 def eval_clause(clause, word: int) -> bool:
@@ -91,15 +94,79 @@ def all_clauses(num_vars: int):
 
 
 def primes_brute(formula) -> set[tuple[int, ...]]:
-    if not satisfiable_brute(formula):
+    """The implicates with no implicate among their one-literal-shorter subclauses.
+
+    Implicates are closed under adding literals, so that is minimality under
+    inclusion; the empty clause is the one implicate to test for it.
+    """
+    models = models_brute(formula)
+    if not models:
         return {()}
-    implicates = [c for c in all_clauses(formula.num_vars) if entails_brute(formula, c)]
-    implicate_sets = [frozenset(c) for c in implicates]
-    primes = set()
-    for clause, lits in zip(implicates, implicate_sets):
-        if not any(other < lits for other in implicate_sets):
-            primes.add(clause)
-    return primes
+    implicates = {c for c in all_clauses(formula.num_vars) if all(eval_clause(c, w) for w in models)}
+    return {c for c in implicates if not any(c[:k] + c[k + 1:] in implicates for k in range(len(c)))}
+
+
+def prime_implicates_linear_scan(formula, max_clauses: int = 200_000) -> CnfFormula:
+    """Prime implicates by queue-driven consensus, every admitted clause scanned per test.
+
+    The same procedure, admission order and LimitError point as
+    semantics.prime_implicates, without its occurrence index.
+    """
+    n = formula.num_vars
+    lo_mask = (1 << n) - 1
+    items: list[int] = []
+    alive: list[bool] = []
+
+    def add(cand: int) -> bool:
+        for j in range(len(items)):
+            if alive[j] and items[j] & ~cand == 0:
+                return False
+        for j in range(len(items)):
+            if alive[j] and cand & ~items[j] == 0:
+                alive[j] = False
+        items.append(cand)
+        alive.append(True)
+        return True
+
+    seeds = []
+    for clause in formula.clauses:
+        if is_tautological(clause):
+            continue
+        if not clause:
+            return CnfFormula(((),), n)
+        pos, neg = literal_masks(clause)
+        seeds.append(pos | neg << n)
+    seeds.sort(key=lambda m: m.bit_count())
+    queue: list[int] = []
+    for mask in seeds:
+        if add(mask):
+            queue.append(len(items) - 1)
+
+    head = 0
+    while head < len(queue):
+        i = queue[head]
+        head += 1
+        if not alive[i]:
+            continue
+        ci = items[i]
+        for j in range(len(items)):
+            if not alive[j] or j == i or not alive[i]:
+                continue
+            cj = items[j]
+            clash = ((ci & lo_mask) & (cj >> n)) | ((cj & lo_mask) & (ci >> n))
+            if clash == 0 or clash & (clash - 1):
+                continue  # not resolvable, or a tautological resolvent
+            pivot_bits = clash | (clash << n)
+            resolvent = (ci | cj) & ~pivot_bits
+            if resolvent == 0:
+                return CnfFormula(((),), n)
+            if add(resolvent):
+                queue.append(len(items) - 1)
+                if len(queue) > max_clauses:
+                    raise LimitError("prime implicate computation exceeded the size limit")
+    primes = [tuple(mask_literals(m & lo_mask, m >> n)) for m, ok in zip(items, alive) if ok]
+    primes.sort(key=_clause_key)
+    return CnfFormula(tuple(primes), n)
 
 
 def up_fixpoint_brute(formula, alpha):

@@ -11,6 +11,7 @@ from pcforge.errors import LimitError, PreconditionError
 from pcforge.families import (gen_cycle_extension, gen_gamma, gen_parity, gen_psi_horn, gen_psi_horn_pc, gen_psi_qhorn,
                               gen_psi_qhorn_pc)
 from pcforge.propagation import UnitPropagator, all_literals
+from pcforge.qhorn import compile_urc_encoding
 from pcforge.semantics import (
     FunctionTable,
     _model_words,
@@ -26,7 +27,7 @@ from pcforge.semantics import (
 )
 
 from oracles import (all_partial_assignments, cl_sem_brute, encoding_onset_brute, entails_brute, model_words_chunked,
-                     models_brute, primes_brute, up_fixpoint_brute, word_matches)
+                     models_brute, prime_implicates_linear_scan, primes_brute, up_fixpoint_brute, word_matches)
 
 
 def F(clauses, num_vars=None):
@@ -117,7 +118,8 @@ def _model_words_corpus():
     rng = random.Random(53)
     out = [CnfFormula((), 0), CnfFormula(((),), 0), CnfFormula((), 5),
            F([[1, 2], [], [-3]], 3), F([[-2], [1, 3], []], 3),  # an empty clause that is not the first
-           F([[-4]], 4), F([[4]], 4), F([[1, -4], [-4]], 4), F([[4, -4]], 4)]  # clauses on the top variable only
+           F([[-4]], 4), F([[4]], 4), F([[1, -4], [-4]], 4), F([[4, -4]], 4),  # clauses on the top variable only
+           F([[-2], [1, 6]], 9)]  # runs of variables at which no clause ends, in the middle and at the top
     for _ in range(60):  # tautological clauses among the rest
         n = rng.randint(1, 6)
         clauses = [[v * rng.choice((1, -1)) for v in rng.choices(range(1, n + 1), k=rng.randint(1, 4))]
@@ -243,6 +245,78 @@ def test_prime_formula_is_equivalent_and_pc():
             continue
         assert equivalent(formula, primes)
         assert is_pc(primes, limit=10).verdict
+
+
+def _primes_small_corpus():
+    rng = random.Random(61)
+    out = [CnfFormula((), 0), CnfFormula((), 3), F([[1, -1]], 1), F([[1, 2], [], [-2]], 2), F([[-1], [1, -2], [2]], 2)]
+    for _ in range(80):  # tautologies, empty clauses and unsatisfiable formulas among them
+        n = rng.randint(1, 6)
+        clauses = [[v * rng.choice((1, -1)) for v in rng.choices(range(1, n + 1), k=rng.randint(0, 4))]
+                   for _ in range(rng.randint(0, 12))]
+        out.append(CnfFormula.from_clauses(clauses, n))
+    out += satisfiable_formulas(1001, 40) + horn_formulas(1002, 40) + [f for f, _ in qhorn_formulas(1003, 40)]
+    return out
+
+
+def _primes_family_corpus():
+    out = [gen_psi_horn(m) for m in range(3, 7)]  # the family starts at m = 3
+    out += [gen_parity(m, "cnf") for m in range(3, 8)] + [gen_parity(m, "encoding").formula for m in range(3, 8)]
+    out += [gen_gamma(m, variant) for m in range(2, 5) for variant in ("base", "prime", "dprime")]
+    out += [gen_psi_qhorn(m)[0] for m in range(2, 6)] + [compile_urc_encoding(gen_psi_qhorn(2)[0]).formula]
+    return out
+
+
+def _limit_threshold(engine, formula):
+    """The least max_clauses at which engine does not raise LimitError on formula."""
+    def raises(limit):
+        try:
+            engine(formula, max_clauses=limit)
+        except LimitError:
+            return True
+        return False
+
+    if not raises(0):
+        return 0
+    lo, hi = 0, 1  # raises(lo) holds; find the first hi where it does not, then bisect
+    while raises(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if raises(mid) else (lo, mid)
+    return hi
+
+
+def test_prime_implicates_match_linear_scan_engine():
+    corpus = _primes_small_corpus() + _primes_family_corpus()
+    assert any(prime_implicates(f).has_empty_clause() for f in corpus)
+    for formula in corpus:
+        primes, reference = prime_implicates(formula), prime_implicates_linear_scan(formula)
+        assert primes.num_vars == reference.num_vars
+        assert primes.clauses == reference.clauses  # the same clauses in the same order
+        if formula.num_vars <= 6:
+            assert set(primes.clauses) == primes_brute(formula)
+
+
+def test_prime_implicates_limit_matches_linear_scan_engine():
+    families = [gen_psi_horn(4), gen_parity(5, "encoding").formula, gen_gamma(3, "dprime"), gen_psi_qhorn(3)[0]]
+    for formula in _primes_small_corpus() + families:
+        threshold = _limit_threshold(prime_implicates, formula)
+        if threshold:
+            with pytest.raises(LimitError):
+                prime_implicates_linear_scan(formula, max_clauses=threshold - 1)
+        assert prime_implicates_linear_scan(formula, max_clauses=threshold) == prime_implicates(formula)
+
+
+def test_prime_implicates_max_clauses():
+    # the limit counts every clause admitted to the queue: the 8 input clauses and the
+    # resolvents later subsumed as well as the 56 primes
+    psi4 = gen_psi_horn(4)
+    with pytest.raises(LimitError):
+        prime_implicates(psi4, max_clauses=20)
+    assert len(prime_implicates(psi4).clauses) == 56
+    assert _limit_threshold(prime_implicates, psi4) == 85
+    assert prime_implicates(psi4, max_clauses=85) == prime_implicates(psi4)
 
 
 def test_equivalent_examples():
