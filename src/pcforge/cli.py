@@ -22,7 +22,7 @@ from .errors import LimitError, NotQHornError, PcforgeError
 from .families import FAMILY_NAMES, companions, gen_cycle_extension, generate
 from .propagation import up_closure
 from .qhorn import compile_urc_encoding, normalize, qhorn_sat, recognize_qhorn
-from .semantics import MODEL_LIMIT, enumerate_models, equivalent, is_encoding_of, prime_implicates
+from .semantics import enumerate_models, equivalent, is_encoding_of, prime_implicates
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -85,18 +85,12 @@ def _cmd_up(args, started: float) -> int:
 
 def _cmd_check(args, started: float) -> int:
     formula = _load_formula(args.file)
-    if args.property == "pc":
-        limit = args.limit if args.limit is not None else DECIDER_LIMIT
-        report = is_pc(formula, limit=limit, method=args.method)
+    if args.property == "pc-dr":
+        verdict, witness, literal = pc_via_dual_rail(formula), None, None
+    else:
+        decide = is_pc if args.property == "pc" else is_urc
+        report = decide(formula, limit=args.limit, method=args.method)
         verdict, witness, literal = report.verdict, report.witness, report.literal
-    elif args.property == "urc":
-        limit = args.limit if args.limit is not None else DECIDER_LIMIT
-        report = is_urc(formula, limit=limit, method=args.method)
-        verdict, witness, literal = report.verdict, report.witness, report.literal
-    else:  # pc-dr enumerates models for the satisfiability precondition, not 3^n assignments
-        limit = args.limit if args.limit is not None else MODEL_LIMIT
-        verdict = pc_via_dual_rail(formula, limit=limit)
-        witness = literal = None
     payload: dict = {"property": args.property, "verdict": verdict}
     if args.witness and witness is not None:
         payload["witness"] = sorted(witness, key=literal_key)
@@ -285,10 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="decide pc / urc / pc-dr")
     p_check.add_argument("property", choices=["pc", "urc", "pc-dr"])
     p_check.add_argument("file")
-    p_check.add_argument("--limit", type=int, default=None,
-                         help=f"variable cap; defaults to {DECIDER_LIMIT} (pc/urc) or {MODEL_LIMIT} (pc-dr)")
+    p_check.add_argument("--limit", type=int, default=DECIDER_LIMIT, help="variable cap for pc and urc")
     p_check.add_argument("--witness", action="store_true")
-    p_check.add_argument("--method", choices=["auto", "naive", "primes"], default="auto")
+    p_check.add_argument("--method", choices=["naive", "primes"], default="primes")
 
     p_primes = sub.add_parser("primes", help="all prime implicates")
     p_primes.add_argument("file")

@@ -1,6 +1,6 @@
 """Exact deciders for unit refutation completeness and propagation completeness.
 
-Two interchangeable strategies:
+Two interchangeable strategies, chosen by ``method``:
 
 * ``naive`` checks the defining implications directly against the
   semantic closure on every partial assignment whose unit propagation
@@ -8,26 +8,28 @@ Two interchangeable strategies:
   depth-first walk that extends propagation and the model set by one
   literal per step.  It is kept as the independent cross-check of the
   other strategy.
-* ``primes`` checks only the critical assignments.  A formula is URC iff
-  unit propagation refutes the negation of every prime implicate, and PC
-  iff every prime implicate is absorbed (for each literal of the prime,
-  propagation from the negated remainder derives that literal or a
-  conflict).  Minimality of primes plus monotonicity of unit resolution
-  make these finitely many checks equivalent to the full quantification.
-  ``auto`` runs it at every size: timed with cold caches on seeded
-  random, Horn, q-Horn and compiled formulas and on the paper's families
-  at 2 to 12 variables, it is faster than naive in the median at every
-  size, and on no formula slower by as much as 1 ms.
+* ``primes``, the default, checks only the critical assignments.  A
+  formula is URC iff unit propagation refutes the negation of every prime
+  implicate (``UnitPropagator.refutes``), and PC iff every prime implicate
+  is absorbed: for each literal of the prime, propagation from the negated
+  remainder derives that literal or a conflict (``UnitPropagator.absorbs``).
+  Minimality of primes plus monotonicity of unit resolution make these
+  finitely many checks equivalent to the full quantification.  A prime
+  that is a clause of the formula passes both checks by construction and
+  is not propagated.
 
 Both strategies return the same verdict and a deterministic witness: the
-least failing assignment under (size, sorted (variable, polarity) key).
+least failing assignment under (size, sorted (variable, polarity) key),
+and for PC then the least missing literal.  The URC reducer asks the same
+refutation question of each candidate subset, so it needs no model
+enumeration either.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .cnf import Clause, CnfFormula, Literal, PartialAssignment, is_tautological, literal_key, make_clause, mask_literals
 from .errors import LimitError, PreconditionError, TautologyError
@@ -56,21 +58,29 @@ class DecisionReport:
         return self.verdict
 
 
-def _witness_key(alpha: PartialAssignment):
-    return (len(alpha), tuple(sorted(literal_key(lit) for lit in alpha)))
-
-
-def _check_input(formula: CnfFormula, limit: int):
+def _check_input(formula: CnfFormula, limit: int, method: str):
     formula.reject_tautologies("deciders do not accept tautological clauses")
     if formula.num_vars > limit:
         raise LimitError(f"{formula.num_vars} variables exceed limit {limit} (raise --limit to override)")
+    if method not in ("naive", "primes"):
+        raise ValueError(f"unknown method {method!r}")
+
+
+def _least_failure(failures: Iterable[tuple[PartialAssignment, Literal | None]], method: str) -> DecisionReport:
+    """The report for the failing (alpha, literal) pairs, literal None for URC: true when there are none,
+    else the least failure by the size of alpha, its sorted (variable, polarity) keys, then the literal."""
+    def key(failure):
+        alpha, lit = failure
+        return len(alpha), sorted(map(literal_key, alpha)), literal_key(lit) if lit is not None else ()
+
+    least = min(failures, key=key, default=None)
+    if least is None:
+        return DecisionReport(True, method=method)
+    return DecisionReport(False, witness=least[0], literal=least[1], method=method)
 
 
 def _naive_urc(formula: CnfFormula) -> DecisionReport:
-    failures = [alpha for alpha, _, models in assignment_walk(formula) if len(models) == 0]
-    if not failures:
-        return DecisionReport(True, method="naive")
-    return DecisionReport(False, witness=min(failures, key=_witness_key), method="naive")
+    return _least_failure(((alpha, None) for alpha, _, models in assignment_walk(formula) if len(models) == 0), "naive")
 
 
 def _naive_pc(formula: CnfFormula) -> DecisionReport:
@@ -80,78 +90,49 @@ def _naive_pc(formula: CnfFormula) -> DecisionReport:
         missing = mask_literals(entailed_pos & ~pos, entailed_neg & ~neg)
         if missing:
             failures.append((alpha, missing[0]))
-    if not failures:
-        return DecisionReport(True, method="naive")
-    alpha, lit = min(failures, key=lambda pair: (_witness_key(pair[0]), literal_key(pair[1])))
-    return DecisionReport(False, witness=alpha, literal=lit, method="naive")
+    return _least_failure(failures, "naive")
 
 
 def _unrefuted_primes(engine: UnitPropagator, primes: CnfFormula) -> Iterator[PartialAssignment]:
     """The negated primes whose unit propagation does not conflict: the formula is URC iff there are none.
 
+    A prime that is a clause of the engine's formula is refuted without a run.
     The empty prime of an unsatisfiable formula negates to the empty assignment.
     """
+    clauses = set(engine.clauses)
     for prime in primes.clauses:
-        alpha = frozenset(-lit for lit in prime)
-        if not engine.conflicts(alpha):
-            yield alpha
+        if prime not in clauses and not engine.refutes(prime):
+            yield frozenset(-lit for lit in prime)
 
 
 def _prime_urc(formula: CnfFormula) -> DecisionReport:
-    failures = list(_unrefuted_primes(UnitPropagator(formula), prime_implicates(formula)))
-    if not failures:
-        return DecisionReport(True, method="primes")
-    return DecisionReport(False, witness=min(failures, key=_witness_key), method="primes")
+    unrefuted = _unrefuted_primes(UnitPropagator(formula), prime_implicates(formula))
+    return _least_failure(((alpha, None) for alpha in unrefuted), "primes")
 
 
 def _prime_pc(formula: CnfFormula) -> DecisionReport:
-    primes = prime_implicates(formula)
+    primes = prime_implicates(formula).clauses
+    if primes == ((),):
+        # every clause is an implicate of an unsatisfiable formula: the empty prime is absorbed
+        # iff each unit clause is, that is iff propagation alone conflicts
+        primes = [(lit,) for lit in all_literals(formula.num_vars)]
     engine = UnitPropagator(formula)
-    if primes.has_empty_clause():
-        conflict, trail, _ = engine.run(())
-        if conflict:
-            return DecisionReport(True, method="primes")
-        missing = min(all_literals(formula.num_vars) - set(trail), key=literal_key)
-        return DecisionReport(False, witness=frozenset(), literal=missing, method="primes")
-    failures = []
-    for prime in primes.clauses:
-        for lit in prime:
-            if not _absorbs(engine, prime, lit):
-                failures.append((frozenset(-e for e in prime if e != lit), lit))
-    if not failures:
-        return DecisionReport(True, method="primes")
-    alpha, lit = min(failures, key=lambda pair: (_witness_key(pair[0]), literal_key(pair[1])))
-    return DecisionReport(False, witness=alpha, literal=lit, method="primes")
+    clauses = set(formula.clauses)  # a clause of the formula is absorbed without a run
+    return _least_failure(((frozenset(-other for other in prime if other != lit), lit)
+                           for prime in primes if prime not in clauses
+                           for lit in prime if not engine.absorbs(prime, lit)), "primes")
 
 
-def is_urc(formula: CnfFormula, limit: int = DECIDER_LIMIT, method: str = "auto") -> DecisionReport:
+def is_urc(formula: CnfFormula, limit: int = DECIDER_LIMIT, method: str = "primes") -> DecisionReport:
     """Decide unit refutation completeness over all partial assignments."""
-    _check_input(formula, limit)
-    if method == "naive":
-        return _naive_urc(formula)
-    if method in ("auto", "primes"):
-        return _prime_urc(formula)
-    raise ValueError(f"unknown method {method!r}")
+    _check_input(formula, limit, method)
+    return _naive_urc(formula) if method == "naive" else _prime_urc(formula)
 
 
-def is_pc(formula: CnfFormula, limit: int = DECIDER_LIMIT, method: str = "auto") -> DecisionReport:
+def is_pc(formula: CnfFormula, limit: int = DECIDER_LIMIT, method: str = "primes") -> DecisionReport:
     """Decide propagation completeness over all partial assignments and literals."""
-    _check_input(formula, limit)
-    if method == "naive":
-        return _naive_pc(formula)
-    if method in ("auto", "primes"):
-        return _prime_pc(formula)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _absorbs(engine: UnitPropagator, clause: Clause, lit: Literal) -> bool:
-    """Does propagation from the negation of the rest of the clause derive lit or a conflict?"""
-    conflict, trail, _ = engine.run([-e for e in clause if e != lit])
-    return conflict or lit in trail
-
-
-def _absorbed_by(engine: UnitPropagator, clause: Clause) -> bool:
-    return all(_absorbs(engine, clause, lit) for lit in clause)
+    _check_input(formula, limit, method)
+    return _naive_pc(formula) if method == "naive" else _prime_pc(formula)
 
 
 def is_absorbed(clause: Clause, formula: CnfFormula, limit: int = MODEL_LIMIT) -> bool:
@@ -164,7 +145,8 @@ def is_absorbed(clause: Clause, formula: CnfFormula, limit: int = MODEL_LIMIT) -
         raise TautologyError("absorption is not defined for tautological clauses")
     if not entails(formula, clause, limit=limit):
         raise PreconditionError("clause is not an implicate of the formula")
-    return _absorbed_by(UnitPropagator(formula), clause)
+    engine = UnitPropagator(formula)
+    return all(engine.absorbs(clause, lit) for lit in clause)
 
 
 class ReductionError(PreconditionError):
@@ -195,7 +177,12 @@ def reduce_pc_irredundant(formula: CnfFormula, seed: int | None = None, limit: i
     report = is_pc(formula, limit=limit)
     if not report.verdict:
         raise PreconditionError("input formula is not propagation complete")
-    result = _greedy_reduce(formula, seed, lambda clause, rest: _absorbed_by(UnitPropagator(rest), clause))
+
+    def absorbed(clause: Clause, rest: CnfFormula) -> bool:
+        engine = UnitPropagator(rest)
+        return all(engine.absorbs(clause, lit) for lit in clause)
+
+    result = _greedy_reduce(formula, seed, absorbed)
     if not is_pc(result, limit=limit).verdict:
         raise ReductionError("absorbed-clause removal broke propagation completeness")
     return result
@@ -208,11 +195,13 @@ def reduce_urc_irredundant(formula: CnfFormula, seed: int | None = None, limit: 
         raise PreconditionError("input formula is not unit refutation complete")
     primes = prime_implicates(formula)
 
-    def still_urc(rest: CnfFormula) -> bool:
-        return next(_unrefuted_primes(UnitPropagator(rest), primes), None) is None
+    # a rest refuting every negated prime entails every clause, so it is equivalent and URC; the
+    # removed clause, an implicate it must refute too, is the likeliest to fail and goes first
+    def still_urc(clause: Clause, rest: CnfFormula) -> bool:
+        engine = UnitPropagator(rest)
+        return engine.refutes(clause) and next(_unrefuted_primes(engine, primes), None) is None
 
-    # a clause the rest does not entail cannot go: its removal would change the function
-    result = _greedy_reduce(formula, seed, lambda clause, rest: entails(rest, clause) and still_urc(rest))
+    result = _greedy_reduce(formula, seed, still_urc)
     if not is_urc(result, limit=limit).verdict:
         raise ReductionError("clause removal broke unit refutation completeness")
     return result

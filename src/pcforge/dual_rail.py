@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnf import Clause, CnfFormula, Literal, PartialAssignment, is_tautological, make_clause
+from .cnf import Clause, CnfFormula, Literal, PartialAssignment, make_clause
 from .errors import EmptyClauseError, LimitError, PreconditionError, UnsatisfiableError
 from .propagation import UnitPropagator
-from .semantics import MODEL_LIMIT, assignment_walk, closure_masks, prime_implicates, satisfiable
+from .semantics import assignment_walk, closure_masks, prime_implicates
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,6 @@ class DualRailFormula:
     horn: CnfFormula
     var_map: MetaVarMap
 
-    @property
-    def source_vars(self) -> int:
-        return self.var_map.num_source_vars
-
 
 def dual_rail(formula: CnfFormula) -> DualRailFormula:
     """The implicational dual-rail translation.
@@ -81,19 +77,14 @@ def dual_rail(formula: CnfFormula) -> DualRailFormula:
     return DualRailFormula(horn, var_map)
 
 
-def _entails_by_propagation(engine: UnitPropagator, clause: Clause) -> bool:
-    # A trail without a conflict holds every assumed -lit and so no lit of the
-    # clause: only a conflict can show entailment.  Tautologies need no check.
-    return is_tautological(clause) or engine.conflicts([-lit for lit in clause])
-
-
 def horn_entails(horn: CnfFormula, clause: Clause) -> bool:
     """Exact entailment for Horn formulas via unit propagation.
 
-    Propagation from the negated clause either refutes the formula or
-    derives one of the clause literals iff the clause is entailed; for
-    Horn input this check is complete.  The empty clause is entailed iff
-    the formula itself is refutable.
+    The clause is entailed iff propagation from its negation refutes the
+    formula; for Horn input this check is complete.  (A trail without a
+    conflict holds every negated literal, so it derives none of the
+    clause.)  The empty clause is entailed iff the formula itself is
+    refutable.
     """
     if not horn.is_horn():
         raise PreconditionError("horn_entails requires a Horn formula")
@@ -101,7 +92,7 @@ def horn_entails(horn: CnfFormula, clause: Clause) -> bool:
     for lit in clause:
         if abs(lit) > horn.num_vars:
             raise PreconditionError(f"clause variable {abs(lit)} outside universe")
-    return _entails_by_propagation(UnitPropagator(horn), clause)
+    return UnitPropagator(horn).refutes(clause)
 
 
 def horn_equivalent(h1: CnfFormula, h2: CnfFormula) -> bool:
@@ -111,22 +102,24 @@ def horn_equivalent(h1: CnfFormula, h2: CnfFormula) -> bool:
     if not h1.is_horn() or not h2.is_horn():
         raise PreconditionError("horn_equivalent requires Horn formulas")
     engine1, engine2 = UnitPropagator(h1), UnitPropagator(h2)
-    return (all(_entails_by_propagation(engine1, c) for c in h2.clauses)
-            and all(_entails_by_propagation(engine2, c) for c in h1.clauses))
+    return all(map(engine1.refutes, h2.clauses)) and all(map(engine2.refutes, h1.clauses))
 
 
-def pc_via_dual_rail(formula: CnfFormula, limit: int = MODEL_LIMIT) -> bool:
+def pc_via_dual_rail(formula: CnfFormula) -> bool:
     """Propagation completeness via dual-rail equivalence with the prime implicates.
 
     A satisfiable formula is PC iff its dual-rail translation is Horn-
-    equivalent to the translation of its full prime implicate set.
+    equivalent to the translation of its full prime implicate set.  The
+    primes also decide satisfiability: those of an unsatisfiable formula
+    are exactly the empty clause.  No model is enumerated, so the size is
+    bounded only by the prime implicate computation's own limit.
     """
     formula.reject_tautologies("pc_via_dual_rail does not accept tautological clauses")
     if formula.has_empty_clause():
         raise EmptyClauseError("pc_via_dual_rail does not accept the empty clause")
-    if not satisfiable(formula, limit=limit):
-        raise UnsatisfiableError("pc_via_dual_rail is defined for satisfiable formulas only")
     primes = prime_implicates(formula)
+    if primes.has_empty_clause():
+        raise UnsatisfiableError("pc_via_dual_rail is defined for satisfiable formulas only")
     return horn_equivalent(dual_rail(formula).horn, dual_rail(primes).horn)
 
 

@@ -1,9 +1,13 @@
-"""Unit resolution engine.
+"""Unit resolution engine, the one home of propagation.
 
-Computes the closure of a partial assignment under unit propagation.  By
-convention the closure of a refuted assignment (one from which the empty
-clause is derivable) is the full literal set of the universe; this makes
-closure results comparable across formulas representing the same function.
+``UnitPropagator`` propagates a set of assumptions (``run``), answers
+whether the negation of a clause is refuted (``refutes``) and whether the
+negated rest of a clause derives one of its literals (``absorbs``), and
+steps the walk over partial assignments one literal at a time (``start``,
+``extend``).  ``up_closure`` computes the closure of a partial assignment;
+by convention the closure of a refuted assignment (one from which the
+empty clause is derivable) is the full literal set of the universe, which
+makes closure results comparable across formulas for the same function.
 """
 
 from __future__ import annotations
@@ -11,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cnf import Clause, CnfFormula, Literal, PartialAssignment, literal_key, make_assignment
+from .cnf import (Clause, CnfFormula, Literal, PartialAssignment, is_tautological, literal_key, literal_masks,
+                  make_assignment)
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,44 @@ class UnitPropagator:
         empty = self._propagate(val, self.lengths.copy(), [False] * len(self.clauses), trail)
         return empty is not None, trail, empty
 
+    def refutes(self, clause: Clause) -> bool:
+        """Does propagation from the negation of the clause conflict?  A tautology's negation is refuted by itself."""
+        return is_tautological(clause) or self.run([-lit for lit in clause])[0]
+
+    def absorbs(self, clause: Clause, lit: Literal) -> bool:
+        """Does propagation from the negation of the rest of the clause derive lit or a conflict?"""
+        conflict, trail, _ = self.run([-other for other in clause if other != lit])
+        return conflict or lit in trail
+
+    def start(self) -> tuple | None:
+        """The root node of a walk over partial assignments, or None when the static units conflict.
+
+        A node is (pos, neg, val, counts, sat): the literal masks of the
+        assignment closed under propagation, then the state extend updates.
+        """
+        if self.empty is not None:
+            return None
+        node = (0, 0, [0] * (self.num_vars + 1), self.lengths.copy(), [False] * len(self.clauses))
+        for lit in self.units:
+            node = self.extend(node, lit)
+            if node is None:
+                break
+        return node
+
+    def extend(self, node: tuple, lit: Literal) -> tuple | None:
+        """The node after also assuming lit, or None on conflict; node itself when lit is already derived."""
+        pos, neg, val, counts, sat = node
+        state = val[abs(lit)]
+        if state:  # already derived: nothing changes; its complement: a conflict
+            return node if state == (1 if lit > 0 else -1) else None
+        val, counts, sat = val.copy(), counts.copy(), sat.copy()
+        val[abs(lit)] = 1 if lit > 0 else -1
+        trail = [lit]
+        if self._propagate(val, counts, sat, trail) is not None:
+            return None
+        new_pos, new_neg = literal_masks(trail)
+        return pos | new_pos, neg | new_neg, val, counts, sat
+
     def _propagate(self, val: list[int], counts: list[int], sat: list[bool], trail: list[Literal]) -> int | None:
         """Process the trail to fixpoint, updating every argument in place.
 
@@ -109,10 +152,6 @@ class UnitPropagator:
                             sat[idx] = True
                             break
         return None
-
-    def conflicts(self, assumptions=()) -> bool:
-        conflict, _, _ = self.run(assumptions)
-        return conflict
 
 
 def all_literals(num_vars: int) -> frozenset[Literal]:

@@ -86,26 +86,31 @@ def recognize_qhorn(formula: CnfFormula) -> Valuation | None:
     sums = [0] * len(formula.clauses)
     doubled = [2] * n
 
-    def search(depth: int) -> bool:
-        if depth == len(order):
-            return True
+    # depth-first search without recursion: tried[d] counts the weights 2, 1, 0 tried at depth d, the last
+    # still in the sums; undecided literals only add weight, so a sum above 2 prunes soundly
+    tried = [0] * len(order)
+    depth = 0
+    while 0 <= depth < len(order):
         var = order[depth]
-        for w in (2, 1, 0):
-            doubled[var - 1] = w
-            ok = True
-            for idx, lit in occurrences[var]:
-                sums[idx] += w if lit > 0 else 2 - w
-                if sums[idx] > 2:
-                    ok = False  # undecided literals only add weight, so this prunes soundly
-            if ok and search(depth + 1):
-                return True
+        if tried[depth]:
+            w = 3 - tried[depth]
             for idx, lit in occurrences[var]:
                 sums[idx] -= w if lit > 0 else 2 - w
-        return False
-
-    if search(0):
-        return Valuation(tuple(doubled))
-    return None
+        if tried[depth] == 3:
+            tried[depth] = 0
+            depth -= 1
+            continue
+        w = 2 - tried[depth]
+        tried[depth] += 1
+        doubled[var - 1] = w
+        ok = True
+        for idx, lit in occurrences[var]:
+            sums[idx] += w if lit > 0 else 2 - w
+            if sums[idx] > 2:
+                ok = False
+        if ok:
+            depth += 1
+    return Valuation(tuple(doubled)) if depth == len(order) else None
 
 
 @dataclass(frozen=True)
@@ -242,22 +247,6 @@ def qhorn_sat(split: QHornSplit) -> bool:
     return _two_sat_satisfiable([clause for clause in reduced.clauses if all(abs(lit) in x2_set for lit in clause)])
 
 
-def _binary_resolvent(ci: Clause, cj: Clause) -> Clause | None:
-    """The canonical resolvent of two binary clauses clashing on exactly one literal, else None."""
-    (a, b), (c, d) = ci, cj
-    if -a in cj:
-        if -b in cj:
-            return None
-        x, y = b, d if c == -a else c
-    elif -b in cj:
-        x, y = a, d if c == -b else c
-    else:
-        return None
-    if x == y:
-        return (x,)
-    return (x, y) if abs(x) < abs(y) else (y, x)  # x == -y would need a second clash
-
-
 def phi_q_plus(split: QHornSplit) -> CnfFormula:
     """All binary clauses over the half-weight literals derivable by resolution.
 
@@ -290,17 +279,22 @@ def phi_q_plus(split: QHornSplit) -> CnfFormula:
 
 
 def _resolution_pairs(clauses: tuple[Clause, ...]) -> Iterator[tuple[Clause, Clause, Clause]]:
-    """(ci, cj, resolvent) for each pair i < j of binary clauses that resolves, in (i, j) order."""
+    """(ci, cj, resolvent) for each pair i < j of binary clauses that resolves, in (i, j) order.
+
+    Partners are found per literal of ci, so the clash is known; one reached through both clashes twice.
+    """
     positions: dict[Literal, list[int]] = defaultdict(list)
     for j, clause in enumerate(clauses):
         for lit in clause:
             positions[lit].append(j)
     for i, ci in enumerate(clauses):
-        # a partner contains the complement of one of ci's literals
-        for j in sorted({j for lit in ci for j in positions[-lit] if j > i}):
-            resolvent = _binary_resolvent(ci, clauses[j])
-            if resolvent is not None:
-                yield ci, clauses[j], resolvent
+        a, b = ci
+        via_a, via_b = ({j for j in positions[-lit] if j > i} for lit in ci)
+        for j in sorted(via_a ^ via_b):
+            cj = clauses[j]
+            clash, x = (a, b) if j in via_a else (b, a)
+            y = cj[1] if cj[0] == -clash else cj[0]
+            yield ci, cj, (x,) if x == y else (x, y) if abs(x) < abs(y) else (y, x)  # x == -y: a second clash
 
 
 def compile_urc_encoding(formula: CnfFormula, valuation: Valuation | None = None) -> EncodingFormula:

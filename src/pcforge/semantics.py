@@ -17,6 +17,10 @@ itself as its onset; no copy is made.
 Prime implicates come from queue-driven consensus with subsumption, the
 clauses kept as literal bitmasks and indexed by per-literal occurrence
 bitsets, so no step scans the clause list.
+
+The assignment walk pairs each partial assignment with the models that
+extend it.  Its propagation steps are UnitPropagator.start and extend;
+of a propagation node the walk reads only the (pos, neg) literal masks.
 """
 
 from __future__ import annotations
@@ -184,46 +188,28 @@ def assignment_walk(formula: CnfFormula) -> Iterator[tuple[PartialAssignment, tu
     Yields (alpha, (pos, neg), models): the literal masks of alpha's unit
     propagation closure and the models of the formula that extend alpha.
     The walk is depth first over the variables, each unassigned, true or
-    false in that order.  A child extends its parent's propagation state
-    and model array by one literal; below a conflict every assignment
-    conflicts too (unit propagation is monotone), so the subtree is skipped.
+    false in that order.  A child extends its parent's propagation node
+    (UnitPropagator.extend) and model array by one literal; below a conflict
+    every assignment conflicts too (unit propagation is monotone), so the
+    subtree is skipped.
     """
     n = formula.num_vars
     engine = UnitPropagator(formula)
-    if engine.empty is not None:
+    root = engine.start()
+    if root is None:
         return
-    node = ([0] * (n + 1), engine.lengths.copy(), [False] * len(formula.clauses), 0, 0)
-    for lit in engine.units:
-        node = _extend(engine, node, lit)
-        if node is None:
-            return
-    stack = [(1, frozenset(), node, _model_words(formula))]
+    stack = [(1, frozenset(), root, _model_words(formula))]
     while stack:
         var, alpha, node, models = stack.pop()
         if var > n:
-            yield alpha, node[3:], models
+            yield alpha, node[:2], models
             continue
         true = (models & np.uint64(1 << (var - 1))) != 0
         for lit, keep in ((-var, ~true), (var, true)):
-            child = _extend(engine, node, lit)
+            child = engine.extend(node, lit)
             if child is not None:
                 stack.append((var + 1, alpha | {lit}, child, models if child is node else models[keep]))
         stack.append((var + 1, alpha, node, models))
-
-
-def _extend(engine: UnitPropagator, node: tuple, lit: Literal) -> tuple | None:
-    """The walk node (val, counts, sat, pos, neg) after assuming lit, or None on conflict."""
-    val, counts, sat, pos, neg = node
-    state = val[abs(lit)]
-    if state:  # already derived: nothing changes; its complement: a conflict
-        return node if state == (1 if lit > 0 else -1) else None
-    val, counts, sat = val.copy(), counts.copy(), sat.copy()
-    val[abs(lit)] = 1 if lit > 0 else -1
-    trail = [lit]
-    if engine._propagate(val, counts, sat, trail) is not None:
-        return None
-    new_pos, new_neg = literal_masks(trail)
-    return val, counts, sat, pos | new_pos, neg | new_neg
 
 
 def equivalent(f1: CnfFormula, f2: CnfFormula, limit: int = MODEL_LIMIT) -> bool:

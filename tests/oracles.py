@@ -9,19 +9,30 @@ The q-Horn encoding reference uses only the package's data model
 (make_clause, CnfFormula.from_clauses).  Sizes are expected to stay small
 (around 8 variables or fewer), except for the replaced engines kept as
 references for the engines that replaced them: model_words_chunked, the
-model enumerator that scanned all 2**n words in chunks, and
+model enumerator that scanned all 2**n words in chunks;
 prime_implicates_linear_scan, the consensus procedure that scanned every
-admitted clause for each subsumption test and each resolution partner.
+admitted clause for each subsumption test and each resolution partner;
+prime_urc_per_prime, prime_pc_per_prime and reduce_urc_by_entailment, the
+primes deciders that ran propagation for every prime and the URC reducer
+that also asked model-based entailment of each removal; and
+recognize_qhorn_recursive, the recursive q-Horn weight search.
 """
 
 from __future__ import annotations
 
+import random
+import sys
 from itertools import product
 
 import numpy as np
 
-from pcforge.cnf import CnfFormula, EncodingFormula, is_tautological, literal_masks, make_clause, mask_literals
-from pcforge.errors import LimitError
+from pcforge.cnf import (CnfFormula, EncodingFormula, is_tautological, literal_key, literal_masks, make_clause,
+                        mask_literals)
+from pcforge.deciders import DecisionReport, is_urc
+from pcforge.errors import LimitError, PreconditionError
+from pcforge.propagation import UnitPropagator, all_literals
+from pcforge.qhorn import Valuation
+from pcforge.semantics import entails, prime_implicates
 
 
 def eval_clause(clause, word: int) -> bool:
@@ -314,3 +325,98 @@ def compile_urc_encoding_reference(split):
         groups[5] += [unflip_clause([-u, aux]), unflip_clause([-v, aux])]
     formula = CnfFormula.from_clauses([c for group in groups for c in group], n + len(closure))
     return EncodingFormula(formula, tuple(range(1, n + 1)), tuple(range(n + 1, n + 1 + len(closure))))
+
+
+def _least_report(failures, method):
+    if not failures:
+        return DecisionReport(True, method=method)
+    alpha, lit = min(failures, key=lambda pair: ((len(pair[0]), tuple(sorted(literal_key(l) for l in pair[0]))),
+                                                  literal_key(pair[1]) if pair[1] is not None else ()))
+    return DecisionReport(False, witness=alpha, literal=lit, method=method)
+
+
+def _unrefuted_per_prime(engine, primes):
+    for prime in primes.clauses:
+        alpha = frozenset(-lit for lit in prime)
+        if not engine.run(alpha)[0]:
+            yield alpha
+
+
+def prime_urc_per_prime(formula):
+    """The primes URC decider with one propagation run for every prime, clauses of the formula included."""
+    failures = [(alpha, None) for alpha in _unrefuted_per_prime(UnitPropagator(formula), prime_implicates(formula))]
+    return _least_report(failures, "primes")
+
+
+def prime_pc_per_prime(formula):
+    """The primes PC decider with one run per (prime, literal) and a separate path for unsatisfiable input."""
+    primes = prime_implicates(formula)
+    engine = UnitPropagator(formula)
+    if primes.has_empty_clause():
+        conflict, trail, _ = engine.run(())
+        if conflict:
+            return _least_report([], "primes")
+        missing = min(all_literals(formula.num_vars) - set(trail), key=literal_key)
+        return _least_report([(frozenset(), missing)], "primes")
+    failures = []
+    for prime in primes.clauses:
+        for lit in prime:
+            conflict, trail, _ = engine.run([-e for e in prime if e != lit])
+            if not (conflict or lit in trail):
+                failures.append((frozenset(-e for e in prime if e != lit), lit))
+    return _least_report(failures, "primes")
+
+
+def reduce_urc_by_entailment(formula, seed=None):
+    """Greedy URC reduction that drops a clause only when the rest entails it (by models) and stays URC."""
+    if not is_urc(formula, limit=formula.num_vars).verdict:
+        raise PreconditionError("input formula is not unit refutation complete")
+    primes = prime_implicates(formula)
+    order = list(range(len(formula.clauses)))
+    if seed is not None:
+        random.Random(seed).shuffle(order)
+    keep = [True] * len(order)
+    for idx in order:
+        keep[idx] = False
+        rest = CnfFormula(tuple(c for c, kept in zip(formula.clauses, keep) if kept), formula.num_vars)
+        removable = (entails(rest, formula.clauses[idx])
+                     and next(_unrefuted_per_prime(UnitPropagator(rest), primes), None) is None)
+        keep[idx] = not removable
+    return CnfFormula(tuple(c for c, kept in zip(formula.clauses, keep) if kept), formula.num_vars)
+
+
+def recognize_qhorn_recursive(formula):
+    """The q-Horn weight search as a recursion over the variables (weights 2, 1, 0 in turn), fast paths first."""
+    n = formula.num_vars
+    if all(len(clause) <= 2 for clause in formula.clauses):
+        return Valuation((1,) * n)
+    if formula.is_horn():
+        return Valuation((2,) * n)
+    occurrences = {v: [] for v in range(1, n + 1)}
+    for idx, clause in enumerate(formula.clauses):
+        for lit in clause:
+            occurrences[abs(lit)].append((idx, lit))
+    order = sorted(range(1, n + 1), key=lambda v: (-len(occurrences[v]), v))
+    sums = [0] * len(formula.clauses)
+    doubled = [2] * n
+
+    def search(depth):
+        if depth == len(order):
+            return True
+        var = order[depth]
+        for w in (2, 1, 0):
+            doubled[var - 1] = w
+            ok = True
+            for idx, lit in occurrences[var]:
+                sums[idx] += w if lit > 0 else 2 - w
+                if sums[idx] > 2:
+                    ok = False
+            if ok and search(depth + 1):
+                return True
+            for idx, lit in occurrences[var]:
+                sums[idx] -= w if lit > 0 else 2 - w
+        return False
+
+    if n + 100 > sys.getrecursionlimit():
+        raise ValueError("formula too wide for the recursive reference")
+    return Valuation(tuple(doubled)) if search(0) else None

@@ -245,3 +245,21 @@ def test_reports_are_deterministic_modulo_timing(tmp_path, capsys):
         report.pop("timing_ms")
         reports.append(json.dumps(report, sort_keys=True))
     assert reports[0] == reports[1]
+
+
+def test_check_method_choices(psi3_file, capsys):
+    code, report, _ = run(capsys, "check", "urc", psi3_file, "--method", "naive", "--limit", "9")
+    assert code == 1 and report["verdict"] is False
+    with pytest.raises(SystemExit):
+        main(["check", "urc", psi3_file, "--method", "auto"])
+
+
+def test_pc_dr_and_urc_reduction_past_24_variables(tmp_path, capsys):
+    # an implication chain over 30 variables plus the shortcut (-1 30)
+    path = tmp_path / "chain.cnf"
+    path.write_text("p cnf 30 30\n" + "".join(f"-{v} {v + 1} 0\n" for v in range(1, 30)) + "-1 30 0\n")
+    code, report, _ = run(capsys, "check", "pc-dr", str(path))
+    assert code == 0 and report["verdict"] is True
+    code, report, _ = run(capsys, "reduce", "urc", str(path), "--limit", "30")
+    assert code == 0 and (report["before"], report["after"]) == (30, 29)
+    assert [-1, 30] not in report["clauses"]

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from pcforge import semantics
 from pcforge.cnf import CnfFormula, make_clause
+from pcforge.corpus import horn_formulas, qhorn_formulas, random_formula as corpus_formula, satisfiable_formulas
 from pcforge.deciders import (
     DecisionReport,
     is_absorbed,
@@ -11,12 +13,15 @@ from pcforge.deciders import (
     reduce_pc_irredundant,
     reduce_urc_irredundant,
 )
+from pcforge.dual_rail import pc_via_dual_rail
 from pcforge.errors import LimitError, PreconditionError, TautologyError
-from pcforge.families import gen_gamma, gen_parity, gen_psi_horn, gen_psi_qhorn
-from pcforge.propagation import up_closure
+from pcforge.families import gen_gamma, gen_parity, gen_psi_horn, gen_psi_horn_pc, gen_psi_qhorn, gen_psi_qhorn_pc
+from pcforge.propagation import UnitPropagator, up_closure
+from pcforge.qhorn import compile_urc_encoding
 from pcforge.semantics import cl_sem, entails, equivalent, prime_implicates
 
-from oracles import pc_brute, urc_brute
+from oracles import (models_brute, pc_brute, prime_pc_per_prime, prime_urc_per_prime, reduce_urc_by_entailment,
+                     urc_brute)
 
 
 def F(clauses, num_vars=None):
@@ -222,3 +227,87 @@ def test_reduce_urc_drops_redundant_resolvent():
 def test_report_is_truthy_on_pass():
     assert bool(DecisionReport(True))
     assert not bool(DecisionReport(False, witness=frozenset()))
+
+
+def _decider_corpus():
+    """Seeded satisfiable, Horn, q-Horn and unsatisfiable random formulas, and the paper's families."""
+    rng = random.Random(83)
+    unsat = []
+    while len(unsat) < 30:
+        formula = corpus_formula(rng, max_vars=5, max_clauses=14)
+        if not models_brute(formula):
+            unsat.append(formula)
+    three_cnf = []  # with three literals in every clause, formulas that are not URC are common
+    for _ in range(40):
+        n = rng.randint(4, 8)
+        three_cnf.append(F([[v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), 3)]
+                            for _ in range(rng.randint(n, 3 * n))], n))
+    return (satisfiable_formulas(89, 60, max_vars=7) + horn_formulas(97, 30, max_vars=7)
+            + [formula for formula, _ in qhorn_formulas(101, 30, max_vars=7)] + unsat + three_cnf
+            + [F([[1], [-1]]), F([[1, 2], [1, -2], [-1, 2], [-1, -2]]), CnfFormula(((),), 2), CnfFormula((), 0)]
+            + [gen_psi_horn(m) for m in (3, 4)] + [gen_psi_horn_pc(m) for m in (3, 4)]
+            + [gen_psi_qhorn(n)[0] for n in (2, 3, 4)]
+            + [gen_gamma(m, variant) for m in (2, 3) for variant in ("base", "prime", "dprime")]
+            + [gen_parity(n, "cnf") for n in (2, 3, 4, 6)]
+            + [gen_parity(3, "encoding").formula, gen_psi_qhorn_pc(2).formula])
+
+
+def test_primes_deciders_match_the_per_prime_reference():
+    for formula in _decider_corpus():
+        limit = formula.num_vars
+        urc, pc = is_urc(formula, limit=limit), is_pc(formula, limit=limit)
+        assert urc == prime_urc_per_prime(formula), formula
+        assert pc == prime_pc_per_prime(formula), formula
+        if formula.num_vars <= 8:
+            # the walk returns the same least witness as the critical assignments
+            for naive, primes in ((is_urc(formula, limit=8, method="naive"), urc),
+                                  (is_pc(formula, limit=8, method="naive"), pc)):
+                assert (naive.verdict, naive.witness, naive.literal) == (primes.verdict, primes.witness, primes.literal)
+
+
+def test_reduce_urc_matches_the_entailment_guarded_reference():
+    formulas = [f for f in _decider_corpus() if f.num_vars and is_urc(f, limit=f.num_vars).verdict]
+    formulas += [prime_implicates(f) for f in satisfiable_formulas(103, 10, max_vars=6)]
+    formulas += [compile_urc_encoding(f, v).formula for f, v in qhorn_formulas(107, 6, max_vars=5, max_half=2)]
+    assert len(formulas) > 60
+    for formula in formulas:
+        for seed in (None, 1, 2, 3):
+            reduced = reduce_urc_irredundant(formula, seed=seed, limit=formula.num_vars)
+            assert reduced.clauses == reduce_urc_by_entailment(formula, seed=seed).clauses, (formula, seed)
+
+
+def test_method_values():
+    formula = F(DELTA, 4)
+    assert is_urc(formula) == is_urc(formula, method="primes")
+    for decide in (is_urc, is_pc):
+        with pytest.raises(ValueError):
+            decide(formula, method="auto")
+
+
+def test_primes_that_are_clauses_need_no_propagation(monkeypatch):
+    # every prime of the parity CNF is one of its clauses
+    calls = []
+    run = UnitPropagator.run
+
+    def counted(engine, assumptions=()):
+        calls.append(assumptions)
+        return run(engine, assumptions)
+
+    monkeypatch.setattr(UnitPropagator, "run", counted)
+    formula = gen_parity(8, "cnf")
+    assert is_urc(formula).verdict and is_pc(formula).verdict
+    assert calls == []
+    assert is_urc(F(DELTA, 4)).verdict and calls  # the counter does see runs
+
+
+def test_dual_rail_and_urc_reducer_answer_past_the_model_wall(monkeypatch):
+    def no_models(formula):
+        raise AssertionError("model enumeration called")
+
+    monkeypatch.setattr(semantics, "_model_words", no_models)
+    formula = F([[-v, v + 1] for v in range(1, 30)] + [[-1, 30]], 30)  # an implication chain and a shortcut
+    assert len(formula.clauses) == 30
+    assert pc_via_dual_rail(formula)
+    reduced = reduce_urc_irredundant(formula, limit=30)
+    assert len(reduced.clauses) == 29
+    assert (-1, 30) not in reduced.clauses

@@ -164,3 +164,30 @@ def test_empty_clause_does_not_depend_on_assumption_order():
     first, second = up_closure(formula, [-1, -2]), up_closure(formula, [-2, -1])
     assert first.conflict and second.conflict
     assert first.empty_clause == second.empty_clause == (1,)
+
+
+def test_refutes_and_absorbs_examples():
+    engine = UnitPropagator(F([[-1, 2], [-1, 3], [-2, -3, 4]], 4))  # a->b, a->c, b&c->d
+    assert engine.refutes((-1, 4))  # from a and not d: b, c, then d, a conflict
+    assert not engine.refutes((4,))
+    assert engine.refutes((2, -2))  # a tautology's negation is contradictory by itself
+    assert engine.absorbs((-1, 4), 4)  # a derives d
+    assert not engine.absorbs((-1, 4), -1)  # not d derives nothing
+    assert UnitPropagator(F([[1], [-1]])).absorbs((2,), 2)  # a conflict counts as derivation
+    assert UnitPropagator(CnfFormula(((),), 1)).refutes(())
+
+
+def test_clause_questions_go_through_run(monkeypatch):
+    calls = []
+    run = UnitPropagator.run
+
+    def counted(engine, assumptions=()):
+        calls.append(assumptions)
+        return run(engine, assumptions)
+
+    monkeypatch.setattr(UnitPropagator, "run", counted)
+    engine = UnitPropagator(F([[-1, 2]], 2))
+    engine.refutes((-1, 2))
+    engine.absorbs((-1, 2), 2)
+    assert len(calls) == 2
+

@@ -22,7 +22,7 @@ from pcforge.qhorn import (
 )
 from pcforge.semantics import entails, enumerate_models, is_encoding_of, satisfiable
 
-from oracles import (_resolvent_all_pairs, compile_urc_encoding_reference, phi_q_plus_all_pairs, qhorn_brute,
+from oracles import (compile_urc_encoding_reference, phi_q_plus_all_pairs, qhorn_brute, recognize_qhorn_recursive,
                      resolution_pairs_all_pairs, satisfiable_brute)
 
 
@@ -181,6 +181,30 @@ def test_two_sat_scc_pass_is_iterative():
     assert _two_sat_satisfiable(_implication_chain(5000, 5000)) is True
 
 
+def test_recognition_search_is_iterative():
+    # neither 2-CNF nor Horn, so the weight search runs, one level per variable: far deeper than
+    # the recursion limit
+    n = 5000
+    formula = F([[i, i + 1, -(i + 2)] for i in range(1, n - 1)], n)
+    valuation = recognize_qhorn(formula)
+    assert valuation is not None and valuation.witnesses(formula)
+
+
+def test_recognition_matches_the_recursive_search():
+    rng = random.Random(113)
+    formulas = [formula for formula, _ in qhorn_formulas(127, 60, max_vars=9)]
+    formulas += [gen_psi_qhorn(n)[0] for n in range(2, 7)]
+    formulas += [F([[i, i + 1, -(i + 2)] for i in range(1, n - 1)], n) for n in (3, 10, 200)]
+    for _ in range(150):
+        n = rng.randint(3, 9)
+        formulas.append(F([[v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), rng.randint(1, 3))]
+                           for _ in range(rng.randint(2, 2 * n))], n))
+    searched = [f for f in formulas if not f.is_horn() and any(len(c) > 2 for c in f.clauses)]
+    assert len(searched) > 150 and any(recognize_qhorn(f) is None for f in searched)
+    for formula in formulas:
+        assert recognize_qhorn(formula) == recognize_qhorn_recursive(formula), formula
+
+
 def test_phi_q_plus_examples():
     split = normalize(F([[1, 2], [-2, 3]]), Valuation((1, 1, 1)))
     assert set(phi_q_plus(split).clauses) == {(1, 2), (-2, 3), (1, 3)}
@@ -312,6 +336,8 @@ def test_binary_resolvent_matches_all_pairs_reference():
     lits = [lit for v in (1, 2, 3) for lit in (v, -v)]
     binary = [make_clause([a, b]) for i, a in enumerate(lits) for b in lits[i + 1:]]
     assert len(binary) == 15  # tautological pairs such as (1, -1) included
-    for ci in binary:
-        for cj in binary:
-            assert qhorn._binary_resolvent(ci, cj) == _resolvent_all_pairs(ci, cj), (ci, cj)
+    rng = random.Random(17)
+    for _ in range(40):
+        rng.shuffle(binary)
+        clauses = tuple(binary)
+        assert list(_resolution_pairs(clauses)) == resolution_pairs_all_pairs(clauses), clauses
