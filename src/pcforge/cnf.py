@@ -132,9 +132,6 @@ class CnfFormula:
     def variables(self) -> range:
         return range(1, self.num_vars + 1)
 
-    def occurring_variables(self) -> frozenset[int]:
-        return frozenset(abs(lit) for clause in self.clauses for lit in clause)
-
     def is_horn(self) -> bool:
         return all(sum(1 for lit in clause if lit > 0) <= 1 for clause in self.clauses)
 

@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator
 from .cnf import Clause, CnfFormula, Literal, PartialAssignment, is_tautological, literal_key, make_clause, mask_literals
 from .errors import LimitError, PreconditionError, TautologyError
 from .propagation import UnitPropagator, all_literals
-from .semantics import MODEL_LIMIT, assignment_walk, closure_masks, entails, prime_implicates
+from .semantics import assignment_walk, closure_masks, entails, prime_implicates
 
 DECIDER_LIMIT = 14
 
@@ -52,7 +52,6 @@ class DecisionReport:
     verdict: bool
     witness: PartialAssignment | None = None
     literal: Literal | None = None
-    method: str = ""
 
     def __bool__(self) -> bool:
         return self.verdict
@@ -66,7 +65,7 @@ def _check_input(formula: CnfFormula, limit: int, method: str):
         raise ValueError(f"unknown method {method!r}")
 
 
-def _least_failure(failures: Iterable[tuple[PartialAssignment, Literal | None]], method: str) -> DecisionReport:
+def _least_failure(failures: Iterable[tuple[PartialAssignment, Literal | None]]) -> DecisionReport:
     """The report for the failing (alpha, literal) pairs, literal None for URC: true when there are none,
     else the least failure by the size of alpha, its sorted (variable, polarity) keys, then the literal."""
     def key(failure):
@@ -75,12 +74,12 @@ def _least_failure(failures: Iterable[tuple[PartialAssignment, Literal | None]],
 
     least = min(failures, key=key, default=None)
     if least is None:
-        return DecisionReport(True, method=method)
-    return DecisionReport(False, witness=least[0], literal=least[1], method=method)
+        return DecisionReport(True)
+    return DecisionReport(False, witness=least[0], literal=least[1])
 
 
 def _naive_urc(formula: CnfFormula) -> DecisionReport:
-    return _least_failure(((alpha, None) for alpha, _, models in assignment_walk(formula) if len(models) == 0), "naive")
+    return _least_failure((alpha, None) for alpha, _, models in assignment_walk(formula) if len(models) == 0)
 
 
 def _naive_pc(formula: CnfFormula) -> DecisionReport:
@@ -90,7 +89,7 @@ def _naive_pc(formula: CnfFormula) -> DecisionReport:
         missing = mask_literals(entailed_pos & ~pos, entailed_neg & ~neg)
         if missing:
             failures.append((alpha, missing[0]))
-    return _least_failure(failures, "naive")
+    return _least_failure(failures)
 
 
 def _unrefuted_primes(engine: UnitPropagator, primes: CnfFormula) -> Iterator[PartialAssignment]:
@@ -107,7 +106,7 @@ def _unrefuted_primes(engine: UnitPropagator, primes: CnfFormula) -> Iterator[Pa
 
 def _prime_urc(formula: CnfFormula) -> DecisionReport:
     unrefuted = _unrefuted_primes(UnitPropagator(formula), prime_implicates(formula))
-    return _least_failure(((alpha, None) for alpha in unrefuted), "primes")
+    return _least_failure((alpha, None) for alpha in unrefuted)
 
 
 def _prime_pc(formula: CnfFormula) -> DecisionReport:
@@ -118,9 +117,9 @@ def _prime_pc(formula: CnfFormula) -> DecisionReport:
         primes = [(lit,) for lit in all_literals(formula.num_vars)]
     engine = UnitPropagator(formula)
     clauses = set(formula.clauses)  # a clause of the formula is absorbed without a run
-    return _least_failure(((frozenset(-other for other in prime if other != lit), lit)
-                           for prime in primes if prime not in clauses
-                           for lit in prime if not engine.absorbs(prime, lit)), "primes")
+    return _least_failure((frozenset(-other for other in prime if other != lit), lit)
+                          for prime in primes if prime not in clauses
+                          for lit in prime if not engine.absorbs(prime, lit))
 
 
 def is_urc(formula: CnfFormula, limit: int = DECIDER_LIMIT, method: str = "primes") -> DecisionReport:
@@ -135,7 +134,7 @@ def is_pc(formula: CnfFormula, limit: int = DECIDER_LIMIT, method: str = "primes
     return _naive_pc(formula) if method == "naive" else _prime_pc(formula)
 
 
-def is_absorbed(clause: Clause, formula: CnfFormula, limit: int = MODEL_LIMIT) -> bool:
+def is_absorbed(clause: Clause, formula: CnfFormula) -> bool:
     """Absorption test: each literal of the clause is recovered by unit propagation.
 
     The clause must be an implicate of the formula.
@@ -143,7 +142,7 @@ def is_absorbed(clause: Clause, formula: CnfFormula, limit: int = MODEL_LIMIT) -
     clause = make_clause(clause)
     if is_tautological(clause):
         raise TautologyError("absorption is not defined for tautological clauses")
-    if not entails(formula, clause, limit=limit):
+    if not entails(formula, clause):
         raise PreconditionError("clause is not an implicate of the formula")
     engine = UnitPropagator(formula)
     return all(engine.absorbs(clause, lit) for lit in clause)

@@ -126,15 +126,15 @@ def pc_via_dual_rail(formula: CnfFormula) -> bool:
 CLOSED_LIMIT = 10
 
 
-def closed_assignments(formula: CnfFormula, limit: int = CLOSED_LIMIT) -> frozenset[PartialAssignment]:
+def closed_assignments(formula: CnfFormula) -> frozenset[PartialAssignment]:
     """All partial assignments that are semantically closed for the formula.
 
     These are the assignments alpha with cl_sem(formula, alpha) = alpha; their
     characteristic vectors over the meta-variables form a Horn function.
     """
     n = formula.num_vars
-    if n > limit:
-        raise LimitError(f"{n} variables exceed the closed-assignment enumeration limit {limit}")
+    if n > CLOSED_LIMIT:
+        raise LimitError(f"{n} variables exceed the closed-assignment enumeration limit {CLOSED_LIMIT}")
     if n == 0:
         return frozenset({frozenset()})  # cl_sem is lit(empty universe) = {} even when unsatisfiable
     # the walk skips conflicting assignments, whose cl_sem has all 2n literals; cl_sem

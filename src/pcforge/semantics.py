@@ -1,9 +1,8 @@
 """Exact desk-scale semantic engine.
 
 Model enumeration, entailment, semantic closure, equivalence, the
-encoding check, and prime implicates.  Everything here is exponential in
-the number of variables by design; limits make the operations fail closed
-instead of approximating.
+encoding check, and prime implicates.  Everything here is exponential by
+design; limits make the operations fail closed instead of approximating.
 
 Models of a formula are cached as sorted, read-only numpy uint64 arrays of
 assignment words (bit v-1 of a word holds the value of variable v), so
@@ -11,8 +10,12 @@ repeated queries against the same formula are cheap.  The array is grown
 one variable at a time: the models over variables 1..v are the models over
 1..v-1, each with variable v false and then true, filtered by the clauses
 whose highest variable is v.  The cost follows those prefix model counts,
-not 2**n.  The table returned by enumerate_models holds that cached array
-itself as its onset; no copy is made.
+not 2**n.  That growth is also the one model limit: a step that would
+make the array longer than MODEL_WORDS words (128 MiB) raises LimitError
+before it allocates, so a formula over many variables answers exactly
+when its prefix model counts stay small.  The table returned by
+enumerate_models holds that cached array itself as its onset; no copy is
+made.
 
 Prime implicates come from queue-driven consensus with subsumption, the
 clauses kept as literal bitmasks and indexed by per-literal occurrence
@@ -37,7 +40,7 @@ from .cnf import (Clause, CnfFormula, EncodingFormula, Literal, PartialAssignmen
 from .errors import LimitError, PreconditionError
 from .propagation import UnitPropagator
 
-MODEL_LIMIT = 24
+MODEL_WORDS = 1 << 24  # the longest model array _model_words builds: 128 MiB of uint64
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,11 +90,6 @@ def _onset_array(words: Iterable[int], arity: int) -> np.ndarray:
     return out
 
 
-def _check_limit(formula: CnfFormula, limit: int):
-    if formula.num_vars > limit:
-        raise LimitError(f"{formula.num_vars} variables exceed the enumeration limit {limit}")
-
-
 @lru_cache(maxsize=64)
 def _model_words(formula: CnfFormula) -> np.ndarray:
     """Sorted, read-only array of satisfying assignment words of the formula.
@@ -103,7 +101,11 @@ def _model_words(formula: CnfFormula) -> np.ndarray:
     After step v the array holds the models of the clauses over variables
     1..v, so work and memory follow those model counts rather than 2**n.
     A run of variables at which no clause ends is added in one step.
+    LimitError is raised before a step that would make the array longer
+    than MODEL_WORDS, and for a universe wider than the 64 bits of a word.
     """
+    if formula.num_vars > 64:
+        raise LimitError(f"{formula.num_vars} variables do not fit a 64-bit model word")
     # per highest variable, shortest clauses first: they rule out the most words, so later
     # clauses test fewer; a tautological clause rules out none and would break the
     # one-comparison test below; the empty clause sits at variable 0 and rules out the start
@@ -117,6 +119,8 @@ def _model_words(formula: CnfFormula) -> np.ndarray:
         if not clauses and v < formula.num_vars:
             continue
         if v > done:
+            if len(words) << (v - done) > MODEL_WORDS:
+                raise LimitError(f"more than {MODEL_WORDS} model words over variables 1..{v}")
             # variables done+1..v in one block: row r gives them the bits of r, and as every
             # word is below 2**done, the rows follow each other in order
             high = np.arange(0, 1 << v, 1 << done, dtype=np.uint64)
@@ -135,24 +139,21 @@ def _select(models: np.ndarray, alpha: PartialAssignment) -> np.ndarray:
     return models[((models & pos64) == pos64) & ((models & neg64) == 0)]
 
 
-def enumerate_models(formula: CnfFormula, limit: int = MODEL_LIMIT) -> FunctionTable:
+def enumerate_models(formula: CnfFormula) -> FunctionTable:
     """Exact onset of the formula over its full universe; the onset is the cached model array itself."""
-    _check_limit(formula, limit)
     return FunctionTable(tuple(formula.variables), _model_words(formula))
 
 
-def satisfiable(formula: CnfFormula, limit: int = MODEL_LIMIT) -> bool:
-    _check_limit(formula, limit)
+def satisfiable(formula: CnfFormula) -> bool:
     return len(_model_words(formula)) > 0
 
 
-def entails(formula: CnfFormula, clause: Clause, limit: int = MODEL_LIMIT) -> bool:
+def entails(formula: CnfFormula, clause: Clause) -> bool:
     """True iff every model of the formula satisfies the clause."""
     clause = make_clause(clause)
     for lit in clause:
         if abs(lit) > formula.num_vars:
             raise PreconditionError(f"clause variable {abs(lit)} outside universe")
-    _check_limit(formula, limit)
     models = _model_words(formula)
     pos, neg = literal_masks(clause)
     pos64, neg64 = np.uint64(pos), np.uint64(neg)
@@ -160,7 +161,7 @@ def entails(formula: CnfFormula, clause: Clause, limit: int = MODEL_LIMIT) -> bo
     return not bool(violating.any())
 
 
-def cl_sem(formula: CnfFormula, alpha: PartialAssignment, limit: int = MODEL_LIMIT) -> frozenset[Literal]:
+def cl_sem(formula: CnfFormula, alpha: PartialAssignment) -> frozenset[Literal]:
     """Semantic closure: all literals entailed by the formula plus alpha.
 
     Equals the full literal set exactly when the formula plus alpha is
@@ -170,7 +171,6 @@ def cl_sem(formula: CnfFormula, alpha: PartialAssignment, limit: int = MODEL_LIM
     for lit in alpha:
         if abs(lit) > formula.num_vars:
             raise ValueError(f"assigned variable {abs(lit)} outside universe")
-    _check_limit(formula, limit)
     return frozenset(mask_literals(*closure_masks(_select(_model_words(formula), alpha), formula.num_vars)))
 
 
@@ -212,19 +212,17 @@ def assignment_walk(formula: CnfFormula) -> Iterator[tuple[PartialAssignment, tu
         stack.append((var + 1, alpha, node, models))
 
 
-def equivalent(f1: CnfFormula, f2: CnfFormula, limit: int = MODEL_LIMIT) -> bool:
+def equivalent(f1: CnfFormula, f2: CnfFormula) -> bool:
     """Onset equality over a shared universe."""
     if f1.num_vars != f2.num_vars:
         raise PreconditionError("equivalence requires a shared universe")
-    _check_limit(f1, limit)
     return bool(np.array_equal(_model_words(f1), _model_words(f2)))
 
 
-def is_encoding_of(encoding: EncodingFormula, table: FunctionTable, limit: int = MODEL_LIMIT) -> bool:
+def is_encoding_of(encoding: EncodingFormula, table: FunctionTable) -> bool:
     """Definition check: the existential projection onto the input variables equals the table."""
     if len(encoding.input_vars) != len(table.input_vars):
         raise PreconditionError("encoding and table have different input arity")
-    _check_limit(encoding.formula, limit)
     models = _model_words(encoding.formula)
     # input j is in place when it is variable j+1: its bit needs no move
     in_place = sum(1 << j for j, v in enumerate(encoding.input_vars) if v == j + 1)

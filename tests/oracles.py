@@ -327,12 +327,12 @@ def compile_urc_encoding_reference(split):
     return EncodingFormula(formula, tuple(range(1, n + 1)), tuple(range(n + 1, n + 1 + len(closure))))
 
 
-def _least_report(failures, method):
+def _least_report(failures):
     if not failures:
-        return DecisionReport(True, method=method)
+        return DecisionReport(True)
     alpha, lit = min(failures, key=lambda pair: ((len(pair[0]), tuple(sorted(literal_key(l) for l in pair[0]))),
                                                   literal_key(pair[1]) if pair[1] is not None else ()))
-    return DecisionReport(False, witness=alpha, literal=lit, method=method)
+    return DecisionReport(False, witness=alpha, literal=lit)
 
 
 def _unrefuted_per_prime(engine, primes):
@@ -345,7 +345,7 @@ def _unrefuted_per_prime(engine, primes):
 def prime_urc_per_prime(formula):
     """The primes URC decider with one propagation run for every prime, clauses of the formula included."""
     failures = [(alpha, None) for alpha in _unrefuted_per_prime(UnitPropagator(formula), prime_implicates(formula))]
-    return _least_report(failures, "primes")
+    return _least_report(failures)
 
 
 def prime_pc_per_prime(formula):
@@ -355,16 +355,16 @@ def prime_pc_per_prime(formula):
     if primes.has_empty_clause():
         conflict, trail, _ = engine.run(())
         if conflict:
-            return _least_report([], "primes")
+            return _least_report([])
         missing = min(all_literals(formula.num_vars) - set(trail), key=literal_key)
-        return _least_report([(frozenset(), missing)], "primes")
+        return _least_report([(frozenset(), missing)])
     failures = []
     for prime in primes.clauses:
         for lit in prime:
             conflict, trail, _ = engine.run([-e for e in prime if e != lit])
             if not (conflict or lit in trail):
                 failures.append((frozenset(-e for e in prime if e != lit), lit))
-    return _least_report(failures, "primes")
+    return _least_report(failures)
 
 
 def reduce_urc_by_entailment(formula, seed=None):

@@ -69,7 +69,7 @@ def test_check_pc_true(tmp_path, capsys):
     assert code == 0 and report["verdict"] is True
 
 
-def test_check_limit_exit_code(tmp_path, capsys):
+def test_check_decider_limit_exit_code(tmp_path, capsys):
     path = tmp_path / "wide.cnf"
     path.write_text("p cnf 20 1\n1 20 0\n")
     code, _, err = run(capsys, "check", "pc", str(path))
@@ -208,6 +208,17 @@ def test_absorb(tmp_path, capsys):
     assert code == 1 and report["verdict"] is False
     code, _, err = run(capsys, "absorb", str(path), "--clause", "2")
     assert code == 2 and "implicate" in err
+
+
+def test_absorb_and_equiv_past_24_variables(tmp_path, capsys):
+    # gamma_dprime 7 has 28 variables; its prefix model counts fit the model array
+    dprime, base = tmp_path / "gd7.cnf", tmp_path / "g7.cnf"
+    assert run(capsys, "gen", "gamma_dprime", "7", "-o", str(dprime))[0] == 0
+    assert run(capsys, "gen", "gamma", "7", "-o", str(base))[0] == 0
+    code, report, _ = run(capsys, "absorb", str(dprime), "--clause", "1 2 3 4 5 6 7")
+    assert code == 0 and report["verdict"] is True
+    code, report, _ = run(capsys, "equiv", str(base), str(dprime))
+    assert code == 0 and report["verdict"] is True
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -261,7 +261,6 @@ def test_apply_assignment_semantics(formula, lits):
 def test_universe_may_exceed_occurring_variables():
     f = F([[1]], 5)
     assert f.num_vars == 5
-    assert f.occurring_variables() == frozenset({1})
     with pytest.raises(ValueError):
         CnfFormula(((6,),), 5)
 

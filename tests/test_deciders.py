@@ -95,9 +95,7 @@ def test_naive_and_prime_methods_agree():
     for _ in range(60):
         formula = random_formula(rng, max_vars=6)
         for decide in (is_urc, is_pc):
-            naive = decide(formula, limit=10, method="naive")
-            primes = decide(formula, limit=10, method="primes")
-            assert naive.verdict == primes.verdict
+            assert decide(formula, limit=10, method="naive") == decide(formula, limit=10, method="primes")
 
 
 def test_pc_implies_urc():
@@ -262,7 +260,7 @@ def test_primes_deciders_match_the_per_prime_reference():
             # the walk returns the same least witness as the critical assignments
             for naive, primes in ((is_urc(formula, limit=8, method="naive"), urc),
                                   (is_pc(formula, limit=8, method="naive"), pc)):
-                assert (naive.verdict, naive.witness, naive.literal) == (primes.verdict, primes.witness, primes.literal)
+                assert naive == primes
 
 
 def test_reduce_urc_matches_the_entailment_guarded_reference():
@@ -298,6 +296,12 @@ def test_primes_that_are_clauses_need_no_propagation(monkeypatch):
     assert is_urc(formula).verdict and is_pc(formula).verdict
     assert calls == []
     assert is_urc(F(DELTA, 4)).verdict and calls  # the counter does see runs
+
+
+def test_absorption_past_24_variables():
+    dprime = gen_gamma(7, "dprime")  # 28 variables, 1,273,609 models
+    assert is_absorbed(tuple(range(1, 8)), dprime)
+    assert not is_absorbed((-1, 22), dprime)  # a_1 -> d_1: propagation from -d_1 derives nothing
 
 
 def test_dual_rail_and_urc_reducer_answer_past_the_model_wall(monkeypatch):

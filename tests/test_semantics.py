@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pcforge import semantics
 from pcforge.cnf import CnfFormula, EncodingFormula, make_clause, mask_literals
 from pcforge.corpus import horn_formulas, qhorn_formulas, satisfiable_formulas
 from pcforge.deciders import is_pc
@@ -152,7 +153,7 @@ def test_model_words_work_follows_the_models():
     expected = sum(1 << (v - 1) for v in range(1, n + 1) if v % 3)
     tracemalloc.start()
     try:
-        onset = enumerate_models(formula, limit=n).onset
+        onset = enumerate_models(formula).onset
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -161,8 +162,36 @@ def test_model_words_work_follows_the_models():
 
 
 def test_enumerate_models_limit():
+    # the footprint of 30 free variables is known before their block is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitError):
+            enumerate_models(CnfFormula((), 30))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # few models, but a model word holds no more than 64 variables
     with pytest.raises(LimitError):
-        enumerate_models(CnfFormula((), 30), limit=24)
+        satisfiable(F([[-v, v + 1] for v in range(1, 70)], 70))
+
+
+def test_model_wall_counts_words_not_variables(monkeypatch):
+    monkeypatch.setattr(semantics, "MODEL_WORDS", 8)
+    _model_words.cache_clear()
+    assert len(enumerate_models(CnfFormula((), 3)).onset) == 8
+    with pytest.raises(LimitError):
+        enumerate_models(CnfFormula((), 4))
+    # a unit clause halves the words over 1..4, and the array fits again
+    assert len(enumerate_models(F([[1]], 4)).onset) == 8
+
+
+def test_answers_past_24_variables():
+    # few models over 28 and 30 variables: the prefix model counts, not n, meet the wall
+    assert equivalent(gen_gamma(7, "base"), gen_gamma(7, "dprime"))
+    chain = F([[-v, v + 1] for v in range(1, 30)], 30)
+    assert satisfiable(chain)
+    assert entails(chain, (-1, 30))
 
 
 def test_entails_examples():
