@@ -28,8 +28,8 @@ from .families import (
 )
 from .propagation import up_closure
 from .qhorn import compile_urc_encoding, normalize, qhorn_sat, recognize_qhorn
-from .semantics import (_model_words, assignment_walk, cl_sem, closure_masks, enumerate_models, equivalent, is_encoding_of,
-                        prime_implicates, satisfiable)
+from .semantics import (_model_words, assignment_walk, cl_sem, enumerate_models, equivalent, is_encoding_of, prime_implicates,
+                        satisfiable)
 
 SAT_CORPUS_SEED = 1001
 FUNCTION_CORPUS_SEED = 1002
@@ -252,8 +252,7 @@ def criterion_11() -> tuple[bool, str]:
     corpus = satisfiable_formulas(SAT_CORPUS_SEED, SAT_CORPUS_SIZE)
     unsound = 0
     for formula in corpus:
-        for _, (pos, neg), models in assignment_walk(formula):
-            entailed_pos, entailed_neg = closure_masks(models, formula.num_vars)
+        for _, (pos, neg), (entailed_pos, entailed_neg) in assignment_walk(formula):
             if pos & ~entailed_pos or neg & ~entailed_neg:
                 unsound += 1
                 break

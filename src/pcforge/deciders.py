@@ -5,9 +5,9 @@ Two interchangeable strategies, chosen by ``method``:
 * ``naive`` checks the defining implications directly against the
   semantic closure on every partial assignment whose unit propagation
   does not conflict (conflicting ones satisfy both definitions), in one
-  depth-first walk that extends propagation and the model set by one
-  literal per step.  It is kept as the independent cross-check of the
-  other strategy.
+  depth-first walk that extends propagation by one literal per step and
+  yields both closures as literal masks.  It is kept as the independent
+  cross-check of the other strategy.
 * ``primes``, the default, checks only the critical assignments.  A
   formula is URC iff unit propagation refutes the negation of every prime
   implicate (``UnitPropagator.refutes``), and PC iff every prime implicate
@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator
 from .cnf import Clause, CnfFormula, Literal, PartialAssignment, is_tautological, literal_key, make_clause, mask_literals
 from .errors import LimitError, PreconditionError, TautologyError
 from .propagation import UnitPropagator, all_literals
-from .semantics import assignment_walk, closure_masks, entails, prime_implicates
+from .semantics import assignment_walk, entails, prime_implicates
 
 DECIDER_LIMIT = 14
 
@@ -79,13 +79,14 @@ def _least_failure(failures: Iterable[tuple[PartialAssignment, Literal | None]])
 
 
 def _naive_urc(formula: CnfFormula) -> DecisionReport:
-    return _least_failure((alpha, None) for alpha, _, models in assignment_walk(formula) if len(models) == 0)
+    # a semantic closure holding a literal and its complement means no model extends alpha
+    return _least_failure((alpha, None) for alpha, _, (entailed_pos, entailed_neg) in assignment_walk(formula)
+                          if entailed_pos & entailed_neg)
 
 
 def _naive_pc(formula: CnfFormula) -> DecisionReport:
     failures = []
-    for alpha, (pos, neg), models in assignment_walk(formula):
-        entailed_pos, entailed_neg = closure_masks(models, formula.num_vars)
+    for alpha, (pos, neg), (entailed_pos, entailed_neg) in assignment_walk(formula):
         missing = mask_literals(entailed_pos & ~pos, entailed_neg & ~neg)
         if missing:
             failures.append((alpha, missing[0]))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .cnf import Clause, CnfFormula, Literal, PartialAssignment, make_clause
 from .errors import EmptyClauseError, LimitError, PreconditionError, UnsatisfiableError
 from .propagation import UnitPropagator
-from .semantics import assignment_walk, closure_masks, prime_implicates
+from .semantics import assignment_walk, prime_implicates
 
 
 @dataclass(frozen=True)
@@ -139,8 +139,8 @@ def closed_assignments(formula: CnfFormula) -> frozenset[PartialAssignment]:
         return frozenset({frozenset()})  # cl_sem is lit(empty universe) = {} even when unsatisfiable
     # the walk skips conflicting assignments, whose cl_sem has all 2n literals; cl_sem
     # contains alpha, so it is alpha when it has as many literals
-    return frozenset(alpha for alpha, _, models in assignment_walk(formula)
-                     if sum(mask.bit_count() for mask in closure_masks(models, n)) == len(alpha))
+    return frozenset(alpha for alpha, _, (entailed_pos, entailed_neg) in assignment_walk(formula)
+                     if entailed_pos.bit_count() + entailed_neg.bit_count() == len(alpha))
 
 
 def assignment_vector(alpha: PartialAssignment, var_map: MetaVarMap) -> int:

@@ -21,9 +21,12 @@ Prime implicates come from queue-driven consensus with subsumption, the
 clauses kept as literal bitmasks and indexed by per-literal occurrence
 bitsets, so no step scans the clause list.
 
-The assignment walk pairs each partial assignment with the models that
-extend it.  Its propagation steps are UnitPropagator.start and extend;
-of a propagation node the walk reads only the (pos, neg) literal masks.
+The assignment walk pairs each partial assignment with the literal masks
+of its propagation closure and of its semantic closure.  It carries the
+models that extend an assignment as a Python-int bitset over the indices
+of the cached model array, so a step is one int AND.  Its propagation
+steps are UnitPropagator.start and extend; of a propagation node the walk
+reads only the (pos, neg) literal masks.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ from .errors import LimitError, PreconditionError
 from .propagation import UnitPropagator
 
 MODEL_WORDS = 1 << 24  # the longest model array _model_words builds: 128 MiB of uint64
+_REFUSALS = 16  # how many formulas _model_words remembers refusing, the oldest dropped first
+_refused: dict[tuple[CnfFormula, int], str] = {}  # (formula, MODEL_WORDS) -> the LimitError message
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +108,12 @@ def _model_words(formula: CnfFormula) -> np.ndarray:
     A run of variables at which no clause ends is added in one step.
     LimitError is raised before a step that would make the array longer
     than MODEL_WORDS, and for a universe wider than the 64 bits of a word.
+    The last few refusals are remembered under (formula, MODEL_WORDS), as
+    lru_cache keeps no exception: asked again, it raises before any work.
     """
+    key = (formula, MODEL_WORDS)
+    if key in _refused:
+        raise LimitError(_refused[key])
     if formula.num_vars > 64:
         raise LimitError(f"{formula.num_vars} variables do not fit a 64-bit model word")
     # per highest variable, shortest clauses first: they rule out the most words, so later
@@ -120,7 +130,10 @@ def _model_words(formula: CnfFormula) -> np.ndarray:
             continue
         if v > done:
             if len(words) << (v - done) > MODEL_WORDS:
-                raise LimitError(f"more than {MODEL_WORDS} model words over variables 1..{v}")
+                _refused[key] = f"more than {MODEL_WORDS} model words over variables 1..{v}"
+                if len(_refused) > _REFUSALS:
+                    del _refused[next(iter(_refused))]
+                raise LimitError(_refused[key])
             # variables done+1..v in one block: row r gives them the bits of r, and as every
             # word is below 2**done, the rows follow each other in order
             high = np.arange(0, 1 << v, 1 << done, dtype=np.uint64)
@@ -182,33 +195,57 @@ def closure_masks(models: np.ndarray, num_vars: int) -> tuple[int, int]:
     return int(np.bitwise_and.reduce(models)), full & ~int(np.bitwise_or.reduce(models))
 
 
-def assignment_walk(formula: CnfFormula) -> Iterator[tuple[PartialAssignment, tuple[int, int], np.ndarray]]:
+def assignment_walk(formula: CnfFormula) -> Iterator[tuple[PartialAssignment, tuple[int, int], tuple[int, int]]]:
     """Every partial assignment whose unit propagation does not conflict.
 
-    Yields (alpha, (pos, neg), models): the literal masks of alpha's unit
-    propagation closure and the models of the formula that extend alpha.
-    The walk is depth first over the variables, each unassigned, true or
-    false in that order.  A child extends its parent's propagation node
-    (UnitPropagator.extend) and model array by one literal; below a conflict
-    every assignment conflicts too (unit propagation is monotone), so the
+    Yields (alpha, (pos, neg), (entailed_pos, entailed_neg)): the literal
+    masks of alpha's unit propagation closure and of its semantic closure,
+    the literals on which every model extending alpha agrees; that is all
+    2n literals, (full, full), when no model extends alpha.  The walk is
+    depth first over the variables, each unassigned, true or false in that
+    order.  A child extends its parent's propagation node
+    (UnitPropagator.extend) by one literal; below a conflict every
+    assignment conflicts too (unit propagation is monotone), so the
     subtree is skipped.
+
+    The models extending alpha are a Python-int bitset over the indices of
+    the cached model array: bit i is set when its i-th word extends alpha.
+    A child filters them with one AND against trues[v], the bitset of the
+    models where variable v+1 is true, built once per walk.  These n tables
+    hold n bits per model, never more than the model array's own 64-bit
+    words, so the walk's footprint follows the model count, not 2**n.
     """
     n = formula.num_vars
     engine = UnitPropagator(formula)
     root = engine.start()
     if root is None:
         return
-    stack = [(1, frozenset(), root, _model_words(formula))]
+    words = _model_words(formula)
+    trues = [int.from_bytes(np.packbits(((words >> np.uint64(v)) & np.uint64(1)) != 0, bitorder="little"), "little")
+             for v in range(n)]
+    bits = [1 << v for v in range(n)]
+    full = (1 << n) - 1
+    stack = [(1, frozenset(), root, (1 << len(words)) - 1)]
     while stack:
         var, alpha, node, models = stack.pop()
         if var > n:
-            yield alpha, node[:2], models
+            if not models:
+                yield alpha, node[:2], (full, full)
+                continue
+            pos = neg = 0
+            for bit, true in zip(bits, trues):
+                agree = models & true
+                if agree == models:
+                    pos |= bit
+                elif not agree:
+                    neg |= bit
+            yield alpha, node[:2], (pos, neg)
             continue
-        true = (models & np.uint64(1 << (var - 1))) != 0
-        for lit, keep in ((-var, ~true), (var, true)):
+        true = trues[var - 1]
+        for lit, keep in ((-var, models & ~true), (var, models & true)):
             child = engine.extend(node, lit)
             if child is not None:
-                stack.append((var + 1, alpha | {lit}, child, models if child is node else models[keep]))
+                stack.append((var + 1, alpha | {lit}, child, keep))
         stack.append((var + 1, alpha, node, models))
 
 

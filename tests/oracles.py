@@ -14,8 +14,10 @@ prime_implicates_linear_scan, the consensus procedure that scanned every
 admitted clause for each subsumption test and each resolution partner;
 prime_urc_per_prime, prime_pc_per_prime and reduce_urc_by_entailment, the
 primes deciders that ran propagation for every prime and the URC reducer
-that also asked model-based entailment of each removal; and
-recognize_qhorn_recursive, the recursive q-Horn weight search.
+that also asked model-based entailment of each removal;
+recognize_qhorn_recursive, the recursive q-Horn weight search; and
+assignment_walk_arrays, the partial-assignment walk that carried the models
+extending each assignment as a filtered numpy array.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from pcforge.deciders import DecisionReport, is_urc
 from pcforge.errors import LimitError, PreconditionError
 from pcforge.propagation import UnitPropagator, all_literals
 from pcforge.qhorn import Valuation
-from pcforge.semantics import entails, prime_implicates
+from pcforge.semantics import _model_words, entails, prime_implicates
 
 
 def eval_clause(clause, word: int) -> bool:
@@ -420,3 +422,30 @@ def recognize_qhorn_recursive(formula):
     if n + 100 > sys.getrecursionlimit():
         raise ValueError("formula too wide for the recursive reference")
     return Valuation(tuple(doubled)) if search(0) else None
+
+
+def assignment_walk_arrays(formula):
+    """The partial-assignment walk that yields (alpha, (pos, neg), models), models a numpy array of words.
+
+    Every partial assignment whose unit propagation does not conflict, depth
+    first over the variables, each unassigned, true or false in that order;
+    a child extends its parent's propagation node and model array by one
+    literal, and the subtree below a conflict is skipped.
+    """
+    n = formula.num_vars
+    engine = UnitPropagator(formula)
+    root = engine.start()
+    if root is None:
+        return
+    stack = [(1, frozenset(), root, _model_words(formula))]
+    while stack:
+        var, alpha, node, models = stack.pop()
+        if var > n:
+            yield alpha, node[:2], models
+            continue
+        true = (models & np.uint64(1 << (var - 1))) != 0
+        for lit, keep in ((-var, ~true), (var, true)):
+            child = engine.extend(node, lit)
+            if child is not None:
+                stack.append((var + 1, alpha | {lit}, child, models if child is node else models[keep]))
+        stack.append((var + 1, alpha, node, models))

@@ -27,8 +27,8 @@ from pcforge.semantics import (
     satisfiable,
 )
 
-from oracles import (all_partial_assignments, cl_sem_brute, encoding_onset_brute, entails_brute, model_words_chunked,
-                     models_brute, prime_implicates_linear_scan, primes_brute, up_fixpoint_brute, word_matches)
+from oracles import (all_partial_assignments, assignment_walk_arrays, cl_sem_brute, encoding_onset_brute, entails_brute,
+                     model_words_chunked, models_brute, prime_implicates_linear_scan, primes_brute, up_fixpoint_brute)
 
 
 def F(clauses, num_vars=None):
@@ -184,6 +184,27 @@ def test_model_wall_counts_words_not_variables(monkeypatch):
         enumerate_models(CnfFormula((), 4))
     # a unit clause halves the words over 1..4, and the array fits again
     assert len(enumerate_models(F([[1]], 4)).onset) == 8
+
+
+def test_model_wall_refusal_is_remembered(monkeypatch):
+    # 2**14 words over 1..14, halved by the unit, then 2**17 over 1..18: past a wall of 2**14, within the default
+    formula = F([[14], [18]], 18)
+
+    def peak_of_refused_call():
+        tracemalloc.start()
+        try:
+            with pytest.raises(LimitError):
+                entails(formula, (14,))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(semantics, "MODEL_WORDS", 1 << 14)
+    _model_words.cache_clear()
+    assert peak_of_refused_call() > 1 << 17  # the first refusal builds the 2**14-word prefix array
+    assert peak_of_refused_call() < 1 << 16  # the second raises before any work
+    monkeypatch.undo()
+    assert entails(formula, (14,)) and not entails(formula, (1,))
 
 
 def test_answers_past_24_variables():
@@ -438,8 +459,7 @@ def test_is_encoding_of_matches_frozenset_oracle():
 
 
 def _walk_expected(formula):
-    """{alpha: (propagation closure, models extending alpha)} over every alpha whose propagation does not conflict."""
-    models = models_brute(formula)
+    """{alpha: (propagation closure, semantic closure)} over every alpha whose propagation does not conflict."""
     engine = UnitPropagator(formula)
     out = {}
     for alpha in all_partial_assignments(formula.num_vars):
@@ -448,14 +468,15 @@ def _walk_expected(formula):
         assert engine_conflict == conflict
         if not conflict:
             assert frozenset(trail) == frozenset(derived)
-            out[alpha] = (frozenset(derived), [w for w in models if word_matches(alpha, w)])
+            out[alpha] = (frozenset(derived), cl_sem_brute(formula, alpha))
     return out
 
 
 def _assert_walk_matches_oracle(formula):
-    got = [(alpha, frozenset(mask_literals(*masks)), models.tolist()) for alpha, masks, models in assignment_walk(formula)]
+    got = [(alpha, frozenset(mask_literals(*masks)), frozenset(mask_literals(*entailed)))
+           for alpha, masks, entailed in assignment_walk(formula)]
     assert len({alpha for alpha, _, _ in got}) == len(got)  # each assignment once
-    assert {alpha: (derived, models) for alpha, derived, models in got} == _walk_expected(formula)
+    assert {alpha: (derived, entailed) for alpha, derived, entailed in got} == _walk_expected(formula)
 
 
 def _walk_formulas(n):
@@ -484,6 +505,38 @@ def test_assignment_walk_matches_oracle_on_seeded_corpora():
                + [formula for formula, _ in qhorn_formulas(1003, 10, max_vars=6)])
     for formula in corpora:
         _assert_walk_matches_oracle(formula)
+
+
+def _array_walk_formulas():
+    out = [formula for n in range(7) for formula in _walk_formulas(n)]
+    out += (satisfiable_formulas(1001, 40) + horn_formulas(1004, 10, max_vars=6)
+            + [formula for formula, _ in qhorn_formulas(1003, 10, max_vars=6)])
+    out += [gen_psi_horn(3), gen_gamma(2, "dprime"), gen_parity(4, "encoding").formula]
+    out += [CnfFormula((), 0), CnfFormula(((),), 0), F([[1], [-1]], 1), F([[2], [1, 3], [-2]], 3)]
+    return out
+
+
+def test_assignment_walk_matches_array_engine():
+    for formula in _array_walk_formulas():
+        expected = [(alpha, masks, closure_masks(models, formula.num_vars))
+                    for alpha, masks, models in assignment_walk_arrays(formula)]
+        assert list(assignment_walk(formula)) == expected
+
+
+def test_assignment_walk_footprint_follows_the_models():
+    # one model over 40 variables: the walk's tables hold 40 one-bit ints, not 2**40 bits
+    n = 40
+    formula = F([[v if v % 3 else -v] for v in range(1, n + 1)], n)
+    model = sum(1 << (v - 1) for v in range(1, n + 1) if v % 3)
+    tracemalloc.start()
+    try:
+        alpha, masks, entailed = next(assignment_walk(formula))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert alpha == frozenset()
+    assert masks == entailed == (model, (1 << n) - 1 - model)
+    assert peak < 1 << 20
 
 
 def test_closure_masks():
