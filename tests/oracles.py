@@ -83,9 +83,10 @@ def entails_brute(formula, clause) -> bool:
     return all(eval_clause(clause, w) for w in models_brute(formula))
 
 
-def cl_sem_brute(formula, alpha) -> frozenset[int]:
+def cl_sem_brute(formula, alpha, models=None) -> frozenset[int]:
+    """The literals every model extending alpha agrees on; models, when given, is models_brute(formula)."""
     n = formula.num_vars
-    compatible = [w for w in models_brute(formula) if word_matches(alpha, w)]
+    compatible = [w for w in (models_brute(formula) if models is None else models) if word_matches(alpha, w)]
     if not compatible:
         return frozenset(range(1, n + 1)) | frozenset(-v for v in range(1, n + 1))
     out = set()

@@ -461,6 +461,7 @@ def test_is_encoding_of_matches_frozenset_oracle():
 def _walk_expected(formula):
     """{alpha: (propagation closure, semantic closure)} over every alpha whose propagation does not conflict."""
     engine = UnitPropagator(formula)
+    models = models_brute(formula)
     out = {}
     for alpha in all_partial_assignments(formula.num_vars):
         conflict, derived = up_fixpoint_brute(formula, alpha)
@@ -468,7 +469,7 @@ def _walk_expected(formula):
         assert engine_conflict == conflict
         if not conflict:
             assert frozenset(trail) == frozenset(derived)
-            out[alpha] = (frozenset(derived), cl_sem_brute(formula, alpha))
+            out[alpha] = (frozenset(derived), cl_sem_brute(formula, alpha, models))
     return out
 
 
