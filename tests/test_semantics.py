@@ -460,8 +460,8 @@ def test_is_encoding_of_matches_frozenset_oracle():
 
 def _walk_expected(formula):
     """{alpha: (propagation closure, semantic closure)} over every alpha whose propagation does not conflict."""
-    engine = UnitPropagator(formula)
     models = models_brute(formula)
+    engine = UnitPropagator(formula)
     out = {}
     for alpha in all_partial_assignments(formula.num_vars):
         conflict, derived = up_fixpoint_brute(formula, alpha)
