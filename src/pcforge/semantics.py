@@ -44,8 +44,6 @@ from .errors import LimitError, PreconditionError
 from .propagation import UnitPropagator
 
 MODEL_WORDS = 1 << 24  # the longest model array _model_words builds: 128 MiB of uint64
-_REFUSALS = 16  # how many formulas _model_words remembers refusing, the oldest dropped first
-_refused: dict[tuple[CnfFormula, int], str] = {}  # (formula, MODEL_WORDS) -> the LimitError message
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,12 +106,7 @@ def _model_words(formula: CnfFormula) -> np.ndarray:
     A run of variables at which no clause ends is added in one step.
     LimitError is raised before a step that would make the array longer
     than MODEL_WORDS, and for a universe wider than the 64 bits of a word.
-    The last few refusals are remembered under (formula, MODEL_WORDS), as
-    lru_cache keeps no exception: asked again, it raises before any work.
     """
-    key = (formula, MODEL_WORDS)
-    if key in _refused:
-        raise LimitError(_refused[key])
     if formula.num_vars > 64:
         raise LimitError(f"{formula.num_vars} variables do not fit a 64-bit model word")
     # per highest variable, shortest clauses first: they rule out the most words, so later
@@ -130,10 +123,7 @@ def _model_words(formula: CnfFormula) -> np.ndarray:
             continue
         if v > done:
             if len(words) << (v - done) > MODEL_WORDS:
-                _refused[key] = f"more than {MODEL_WORDS} model words over variables 1..{v}"
-                if len(_refused) > _REFUSALS:
-                    del _refused[next(iter(_refused))]
-                raise LimitError(_refused[key])
+                raise LimitError(f"more than {MODEL_WORDS} model words over variables 1..{v}")
             # variables done+1..v in one block: row r gives them the bits of r, and as every
             # word is below 2**done, the rows follow each other in order
             high = np.arange(0, 1 << v, 1 << done, dtype=np.uint64)
@@ -210,10 +200,12 @@ def assignment_walk(formula: CnfFormula) -> Iterator[tuple[PartialAssignment, tu
 
     The models extending alpha are a Python-int bitset over the indices of
     the cached model array: bit i is set when its i-th word extends alpha.
-    A child filters them with one AND against trues[v], the bitset of the
-    models where variable v+1 is true, built once per walk.  These n tables
-    hold n bits per model, never more than the model array's own 64-bit
-    words, so the walk's footprint follows the model count, not 2**n.
+    A step splits them with one AND against trues[v], the bitset of the
+    models where variable v+1 is true, built once per walk, and one XOR.
+    At a yield only the variables propagation left free are looked up,
+    each with one AND.  These n tables hold n bits per model, never more
+    than the model array's own 64-bit words, so the walk's footprint
+    follows the model count, not 2**n.
     """
     n = formula.num_vars
     engine = UnitPropagator(formula)
@@ -232,8 +224,13 @@ def assignment_walk(formula: CnfFormula) -> Iterator[tuple[PartialAssignment, tu
             if not models:
                 yield alpha, node[:2], (full, full)
                 continue
-            pos = neg = 0
+            # propagation is sound, so every model agrees on what it derived: only the
+            # variables it left free are looked up
+            pos, neg = node[:2]
+            known = pos | neg
             for bit, true in zip(bits, trues):
+                if known & bit:
+                    continue
                 agree = models & true
                 if agree == models:
                     pos |= bit
@@ -241,8 +238,8 @@ def assignment_walk(formula: CnfFormula) -> Iterator[tuple[PartialAssignment, tu
                     neg |= bit
             yield alpha, node[:2], (pos, neg)
             continue
-        true = trues[var - 1]
-        for lit, keep in ((-var, models & ~true), (var, models & true)):
+        agree = models & trues[var - 1]
+        for lit, keep in ((-var, models ^ agree), (var, agree)):
             child = engine.extend(node, lit)
             if child is not None:
                 stack.append((var + 1, alpha | {lit}, child, keep))

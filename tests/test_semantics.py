@@ -186,27 +186,6 @@ def test_model_wall_counts_words_not_variables(monkeypatch):
     assert len(enumerate_models(F([[1]], 4)).onset) == 8
 
 
-def test_model_wall_refusal_is_remembered(monkeypatch):
-    # 2**14 words over 1..14, halved by the unit, then 2**17 over 1..18: past a wall of 2**14, within the default
-    formula = F([[14], [18]], 18)
-
-    def peak_of_refused_call():
-        tracemalloc.start()
-        try:
-            with pytest.raises(LimitError):
-                entails(formula, (14,))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    monkeypatch.setattr(semantics, "MODEL_WORDS", 1 << 14)
-    _model_words.cache_clear()
-    assert peak_of_refused_call() > 1 << 17  # the first refusal builds the 2**14-word prefix array
-    assert peak_of_refused_call() < 1 << 16  # the second raises before any work
-    monkeypatch.undo()
-    assert entails(formula, (14,)) and not entails(formula, (1,))
-
-
 def test_answers_past_24_variables():
     # few models over 28 and 30 variables: the prefix model counts, not n, meet the wall
     assert equivalent(gen_gamma(7, "base"), gen_gamma(7, "dprime"))
