@@ -24,9 +24,9 @@ bitsets, so no step scans the clause list.
 The assignment walk pairs each partial assignment with the literal masks
 of its propagation closure and of its semantic closure.  It carries the
 models that extend an assignment as a Python-int bitset over the indices
-of the cached model array, so a step is one int AND.  Its propagation
-steps are UnitPropagator.start and extend; of a propagation node the walk
-reads only the (pos, neg) literal masks.
+of the cached model array, so a step is one int AND and one XOR.  Its
+propagation steps are UnitPropagator.start and extend; of a propagation
+node the walk reads only the (pos, neg) literal masks.
 """
 
 from __future__ import annotations
