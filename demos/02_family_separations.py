@@ -38,7 +38,7 @@ print()
 print("psi_qhorn: unit propagation cannot see the activator conflict")
 for n in (2, 3):
     formula, blockers = gen_psi_qhorn(n)
-    report = is_urc(formula, limit=16)
+    report = is_urc(formula)
     print(f"  n={n}: URC={report.verdict}, witness={sorted(report.witness)} "
           f"(choose one activator per row), blocking clauses needed: {len(blockers)}")
 print()
@@ -47,11 +47,11 @@ print("gamma: PC-irredundant vs URC-irredundant sizes for one function")
 for m in (2, 3, 4):
     prime_variant = gen_gamma(m, "prime")
     dprime_variant = gen_gamma(m, "dprime")
-    fixed = reduce_urc_irredundant(dprime_variant, limit=20)
+    fixed = reduce_urc_irredundant(dprime_variant, limit=dprime_variant.num_vars)
     print(f"  m={m}: PC formula has {len(prime_variant.clauses)} clauses"
-          f" (PC={is_pc(prime_variant, limit=20).verdict});"
+          f" (PC={is_pc(prime_variant, limit=prime_variant.num_vars).verdict});"
           f" URC-irredundant formula keeps {len(fixed.clauses)} clauses"
-          f" (URC={is_urc(dprime_variant, limit=20).verdict})")
+          f" (URC={is_urc(dprime_variant, limit=dprime_variant.num_vars).verdict})")
 print()
 print("Both columns represent the same function; the URC-irredundant one is")
 print("exponentially larger and no clause of it can be removed.")

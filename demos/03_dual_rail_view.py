@@ -41,7 +41,7 @@ print()
 print("the same check as a Horn-equivalence cross-oracle:")
 for name, candidate in [("gamma_prime(3)", gen_gamma(3, "prime")),
                         ("psi_qhorn(3)", gen_psi_qhorn(3)[0])]:
-    direct = is_pc(candidate, limit=16).verdict
+    direct = is_pc(candidate).verdict
     via_rail = pc_via_dual_rail(candidate)
     source = dual_rail(candidate).horn
     target = dual_rail(prime_implicates(candidate)).horn

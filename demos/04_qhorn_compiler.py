@@ -43,8 +43,8 @@ encoding = compile_urc_encoding(formula)
 print(f"compiled encoding: {len(encoding.formula.clauses)} clauses,"
       f" {len(encoding.aux_vars)} auxiliary variables")
 print("  encodes the same function:", is_encoding_of(encoding, enumerate_models(formula)))
-print("  input URC:", is_urc(formula, limit=16).verdict,
-      "-> encoding URC:", is_urc(encoding.formula, limit=16).verdict)
+print("  input URC:", is_urc(formula).verdict,
+      "-> encoding URC:", is_urc(encoding.formula).verdict)
 print("  encoding itself q-Horn:", recognize_qhorn(encoding.formula) is not None)
 print()
 
@@ -54,4 +54,4 @@ print("adding units a1, a2 makes the input unsatisfiable:")
 print("  split procedure says:", "SAT" if qhorn_sat(normalize(hard, recognize_qhorn(hard))) else "UNSAT")
 compiled_hard = compile_urc_encoding(hard)
 print("  compiled encoding refutes it by unit propagation alone:",
-      is_urc(compiled_hard.formula, limit=16).verdict)
+      is_urc(compiled_hard.formula).verdict)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import horn_formulas, qhorn_formulas, satisfiable_formulas
 from .deciders import is_pc, is_urc, reduce_pc_irredundant, reduce_urc_irredundant
-from .dual_rail import assignment_vector, closed_assignments, dual_rail, pc_via_dual_rail
+from .dual_rail import dual_rail, pc_via_dual_rail
 from .families import (
     gamma_blocking_clause,
     gamma_even_subsets,
@@ -28,7 +28,7 @@ from .families import (
 )
 from .propagation import up_closure
 from .qhorn import compile_urc_encoding, normalize, qhorn_sat, recognize_qhorn
-from .semantics import (_model_words, assignment_walk, cl_sem, enumerate_models, equivalent, is_encoding_of, prime_implicates,
+from .semantics import (assignment_walk, cl_sem, enumerate_models, equivalent, is_encoding_of, prime_implicates,
                         satisfiable)
 
 SAT_CORPUS_SEED = 1001
@@ -78,8 +78,8 @@ def criterion_2() -> tuple[bool, str]:
         pc_form = gen_psi_horn_pc(m)
         size_ok = len(pc_form.clauses) == 2 ** (m - 1) + 2 * m - 1
         equiv_ok = equivalent(horn, pc_form)
-        pc_ok = is_pc(pc_form, limit=20).verdict
-        report = is_pc(horn, limit=20)
+        pc_ok = is_pc(pc_form).verdict
+        report = is_pc(horn)
         horn_fails = not report.verdict and report.witness is not None
         witness_ok = False
         if horn_fails:
@@ -98,7 +98,7 @@ def criterion_3() -> tuple[bool, str]:
     ok = True
     for n in (2, 3):
         formula, blockers = gen_psi_qhorn(n)
-        report = is_urc(formula, limit=16)
+        report = is_urc(formula)
         expected_witness = frozenset(range(n + 1, 2 * n + 1))  # all a_i
         witness_ok = not report.verdict and report.witness == expected_witness
         primes = set(prime_implicates(formula).clauses)
@@ -117,7 +117,7 @@ def criterion_4() -> tuple[bool, str]:
         encoding = gen_psi_qhorn_pc(n)
         source, _ = gen_psi_qhorn(n)
         enc_ok = is_encoding_of(encoding, enumerate_models(source))
-        pc_ok = is_pc(encoding.formula, limit=20).verdict
+        pc_ok = is_pc(encoding.formula).verdict
         ok &= enc_ok and pc_ok
         details.append(f"n={n}: encoding={enc_ok} pc={pc_ok}")
     return ok, "; ".join(details)
@@ -134,15 +134,15 @@ def criterion_5() -> tuple[bool, str]:
         sizes_ok = (len(base.clauses) == 3 * m + 1 and len(prime.clauses) == 4 * m + 1
                     and len(dprime.clauses) == 3 * m + 2 ** (m - 1))
         equiv_ok = equivalent(base, prime) and equivalent(base, dprime)
-        pc_ok = is_pc(prime, limit=20).verdict
-        urc_ok = is_urc(dprime, limit=20).verdict
+        pc_ok = is_pc(prime, limit=prime.num_vars).verdict
+        urc_ok = is_urc(dprime, limit=dprime.num_vars).verdict
         removal_ok = True
         for subset in gamma_even_subsets(m):
             clause = gamma_blocking_clause(m, subset)
             idx = dprime.clauses.index(clause)
-            if is_urc(dprime.without(idx), limit=20).verdict:
+            if is_urc(dprime.without(idx), limit=dprime.num_vars).verdict:
                 removal_ok = False
-        reduced = reduce_urc_irredundant(dprime, limit=20)
+        reduced = reduce_urc_irredundant(dprime, limit=dprime.num_vars)
         reduce_ok = reduced == dprime
         ok &= sizes_ok and equiv_ok and pc_ok and urc_ok and removal_ok and reduce_ok
         details.append(f"m={m}: sizes={sizes_ok} equiv={equiv_ok} pc'={pc_ok} urc''={urc_ok} "
@@ -155,7 +155,7 @@ def criterion_6() -> tuple[bool, str]:
     corpus = satisfiable_formulas(SAT_CORPUS_SEED, SAT_CORPUS_SIZE)
     disagreements = 0
     for formula in corpus:
-        direct = is_pc(formula, limit=10).verdict
+        direct = is_pc(formula).verdict
         via_dr = pc_via_dual_rail(formula)
         if direct != via_dr:
             disagreements += 1
@@ -167,20 +167,23 @@ def criterion_7() -> tuple[bool, str]:
     corpus = satisfiable_formulas(SAT_CORPUS_SEED, SAT_CORPUS_SIZE)
     bad_models = bad_conjunction = bad_characterization = 0
     for formula in corpus:
-        rail = dual_rail(formula)
-        dr_vectors = {int(w) for w in _model_words(rail.horn)}
-        # the propagation closure contains alpha, so it is alpha when it has as many literals
-        up_closed = {assignment_vector(alpha, rail.var_map) for alpha, (pos, neg), _ in assignment_walk(formula)
-                     if (pos | neg).bit_count() == len(alpha)}
+        n = formula.num_vars
+        dr_vectors = {int(w) for w in enumerate_models(dual_rail(formula).horn).onset}
+        # one walk gives both sets: each closure contains alpha, so it is alpha when it has as
+        # many literals, and its masks are then alpha's meta vector ([[v]] = v, [[-v]] = n + v)
+        up_closed, sem_vectors = set(), set()
+        for alpha, (pos, neg), (entailed_pos, entailed_neg) in assignment_walk(formula):
+            if (pos | neg).bit_count() == len(alpha):
+                up_closed.add(pos | neg << n)
+            if entailed_pos.bit_count() + entailed_neg.bit_count() == len(alpha):
+                sem_vectors.add(entailed_pos | entailed_neg << n)
         if dr_vectors != up_closed:
             bad_models += 1
-        closed = closed_assignments(formula)
-        sem_vectors = {assignment_vector(alpha, rail.var_map) for alpha in closed}
         vectors = np.fromiter(sem_vectors, dtype=np.uint64, count=len(sem_vectors))
         if not np.isin(vectors[:, None] & vectors[None, :], vectors).all():  # closed under pairwise AND
             bad_conjunction += 1
         represents = dr_vectors == sem_vectors
-        if represents != is_pc(formula, limit=10).verdict:
+        if represents != is_pc(formula).verdict:
             bad_characterization += 1
     ok = bad_models == bad_conjunction == bad_characterization == 0
     return ok, (f"{len(corpus)} formulas; model-set mismatches={bad_models}, "
@@ -194,8 +197,8 @@ def criterion_8() -> tuple[bool, str]:
     for idx, formula in enumerate(corpus):
         primes = prime_implicates(formula)
         n = max(1, formula.num_vars)
-        first = reduce_pc_irredundant(primes, seed=None, limit=10)
-        second = reduce_pc_irredundant(primes, seed=idx + 1, limit=10)
+        first = reduce_pc_irredundant(primes, seed=None)
+        second = reduce_pc_irredundant(primes, seed=idx + 1)
         a, b = max(1, len(first.clauses)), max(1, len(second.clauses))
         if a > n * n * b or b > n * n * a:
             violations += 1
@@ -216,7 +219,7 @@ def criterion_9() -> tuple[bool, str]:
         encoding = compile_urc_encoding(formula, valuation=planted)
         if not is_encoding_of(encoding, enumerate_models(formula)):
             bad_encoding += 1
-        if not is_urc(encoding.formula, limit=64, method="primes").verdict:
+        if not is_urc(encoding.formula, limit=encoding.num_vars, method="primes").verdict:
             bad_urc += 1
         if len(encoding.aux_vars) > 2 * len(split.x2) ** 2:
             bad_bound += 1
@@ -241,7 +244,7 @@ def criterion_10() -> tuple[bool, str]:
         prime_ok = set(primes.clauses) == set(cnf.clauses)
         encoding = gen_parity(n, "encoding")
         enc_ok = is_encoding_of(encoding, enumerate_models(cnf))
-        pc_ok = is_pc(encoding.formula, limit=20).verdict
+        pc_ok = is_pc(encoding.formula).verdict
         ok &= size_ok and prime_ok and enc_ok and pc_ok
         details.append(f"n={n}: size={size_ok} all_prime={prime_ok} encodes={enc_ok} pc={pc_ok}")
     return ok, "; ".join(details)
@@ -257,7 +260,7 @@ def criterion_11() -> tuple[bool, str]:
                 unsound += 1
                 break
     horn_corpus = horn_formulas(HORN_CORPUS_SEED, HORN_CORPUS_SIZE)
-    horn_failures = sum(0 if is_urc(f, limit=10).verdict else 1 for f in horn_corpus)
+    horn_failures = sum(0 if is_urc(f).verdict else 1 for f in horn_corpus)
     ok = unsound == 0 and horn_failures == 0
     return ok, (f"{len(corpus)} formulas closure-sound (violations={unsound}); "
                 f"{len(horn_corpus)} Horn formulas URC (failures={horn_failures})")

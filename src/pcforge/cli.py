@@ -85,17 +85,18 @@ def _cmd_up(args, started: float) -> int:
 
 def _cmd_check(args, started: float) -> int:
     formula = _load_formula(args.file)
+    payload: dict = {"property": args.property}
     if args.property == "pc-dr":
-        verdict, witness, literal = pc_via_dual_rail(formula), None, None
+        verdict = pc_via_dual_rail(formula)
     else:
         decide = is_pc if args.property == "pc" else is_urc
         report = decide(formula, limit=args.limit, method=args.method)
-        verdict, witness, literal = report.verdict, report.witness, report.literal
-    payload: dict = {"property": args.property, "verdict": verdict}
-    if args.witness and witness is not None:
-        payload["witness"] = sorted(witness, key=literal_key)
-        if literal is not None:
-            payload["witness_literal"] = literal
+        verdict = report.verdict
+        if args.witness and report.witness is not None:
+            payload["witness"] = sorted(report.witness, key=literal_key)
+            if report.literal is not None:
+                payload["witness_literal"] = report.literal
+    payload["verdict"] = verdict
     _emit(_report("check", {args.file: _digest(args.file)}, payload, started))
     _info(f"{args.property} = {verdict}")
     return EXIT_TRUE if verdict else EXIT_FALSE
@@ -198,12 +199,15 @@ def _cmd_gen(args, started: float) -> int:
     if args.family == "cycle_ext":
         if not args.base:
             raise PcforgeError("gen cycle_ext requires --base FILE")
-        base = _load_formula(args.base)
-        obj = gen_cycle_extension(base)
+        if args.parameter is not None:
+            raise PcforgeError("gen cycle_ext takes no parameter")
+        obj = gen_cycle_extension(_load_formula(args.base))
         inputs = {args.base: _digest(args.base)}
     else:
         if args.parameter is None:
             raise PcforgeError(f"gen {args.family} requires a parameter")
+        if args.base:
+            raise PcforgeError(f"gen {args.family} takes no --base (cycle_ext only)")
         obj = generate(args.family, args.parameter)
         inputs = {}
     formula = obj.formula if isinstance(obj, EncodingFormula) else obj
@@ -213,7 +217,7 @@ def _cmd_gen(args, started: float) -> int:
         payload["parameter"] = args.parameter
     if isinstance(obj, EncodingFormula):
         payload["aux_vars"] = list(obj.aux_vars)
-    if args.companions and args.family != "cycle_ext":
+    if args.companions:
         extra = companions(args.family, args.parameter)
         if extra is not None:
             payload["companions"] = extra
@@ -277,11 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_up.add_argument("--assume", default="", help="literals, e.g. '1 -2 3'")
 
     p_check = sub.add_parser("check", help="decide pc / urc / pc-dr")
-    p_check.add_argument("property", choices=["pc", "urc", "pc-dr"])
-    p_check.add_argument("file")
-    p_check.add_argument("--limit", type=int, default=DECIDER_LIMIT, help="variable cap for pc and urc")
-    p_check.add_argument("--witness", action="store_true")
-    p_check.add_argument("--method", choices=["naive", "primes"], default="primes")
+    checks = p_check.add_subparsers(dest="property", required=True)
+    for prop in ("pc", "urc"):
+        p_decide = checks.add_parser(prop, help=f"decide {prop} by the primes or the naive method")
+        p_decide.add_argument("file")
+        p_decide.add_argument("--limit", type=int, default=DECIDER_LIMIT, help="variable cap")
+        p_decide.add_argument("--witness", action="store_true")
+        p_decide.add_argument("--method", choices=["naive", "primes"], default="primes")
+    checks.add_parser("pc-dr", help="decide pc by dual-rail equivalence with the primes").add_argument("file")
 
     p_primes = sub.add_parser("primes", help="all prime implicates")
     p_primes.add_argument("file")
@@ -300,11 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_dr.add_argument("-o", "--output")
 
     p_q = sub.add_parser("qhorn", help="q-Horn recognition / satisfiability / compilation")
-    p_q.add_argument("action", choices=["recognize", "sat", "compile"])
-    p_q.add_argument("file")
-    p_q.add_argument("-o", "--output")
-    p_q.add_argument("--verify", action="store_true",
-                     help="check the compiled result is a URC encoding (desk scale)")
+    actions = p_q.add_subparsers(dest="action", required=True)
+    actions.add_parser("recognize", help="weights, or NOT-QHORN").add_argument("file")
+    actions.add_parser("sat", help="satisfiability by the split procedure").add_argument("file")
+    p_compile = actions.add_parser("compile", help="compile to a URC encoding")
+    p_compile.add_argument("file")
+    p_compile.add_argument("-o", "--output")
+    p_compile.add_argument("--verify", action="store_true",
+                           help="check the compiled result is a URC encoding (desk scale)")
 
     p_gen = sub.add_parser("gen", help="generate a formula family instance")
     p_gen.add_argument("family", choices=list(FAMILY_NAMES))

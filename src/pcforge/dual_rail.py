@@ -112,7 +112,7 @@ def pc_via_dual_rail(formula: CnfFormula) -> bool:
     equivalent to the translation of its full prime implicate set.  The
     primes also decide satisfiability: those of an unsatisfiable formula
     are exactly the empty clause.  No model is enumerated, so the size is
-    bounded only by the prime implicate computation's own limit.
+    bounded only by semantics.PRIME_CLAUSES, the prime implicate bound.
     """
     formula.reject_tautologies("pc_via_dual_rail does not accept tautological clauses")
     if formula.has_empty_clause():

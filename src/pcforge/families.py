@@ -257,41 +257,27 @@ def gen_parity(n: int, mode: str = "cnf") -> CnfFormula | EncodingFormula:
     raise ValueError(f"unknown parity mode {mode!r}")
 
 
+GENERATORS = {
+    "psi_horn": gen_psi_horn,
+    "psi_horn_pc": gen_psi_horn_pc,
+    "psi_qhorn": lambda n: gen_psi_qhorn(n)[0],
+    "psi_qhorn_pc": gen_psi_qhorn_pc,
+    "gamma": lambda m: gen_gamma(m, "base"),
+    "gamma_prime": lambda m: gen_gamma(m, "prime"),
+    "gamma_dprime": lambda m: gen_gamma(m, "dprime"),
+    "parity_cnf": lambda n: gen_parity(n, "cnf"),
+    "parity_enc": lambda n: gen_parity(n, "encoding"),
+}
+
+# cycle_ext takes a base formula, not a parameter, so generate does not serve it
+FAMILY_NAMES = (*GENERATORS, "cycle_ext")
+
+
 def generate(family: str, parameter: int) -> CnfFormula | EncodingFormula:
     """Uniform entry point used by the command line tool."""
-    if family == "psi_horn":
-        return gen_psi_horn(parameter)
-    if family == "psi_horn_pc":
-        return gen_psi_horn_pc(parameter)
-    if family == "psi_qhorn":
-        return gen_psi_qhorn(parameter)[0]
-    if family == "psi_qhorn_pc":
-        return gen_psi_qhorn_pc(parameter)
-    if family == "gamma":
-        return gen_gamma(parameter, "base")
-    if family == "gamma_prime":
-        return gen_gamma(parameter, "prime")
-    if family == "gamma_dprime":
-        return gen_gamma(parameter, "dprime")
-    if family == "parity_cnf":
-        return gen_parity(parameter, "cnf")
-    if family == "parity_enc":
-        return gen_parity(parameter, "encoding")
-    raise ValueError(f"unknown family {family!r}")
-
-
-FAMILY_NAMES = (
-    "psi_horn",
-    "psi_horn_pc",
-    "cycle_ext",
-    "psi_qhorn",
-    "psi_qhorn_pc",
-    "gamma",
-    "gamma_prime",
-    "gamma_dprime",
-    "parity_cnf",
-    "parity_enc",
-)
+    if family not in GENERATORS:
+        raise ValueError(f"unknown family {family!r}")
+    return GENERATORS[family](parameter)
 
 
 def companions(family: str, parameter: int) -> dict | None:

@@ -44,6 +44,7 @@ from .errors import LimitError, PreconditionError
 from .propagation import UnitPropagator
 
 MODEL_WORDS = 1 << 24  # the longest model array _model_words builds: 128 MiB of uint64
+PRIME_CLAUSES = 200_000  # the most clauses prime_implicates admits to its queue
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,7 +285,7 @@ def clause_sort_key(clause: Clause):
 
 
 @lru_cache(maxsize=32)
-def prime_implicates(formula: CnfFormula, max_clauses: int = 200_000) -> CnfFormula:
+def prime_implicates(formula: CnfFormula) -> CnfFormula:
     """All prime implicates, by iterated consensus with subsumption.
 
     Clauses are 2n-bit masks: bit v-1 for the literal v, bit n+v-1 for -v.
@@ -304,7 +305,7 @@ def prime_implicates(formula: CnfFormula, max_clauses: int = 200_000) -> CnfForm
       the complement of exactly one of its literals, read off
       OR(occ[complement of b] for b in ci) and its pairwise overlaps.
 
-    max_clauses bounds the number of clauses admitted to the queue, input
+    PRIME_CLAUSES bounds the number of clauses admitted to the queue, input
     clauses and clauses later subsumed included: LimitError is raised when
     the admission of a resolvent takes that number past it.
 
@@ -375,8 +376,8 @@ def prime_implicates(formula: CnfFormula, max_clauses: int = 200_000) -> CnfForm
                 return CnfFormula(((),), n)
             if add(resolvent):
                 queue.append(len(items) - 1)
-                if len(queue) > max_clauses:
-                    raise LimitError("prime implicate computation exceeded the size limit")
+                if len(queue) > PRIME_CLAUSES:
+                    raise LimitError(f"prime implicates: more than PRIME_CLAUSES = {PRIME_CLAUSES} clauses admitted")
     primes = [_mask_to_clause(items[j], n) for j in _mask_bits(alive)]
     primes.sort(key=clause_sort_key)
     return CnfFormula(tuple(primes), n)

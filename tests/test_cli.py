@@ -44,6 +44,11 @@ def test_gen_cycle_ext_requires_base(tmp_path, capsys):
     base.write_text("p cnf 2 2\n1 0\n2 0\n")
     code, report, _ = run(capsys, "gen", "cycle_ext", "--base", str(base))
     assert code == 0 and report["clauses"] == 4
+    # a parameter for cycle_ext, or a base for any other family, would be ignored
+    code, _, err = run(capsys, "gen", "cycle_ext", "4", "--base", str(base))
+    assert code == 2 and "parameter" in err
+    code, _, err = run(capsys, "gen", "psi_horn", "3", "--base", str(base))
+    assert code == 2 and "base" in err
 
 
 def test_check_urc_reports_witness(psi3_file, capsys):
@@ -67,6 +72,11 @@ def test_check_pc_true(tmp_path, capsys):
     assert code == 0 and report["verdict"] is True
     code, report, _ = run(capsys, "check", "pc-dr", str(path))
     assert code == 0 and report["verdict"] is True
+    # pc-dr reads no decider options
+    for extra in (["--limit", "3"], ["--method", "naive"], ["--witness"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "pc-dr", str(path), *extra])
+        assert exit_info.value.code == 2
 
 
 def test_check_decider_limit_exit_code(tmp_path, capsys):
@@ -167,6 +177,11 @@ def test_qhorn_sat(tmp_path, capsys):
     path.write_text("p cnf 2 1\n1 2 0\n")
     code, report, _ = run(capsys, "qhorn", "sat", str(path))
     assert code == 0 and report["satisfiable"] is True
+    # only compile writes an output or verifies
+    for argv in (["recognize", str(path), "--verify"], ["sat", str(path), "-o", str(tmp_path / "x")]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["qhorn", *argv])
+        assert exit_info.value.code == 2
 
 
 def test_qhorn_compile_verify(tmp_path, psi3_file, capsys):

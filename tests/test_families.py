@@ -4,6 +4,8 @@ from pcforge.cnf import CnfFormula, make_clause, write_dimacs
 from pcforge.deciders import is_pc, is_urc
 from pcforge.errors import UnsatisfiableError
 from pcforge.families import (
+    FAMILY_NAMES,
+    GENERATORS,
     companions,
     gamma_blocking_clause,
     gamma_even_subsets,
@@ -176,8 +178,19 @@ def test_generators_are_deterministic():
 
 
 def test_generate_registry():
-    assert generate("psi_horn", 3) == gen_psi_horn(3)
-    assert generate("gamma_dprime", 3) == gen_gamma(3, "dprime")
+    direct = {
+        "psi_horn": gen_psi_horn(3),
+        "psi_horn_pc": gen_psi_horn_pc(3),
+        "psi_qhorn": gen_psi_qhorn(3)[0],
+        "psi_qhorn_pc": gen_psi_qhorn_pc(3),
+        "gamma": gen_gamma(3, "base"),
+        "gamma_prime": gen_gamma(3, "prime"),
+        "gamma_dprime": gen_gamma(3, "dprime"),
+        "parity_cnf": gen_parity(3, "cnf"),
+        "parity_enc": gen_parity(3, "encoding"),
+    }
+    assert {name: generate(name, 3) for name in GENERATORS} == direct
+    assert FAMILY_NAMES == (*GENERATORS, "cycle_ext")
     with pytest.raises(ValueError):
         generate("nonsense", 3)
 

@@ -1,3 +1,4 @@
+import inspect
 import random
 import tracemalloc
 
@@ -296,11 +297,22 @@ def _primes_family_corpus():
     return out
 
 
-def _limit_threshold(engine, formula):
-    """The least max_clauses at which engine does not raise LimitError on formula."""
+def _primes_bounded(monkeypatch, formula, bound):
+    """prime_implicates(formula) computed afresh with PRIME_CLAUSES set to bound for this call."""
+    with monkeypatch.context() as patch:
+        patch.setattr(semantics, "PRIME_CLAUSES", bound)
+        prime_implicates.cache_clear()
+        try:
+            return prime_implicates(formula)
+        finally:
+            prime_implicates.cache_clear()
+
+
+def _limit_threshold(monkeypatch, formula):
+    """The least PRIME_CLAUSES at which prime_implicates does not raise LimitError on formula."""
     def raises(limit):
         try:
-            engine(formula, max_clauses=limit)
+            _primes_bounded(monkeypatch, formula, limit)
         except LimitError:
             return True
         return False
@@ -327,25 +339,27 @@ def test_prime_implicates_match_linear_scan_engine():
             assert set(primes.clauses) == primes_brute(formula)
 
 
-def test_prime_implicates_limit_matches_linear_scan_engine():
+def test_prime_implicates_limit_matches_linear_scan_engine(monkeypatch):
     families = [gen_psi_horn(4), gen_parity(5, "encoding").formula, gen_gamma(3, "dprime"), gen_psi_qhorn(3)[0]]
     for formula in _primes_small_corpus() + families:
-        threshold = _limit_threshold(prime_implicates, formula)
+        threshold = _limit_threshold(monkeypatch, formula)
         if threshold:
             with pytest.raises(LimitError):
                 prime_implicates_linear_scan(formula, max_clauses=threshold - 1)
         assert prime_implicates_linear_scan(formula, max_clauses=threshold) == prime_implicates(formula)
 
 
-def test_prime_implicates_max_clauses():
-    # the limit counts every clause admitted to the queue: the 8 input clauses and the
+def test_prime_implicates_max_clauses(monkeypatch):
+    # the bound is the module constant PRIME_CLAUSES, not a parameter
+    assert list(inspect.signature(prime_implicates).parameters) == ["formula"]
+    # it counts every clause admitted to the queue: the 8 input clauses and the
     # resolvents later subsumed as well as the 56 primes
     psi4 = gen_psi_horn(4)
-    with pytest.raises(LimitError):
-        prime_implicates(psi4, max_clauses=20)
+    with pytest.raises(LimitError, match="PRIME_CLAUSES = 20 "):
+        _primes_bounded(monkeypatch, psi4, 20)
     assert len(prime_implicates(psi4).clauses) == 56
-    assert _limit_threshold(prime_implicates, psi4) == 85
-    assert prime_implicates(psi4, max_clauses=85) == prime_implicates(psi4)
+    assert _limit_threshold(monkeypatch, psi4) == 85
+    assert _primes_bounded(monkeypatch, psi4, 85) == prime_implicates(psi4)
 
 
 def test_equivalent_examples():
