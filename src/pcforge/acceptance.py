@@ -167,16 +167,15 @@ def criterion_7() -> tuple[bool, str]:
     corpus = satisfiable_formulas(SAT_CORPUS_SEED, SAT_CORPUS_SIZE)
     bad_models = bad_conjunction = bad_characterization = 0
     for formula in corpus:
-        n = formula.num_vars
-        dr_vectors = {int(w) for w in enumerate_models(dual_rail(formula).horn).onset}
+        dr_vectors = {int(w) for w in enumerate_models(dual_rail(formula)).onset}
         # one walk gives both sets: each closure contains alpha, so it is alpha when it has as
-        # many literals, and its masks are then alpha's meta vector ([[v]] = v, [[-v]] = n + v)
+        # many literals, and its literal vector is then a model word of the translation
         up_closed, sem_vectors = set(), set()
-        for alpha, (pos, neg), (entailed_pos, entailed_neg) in assignment_walk(formula):
-            if (pos | neg).bit_count() == len(alpha):
-                up_closed.add(pos | neg << n)
-            if entailed_pos.bit_count() + entailed_neg.bit_count() == len(alpha):
-                sem_vectors.add(entailed_pos | entailed_neg << n)
+        for alpha, up, sem in assignment_walk(formula):
+            if up.bit_count() == len(alpha):
+                up_closed.add(up)
+            if sem.bit_count() == len(alpha):
+                sem_vectors.add(sem)
         if dr_vectors != up_closed:
             bad_models += 1
         vectors = np.fromiter(sem_vectors, dtype=np.uint64, count=len(sem_vectors))
@@ -255,8 +254,8 @@ def criterion_11() -> tuple[bool, str]:
     corpus = satisfiable_formulas(SAT_CORPUS_SEED, SAT_CORPUS_SIZE)
     unsound = 0
     for formula in corpus:
-        for _, (pos, neg), (entailed_pos, entailed_neg) in assignment_walk(formula):
-            if pos & ~entailed_pos or neg & ~entailed_neg:
+        for _, up, sem in assignment_walk(formula):
+            if up & ~sem:
                 unsound += 1
                 break
     horn_corpus = horn_formulas(HORN_CORPUS_SEED, HORN_CORPUS_SIZE)

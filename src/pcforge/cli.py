@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import acceptance
-from .cnf import CnfFormula, EncodingFormula, literal_key, make_clause, parse_dimacs, write_dimacs
+from .cnf import CnfFormula, EncodingFormula, literal_key, make_clause, parse_dimacs, vector_literals, write_dimacs
 from .deciders import DECIDER_LIMIT, is_absorbed, is_pc, is_urc, reduce_pc_irredundant, reduce_urc_irredundant
 from .dual_rail import dual_rail, pc_via_dual_rail
 from .errors import LimitError, NotQHornError, PcforgeError
@@ -140,15 +140,15 @@ def _cmd_encodes(args, started: float) -> int:
 def _cmd_dr(args, started: float) -> int:
     formula = _load_formula(args.file)
     rail = dual_rail(formula)
-    payload = {"meta_vars": rail.horn.num_vars, "clauses": len(rail.horn.clauses)}
+    payload = {"meta_vars": rail.num_vars, "clauses": len(rail.clauses)}
     if args.output:
-        lines = []
-        for meta in range(1, rail.var_map.num_meta_vars + 1):
-            lines.append(f"c meta {meta} {rail.var_map.from_meta(meta)}")
+        # meta-variable m stands for the literal of bit m-1 of the literal vector
+        lines = [f"c meta {meta} {vector_literals(1 << (meta - 1), formula.num_vars)[0]}"
+                 for meta in range(1, rail.num_vars + 1)]
         with open(args.output, "w") as handle:
-            handle.write("\n".join(lines) + "\n" + write_dimacs(rail.horn))
+            handle.write("\n".join(lines) + "\n" + write_dimacs(rail))
     else:
-        payload["horn_clauses"] = [list(c) for c in rail.horn.clauses]
+        payload["horn_clauses"] = [list(c) for c in rail.clauses]
     _emit(_report("dr", {args.file: _digest(args.file)}, payload, started))
     _info(f"dual rail: {payload['clauses']} Horn clauses over {payload['meta_vars']} meta-variables")
     return EXIT_TRUE
@@ -210,6 +210,9 @@ def _cmd_gen(args, started: float) -> int:
             raise PcforgeError(f"gen {args.family} takes no --base (cycle_ext only)")
         obj = generate(args.family, args.parameter)
         inputs = {}
+    extra = companions(args.family, args.parameter) if args.companions else None
+    if args.companions and extra is None:
+        raise PcforgeError(f"gen {args.family} has no companions")
     formula = obj.formula if isinstance(obj, EncodingFormula) else obj
     _write_output(args.output, obj)
     payload = {"family": args.family, "clauses": len(formula.clauses), "num_vars": formula.num_vars}
@@ -217,10 +220,8 @@ def _cmd_gen(args, started: float) -> int:
         payload["parameter"] = args.parameter
     if isinstance(obj, EncodingFormula):
         payload["aux_vars"] = list(obj.aux_vars)
-    if args.companions:
-        extra = companions(args.family, args.parameter)
-        if extra is not None:
-            payload["companions"] = extra
+    if extra is not None:
+        payload["companions"] = extra
     if not args.output:
         payload["dimacs"] = write_dimacs(obj)
     _emit(_report("gen", inputs, payload, started))

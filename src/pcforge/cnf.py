@@ -86,6 +86,25 @@ def mask_literals(pos: int, neg: int) -> list[Literal]:
     return out
 
 
+def literal_vector(lits: Iterable[Literal], n: int) -> int:
+    """The 2n-bit vector of literals over variables 1..n: bit v-1 for v, bit n+v-1 for -v.
+
+    It is the word over the dual-rail meta-variables [[v]] = v and [[-v]] = n + v.
+    A literal outside 1..n raises ValueError.
+    """
+    vector = 0
+    for lit in lits:
+        if not 1 <= abs(lit) <= n:
+            raise ValueError(f"literal {lit} outside universe 1..{n}")
+        vector |= 1 << (lit - 1 if lit > 0 else n - lit - 1)
+    return vector
+
+
+def vector_literals(vector: int, n: int) -> list[Literal]:
+    """The literals of a 2n-bit literal vector in literal_key order; the inverse of literal_vector."""
+    return mask_literals(vector & ((1 << n) - 1), vector >> n)
+
+
 @dataclass(frozen=True)
 class CnfFormula:
     """A set of clauses over the variable universe {1, ..., num_vars}."""

@@ -6,7 +6,7 @@ Two interchangeable strategies, chosen by ``method``:
   semantic closure on every partial assignment whose unit propagation
   does not conflict (conflicting ones satisfy both definitions), in one
   depth-first walk that extends propagation by one literal per step and
-  yields both closures as literal masks.  It is kept as the independent
+  yields both closures as literal vectors.  It is kept as the independent
   cross-check of the other strategy.
 * ``primes``, the default, checks only the critical assignments.  A
   formula is URC iff unit propagation refutes the negation of every prime
@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .cnf import Clause, CnfFormula, Literal, PartialAssignment, is_tautological, literal_key, make_clause, mask_literals
+from .cnf import Clause, CnfFormula, Literal, PartialAssignment, is_tautological, literal_key, make_clause, vector_literals
 from .errors import LimitError, PreconditionError, TautologyError
 from .propagation import UnitPropagator, all_literals
 from .semantics import assignment_walk, entails, prime_implicates
@@ -80,14 +80,14 @@ def _least_failure(failures: Iterable[tuple[PartialAssignment, Literal | None]])
 
 def _naive_urc(formula: CnfFormula) -> DecisionReport:
     # a semantic closure holding a literal and its complement means no model extends alpha
-    return _least_failure((alpha, None) for alpha, _, (entailed_pos, entailed_neg) in assignment_walk(formula)
-                          if entailed_pos & entailed_neg)
+    n = formula.num_vars
+    return _least_failure((alpha, None) for alpha, _, sem in assignment_walk(formula) if sem & sem >> n)
 
 
 def _naive_pc(formula: CnfFormula) -> DecisionReport:
     failures = []
-    for alpha, (pos, neg), (entailed_pos, entailed_neg) in assignment_walk(formula):
-        missing = mask_literals(entailed_pos & ~pos, entailed_neg & ~neg)
+    for alpha, up, sem in assignment_walk(formula):
+        missing = vector_literals(sem & ~up, formula.num_vars)
         if missing:
             failures.append((alpha, missing[0]))
     return _least_failure(failures)

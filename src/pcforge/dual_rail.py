@@ -4,77 +4,39 @@ Each literal l of the source universe gets a meta-variable [[l]].  Every
 (clause, literal) pair of the source formula contributes a Horn clause
 expressing one unit-propagation step, and each source variable gets a
 consistency clause forbidding [[x]] and [[not x]] simultaneously.  Models
-of the translation are exactly the characteristic vectors of partial
-assignments closed under unit propagation, which makes Horn reasoning on
-the translation a polynomial-time proxy for propagation completeness.
+of the translation are exactly the literal vectors of partial assignments
+closed under unit propagation, which makes Horn reasoning on the
+translation a polynomial-time proxy for propagation completeness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .cnf import Clause, CnfFormula, Literal, PartialAssignment, make_clause
+from .cnf import Clause, CnfFormula, PartialAssignment, literal_vector, make_clause
 from .errors import EmptyClauseError, LimitError, PreconditionError, UnsatisfiableError
-from .propagation import UnitPropagator
+from .propagation import UnitPropagator, all_literals
 from .semantics import assignment_walk, prime_implicates
 
 
-@dataclass(frozen=True)
-class MetaVarMap:
-    """Bijection between source literals and meta-variables.
+def dual_rail(formula: CnfFormula) -> CnfFormula:
+    """The implicational dual-rail translation: a Horn formula over the 2n meta-variables.
 
-    Positive literals come first: [[x_i]] = i and [[not x_i]] = n + i for a
-    source universe of n variables, so the translation is byte-reproducible.
-    """
-
-    num_source_vars: int
-
-    def to_meta(self, lit: Literal) -> int:
-        var = abs(lit)
-        if not 1 <= var <= self.num_source_vars:
-            raise ValueError(f"literal {lit} outside source universe")
-        return var if lit > 0 else self.num_source_vars + var
-
-    def from_meta(self, meta_var: int) -> Literal:
-        n = self.num_source_vars
-        if 1 <= meta_var <= n:
-            return meta_var
-        if n < meta_var <= 2 * n:
-            return -(meta_var - n)
-        raise ValueError(f"meta-variable {meta_var} out of range")
-
-    @property
-    def num_meta_vars(self) -> int:
-        return 2 * self.num_source_vars
-
-
-@dataclass(frozen=True)
-class DualRailFormula:
-    horn: CnfFormula
-    var_map: MetaVarMap
-
-
-def dual_rail(formula: CnfFormula) -> DualRailFormula:
-    """The implicational dual-rail translation.
-
-    One Horn clause per (clause, literal) pair plus one consistency clause
-    per universe variable: the clause count is length(formula) + num_vars.
-    The source formula must not contain the empty clause.
+    [[v]] = v and [[-v]] = n + v, so a model word is the literal vector of
+    the assignment it stands for.  One Horn clause per (clause, literal)
+    pair plus one consistency clause per universe variable: the clause
+    count is length(formula) + num_vars.  The source formula must not
+    contain the empty clause.
     """
     if formula.has_empty_clause():
         raise EmptyClauseError("dual-rail translation is undefined for the empty clause")
     n = formula.num_vars
-    var_map = MetaVarMap(n)
+    meta = {lit: literal_vector((lit,), n).bit_length() for lit in all_literals(n)}  # [[lit]]: its bit, 1-based
     clauses: list[Clause] = []
     for clause in formula.clauses:
         for lit in clause:
-            meta = [var_map.to_meta(lit)]
-            meta.extend(-var_map.to_meta(-other) for other in clause if other != lit)
-            clauses.append(make_clause(meta))
+            clauses.append(make_clause([meta[lit]] + [-meta[-other] for other in clause if other != lit]))
     for var in range(1, n + 1):
-        clauses.append(make_clause([-var_map.to_meta(var), -var_map.to_meta(-var)]))
-    horn = CnfFormula.from_clauses(clauses, 2 * n)
-    return DualRailFormula(horn, var_map)
+        clauses.append(make_clause([-meta[var], -meta[-var]]))
+    return CnfFormula.from_clauses(clauses, 2 * n)
 
 
 def horn_entails(horn: CnfFormula, clause: Clause) -> bool:
@@ -120,7 +82,7 @@ def pc_via_dual_rail(formula: CnfFormula) -> bool:
     primes = prime_implicates(formula)
     if primes.has_empty_clause():
         raise UnsatisfiableError("pc_via_dual_rail is defined for satisfiable formulas only")
-    return horn_equivalent(dual_rail(formula).horn, dual_rail(primes).horn)
+    return horn_equivalent(dual_rail(formula), dual_rail(primes))
 
 
 CLOSED_LIMIT = 10
@@ -130,7 +92,7 @@ def closed_assignments(formula: CnfFormula) -> frozenset[PartialAssignment]:
     """All partial assignments that are semantically closed for the formula.
 
     These are the assignments alpha with cl_sem(formula, alpha) = alpha; their
-    characteristic vectors over the meta-variables form a Horn function.
+    literal vectors, read as words over the meta-variables, form a Horn function.
     """
     n = formula.num_vars
     if n > CLOSED_LIMIT:
@@ -139,13 +101,4 @@ def closed_assignments(formula: CnfFormula) -> frozenset[PartialAssignment]:
         return frozenset({frozenset()})  # cl_sem is lit(empty universe) = {} even when unsatisfiable
     # the walk skips conflicting assignments, whose cl_sem has all 2n literals; cl_sem
     # contains alpha, so it is alpha when it has as many literals
-    return frozenset(alpha for alpha, _, (entailed_pos, entailed_neg) in assignment_walk(formula)
-                     if entailed_pos.bit_count() + entailed_neg.bit_count() == len(alpha))
-
-
-def assignment_vector(alpha: PartialAssignment, var_map: MetaVarMap) -> int:
-    """Characteristic vector of a literal set on the meta-variables, as a word."""
-    word = 0
-    for lit in alpha:
-        word |= 1 << (var_map.to_meta(lit) - 1)
-    return word
+    return frozenset(alpha for alpha, _, sem in assignment_walk(formula) if sem.bit_count() == len(alpha))

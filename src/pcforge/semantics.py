@@ -17,11 +17,12 @@ when its prefix model counts stay small.  The table returned by
 enumerate_models holds that cached array itself as its onset; no copy is
 made.
 
+Prime-implicate clauses and the walk's closures are literal vectors
+(cnf.literal_vector), the model words of the dual-rail translation.
 Prime implicates come from queue-driven consensus with subsumption, the
-clauses kept as literal bitmasks and indexed by per-literal occurrence
-bitsets, so no step scans the clause list.
+clauses indexed by per-literal occurrence bitsets, so no scan is made.
 
-The assignment walk pairs each partial assignment with the literal masks
+The assignment walk pairs each partial assignment with the literal vectors
 of its propagation closure and of its semantic closure.  It carries the
 models that extend an assignment as a Python-int bitset over the indices
 of the cached model array, so a step is one int AND and one XOR.  Its
@@ -39,7 +40,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .cnf import (Clause, CnfFormula, EncodingFormula, Literal, PartialAssignment, is_tautological, literal_masks,
-                  make_assignment, make_clause, mask_literals)
+                  literal_vector, make_assignment, make_clause, mask_literals, vector_literals)
 from .errors import LimitError, PreconditionError
 from .propagation import UnitPropagator
 
@@ -186,13 +187,13 @@ def closure_masks(models: np.ndarray, num_vars: int) -> tuple[int, int]:
     return int(np.bitwise_and.reduce(models)), full & ~int(np.bitwise_or.reduce(models))
 
 
-def assignment_walk(formula: CnfFormula) -> Iterator[tuple[PartialAssignment, tuple[int, int], tuple[int, int]]]:
+def assignment_walk(formula: CnfFormula) -> Iterator[tuple[PartialAssignment, int, int]]:
     """Every partial assignment whose unit propagation does not conflict.
 
-    Yields (alpha, (pos, neg), (entailed_pos, entailed_neg)): the literal
-    masks of alpha's unit propagation closure and of its semantic closure,
-    the literals on which every model extending alpha agrees; that is all
-    2n literals, (full, full), when no model extends alpha.  The walk is
+    Yields (alpha, up, sem): the literal vectors (cnf.literal_vector) of
+    alpha's unit propagation closure and of its semantic closure, the
+    literals on which every model extending alpha agrees; that is all 2n
+    literals, all 2n bits set, when no model extends alpha.  The walk is
     depth first over the variables, each unassigned, true or false in that
     order.  A child extends its parent's propagation node
     (UnitPropagator.extend) by one literal; below a conflict every
@@ -216,28 +217,30 @@ def assignment_walk(formula: CnfFormula) -> Iterator[tuple[PartialAssignment, tu
     words = _model_words(formula)
     trues = [int.from_bytes(np.packbits(((words >> np.uint64(v)) & np.uint64(1)) != 0, bitorder="little"), "little")
              for v in range(n)]
-    bits = [1 << v for v in range(n)]
-    full = (1 << n) - 1
+    # per variable v: the literal vectors of {v, -v}, {v} and {-v}, and the models where v is true
+    tables = [(literal_vector((v, -v), n), literal_vector((v,), n), literal_vector((-v,), n), true)
+              for v, true in enumerate(trues, 1)]
+    full = (1 << 2 * n) - 1
     stack = [(1, frozenset(), root, (1 << len(words)) - 1)]
     while stack:
         var, alpha, node, models = stack.pop()
         if var > n:
+            up = node[0] | node[1] << n
             if not models:
-                yield alpha, node[:2], (full, full)
+                yield alpha, up, full
                 continue
             # propagation is sound, so every model agrees on what it derived: only the
             # variables it left free are looked up
-            pos, neg = node[:2]
-            known = pos | neg
-            for bit, true in zip(bits, trues):
-                if known & bit:
+            sem = up
+            for both, true_lit, false_lit, true in tables:
+                if up & both:
                     continue
                 agree = models & true
                 if agree == models:
-                    pos |= bit
+                    sem |= true_lit
                 elif not agree:
-                    neg |= bit
-            yield alpha, node[:2], (pos, neg)
+                    sem |= false_lit
+            yield alpha, up, sem
             continue
         agree = models & trues[var - 1]
         for lit, keep in ((-var, models ^ agree), (var, agree)):
@@ -275,10 +278,6 @@ def is_encoding_of(encoding: EncodingFormula, table: FunctionTable) -> bool:
     return bool(np.array_equal(projected[distinct], table.onset))
 
 
-def _mask_to_clause(mask: int, n: int) -> Clause:
-    return tuple(mask_literals(mask & ((1 << n) - 1), mask >> n))
-
-
 def clause_sort_key(clause: Clause):
     """Deterministic clause order: by size, then (variable, polarity) tuples."""
     return (len(clause), tuple((abs(lit), lit < 0) for lit in clause))
@@ -288,7 +287,7 @@ def clause_sort_key(clause: Clause):
 def prime_implicates(formula: CnfFormula) -> CnfFormula:
     """All prime implicates, by iterated consensus with subsumption.
 
-    Clauses are 2n-bit masks: bit v-1 for the literal v, bit n+v-1 for -v.
+    Clauses are literal vectors (cnf.literal_vector): bit v-1 for v, bit n+v-1 for -v.
     The input clauses, shortest first, and then each new resolvent are
     admitted unless an alive clause subsumes them, and each admission kills
     the alive clauses it subsumes.  A queue takes the admitted clauses in
@@ -342,8 +341,7 @@ def prime_implicates(formula: CnfFormula) -> CnfFormula:
             continue
         if not clause:
             return CnfFormula(((),), n)
-        pos, neg = literal_masks(clause)
-        seeds.append(pos | neg << n)
+        seeds.append(literal_vector(clause, n))
     seeds.sort(key=lambda m: m.bit_count())
     queue: list[int] = []
     for mask in seeds:
@@ -378,7 +376,7 @@ def prime_implicates(formula: CnfFormula) -> CnfFormula:
                 queue.append(len(items) - 1)
                 if len(queue) > PRIME_CLAUSES:
                     raise LimitError(f"prime implicates: more than PRIME_CLAUSES = {PRIME_CLAUSES} clauses admitted")
-    primes = [_mask_to_clause(items[j], n) for j in _mask_bits(alive)]
+    primes = [tuple(vector_literals(items[j], n)) for j in _mask_bits(alive)]
     primes.sort(key=clause_sort_key)
     return CnfFormula(tuple(primes), n)
 

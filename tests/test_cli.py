@@ -37,6 +37,17 @@ def test_gen_companions(capsys):
     assert len(report["companions"]["u_bar"]) == 4
 
 
+def test_gen_companions_is_a_usage_error_without_companions(tmp_path, capsys):
+    out = tmp_path / "ph3.cnf"
+    code, report, err = run(capsys, "gen", "psi_horn", "3", "--companions", "-o", str(out))
+    assert code == 2 and report is None and "no companions" in err
+    assert not out.exists()
+    base = tmp_path / "base.cnf"
+    base.write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
+    code, report, err = run(capsys, "gen", "cycle_ext", "--base", str(base), "--companions")
+    assert code == 2 and report is None and "no companions" in err
+
+
 def test_gen_cycle_ext_requires_base(tmp_path, capsys):
     code, _, err = run(capsys, "gen", "cycle_ext")
     assert code == 2 and "base" in err
@@ -148,13 +159,14 @@ def test_encodes(tmp_path, capsys):
 
 def test_dr_output_has_meta_map(tmp_path, capsys):
     src = tmp_path / "f.cnf"
-    src.write_text("p cnf 2 1\n1 2 0\n")
+    src.write_text("p cnf 3 1\n1 -2 3 0\n")
     out = tmp_path / "dr.cnf"
     code, report, _ = run(capsys, "dr", str(src), "-o", str(out))
-    assert code == 0 and report["meta_vars"] == 4 and report["clauses"] == 4
+    assert code == 0 and report["meta_vars"] == 6 and report["clauses"] == 6
     text = out.read_text()
-    assert "c meta 1 1" in text and "c meta 3 -1" in text
-    assert parse_dimacs(text).num_vars == 4
+    header = "c meta 1 1\nc meta 2 2\nc meta 3 3\nc meta 4 -1\nc meta 5 -2\nc meta 6 -3\np cnf 6 6\n"
+    assert text.startswith(header)
+    assert parse_dimacs(text).num_vars == 6
 
 
 def test_qhorn_recognize(psi3_file, capsys):

@@ -8,11 +8,14 @@ from pcforge.cnf import (
     CnfFormula,
     EncodingFormula,
     apply_assignment,
+    literal_key,
     literal_masks,
+    literal_vector,
     make_assignment,
     make_clause,
     mask_literals,
     parse_dimacs,
+    vector_literals,
     write_dimacs,
 )
 from pcforge.errors import DimacsError
@@ -186,6 +189,28 @@ def test_mask_literals_inverts_literal_masks():
     assert mask_literals(0, 0) == []
     for alpha in all_partial_assignments(4):
         assert mask_literals(*literal_masks(alpha)) == sorted(alpha, key=lambda lit: (abs(lit), lit < 0))
+
+
+@st.composite
+def literal_set_st(draw):
+    """A universe size n <= 10 and a consistent set of literals over it, in any order."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    signs = draw(st.lists(st.sampled_from((0, 1, -1)), min_size=n, max_size=n))
+    return n, draw(st.permutations([sign * v for v, sign in enumerate(signs, 1) if sign]))
+
+
+@given(literal_set_st())
+def test_vector_literals_inverts_literal_vector(case):
+    n, lits = case
+    assert vector_literals(literal_vector(lits, n), n) == sorted(lits, key=literal_key)
+
+
+def test_literal_vector_layout_and_range():
+    assert literal_vector([1, -3, 4], 4) == 0b1001 | 0b0100 << 4
+    assert literal_vector([], 0) == 0
+    for bad in (0, 5, -5):
+        with pytest.raises(ValueError):
+            literal_vector([1, bad], 4)
 
 
 def test_apply_assignment_examples():

@@ -3,17 +3,9 @@ from itertools import product
 
 import pytest
 
-from pcforge.cnf import CnfFormula, make_clause
+from pcforge.cnf import CnfFormula, literal_vector, make_clause, vector_literals
 from pcforge.deciders import is_pc
-from pcforge.dual_rail import (
-    MetaVarMap,
-    assignment_vector,
-    closed_assignments,
-    dual_rail,
-    horn_entails,
-    horn_equivalent,
-    pc_via_dual_rail,
-)
+from pcforge.dual_rail import closed_assignments, dual_rail, horn_entails, horn_equivalent, pc_via_dual_rail
 from pcforge.errors import EmptyClauseError, PreconditionError, UnsatisfiableError
 from pcforge.families import gen_gamma, gen_psi_qhorn
 from pcforge.propagation import UnitPropagator
@@ -34,26 +26,28 @@ def random_formula(rng, max_vars=5, max_clauses=8):
 
 
 def test_meta_var_numbering():
-    mapping = MetaVarMap(3)
-    assert [mapping.to_meta(l) for l in (1, 2, 3, -1, -2, -3)] == [1, 2, 3, 4, 5, 6]
-    assert [mapping.from_meta(v) for v in range(1, 7)] == [1, 2, 3, -1, -2, -3]
+    # [[v]] = v and [[-v]] = n + v: meta-variable m is bit m-1 of the literal vector
+    lits = (1, 2, 3, -1, -2, -3)
+    assert [literal_vector([lit], 3).bit_length() for lit in lits] == [1, 2, 3, 4, 5, 6]
+    assert [vector_literals(1 << (meta - 1), 3) for meta in range(1, 7)] == [[lit] for lit in lits]
 
 
 def test_dual_rail_binary_clause():
     rail = dual_rail(F([[1, 2]], 2))
-    assert set(rail.horn.clauses) == {(1, -4), (2, -3), (-1, -3), (-2, -4)}
+    assert set(rail.clauses) == {(1, -4), (2, -3), (-1, -3), (-2, -4)}
 
 
 def test_dual_rail_unit_clause():
     rail = dual_rail(F([[1]], 1))
-    assert set(rail.horn.clauses) == {(1,), (-1, -2)}
+    assert set(rail.clauses) == {(1,), (-1, -2)}
 
 
 def test_dual_rail_size_and_hornness():
     formula = gen_gamma(3, "prime")
     rail = dual_rail(formula)
-    assert len(rail.horn.clauses) == formula.length + formula.num_vars
-    assert rail.horn.is_horn()
+    assert len(rail.clauses) == formula.length + formula.num_vars
+    assert rail.num_vars == 2 * formula.num_vars
+    assert rail.is_horn()
 
 
 def test_dual_rail_rejects_empty_clause():
@@ -76,16 +70,16 @@ def test_horn_entails_empty_clause_means_refutable():
 
 def test_dr_of_pc_formula_entails_dr_of_primes():
     formula = gen_gamma(3, "prime")
-    source = dual_rail(formula).horn
-    target = dual_rail(prime_implicates(formula)).horn
+    source = dual_rail(formula)
+    target = dual_rail(prime_implicates(formula))
     assert all(horn_entails(source, clause) for clause in target.clauses)
     assert horn_equivalent(source, target)
 
 
 def test_dr_inequivalent_for_non_pc_formula():
     formula, _ = gen_psi_qhorn(3)
-    source = dual_rail(formula).horn
-    target = dual_rail(prime_implicates(formula)).horn
+    source = dual_rail(formula)
+    target = dual_rail(prime_implicates(formula))
     assert not horn_equivalent(source, target)
 
 
@@ -137,13 +131,13 @@ def test_dual_rail_models_are_up_closed_assignment_vectors():
     for _ in range(25):
         formula = random_formula(rng, max_vars=4)
         rail = dual_rail(formula)
-        dr_models = {int(w) for w in _model_words(rail.horn)}
+        dr_models = {int(w) for w in _model_words(rail)}
         engine = UnitPropagator(formula)
         expected = set()
         for alpha in all_partial_assignments(formula.num_vars):
             conflict, trail, _ = engine.run(alpha)
             if not conflict and frozenset(trail) == alpha:
-                expected.add(assignment_vector(alpha, rail.var_map))
+                expected.add(literal_vector(alpha, formula.num_vars))
         assert dr_models == expected
 
 
@@ -151,8 +145,7 @@ def test_semantically_closed_vectors_are_conjunction_closed():
     rng = random.Random(71)
     for _ in range(15):
         formula = random_formula(rng, max_vars=4)
-        rail_map = MetaVarMap(formula.num_vars)
-        vectors = {assignment_vector(a, rail_map) for a in closed_assignments(formula)}
+        vectors = {literal_vector(a, formula.num_vars) for a in closed_assignments(formula)}
         for a, b in product(vectors, repeat=2):
             assert a & b in vectors
 
@@ -165,7 +158,7 @@ def test_dr_represents_closed_set_iff_pc():
         if not models_brute(formula):
             continue
         rail = dual_rail(formula)
-        dr_models = {int(w) for w in _model_words(rail.horn)}
-        sem_vectors = {assignment_vector(a, rail.var_map) for a in closed_assignments(formula)}
+        dr_models = {int(w) for w in _model_words(rail)}
+        sem_vectors = {literal_vector(a, formula.num_vars) for a in closed_assignments(formula)}
         assert (dr_models == sem_vectors) == is_pc(formula, limit=10).verdict
         checked += 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pcforge import semantics
-from pcforge.cnf import CnfFormula, EncodingFormula, make_clause, mask_literals
+from pcforge.cnf import CnfFormula, EncodingFormula, make_clause, vector_literals
 from pcforge.corpus import horn_formulas, qhorn_formulas, satisfiable_formulas
 from pcforge.deciders import is_pc
 from pcforge.errors import LimitError, PreconditionError
@@ -467,8 +467,9 @@ def _walk_expected(formula):
 
 
 def _assert_walk_matches_oracle(formula):
-    got = [(alpha, frozenset(mask_literals(*masks)), frozenset(mask_literals(*entailed)))
-           for alpha, masks, entailed in assignment_walk(formula)]
+    n = formula.num_vars
+    got = [(alpha, frozenset(vector_literals(up, n)), frozenset(vector_literals(sem, n)))
+           for alpha, up, sem in assignment_walk(formula)]
     assert len({alpha for alpha, _, _ in got}) == len(got)  # each assignment once
     assert {alpha: (derived, entailed) for alpha, derived, entailed in got} == _walk_expected(formula)
 
@@ -512,7 +513,13 @@ def _array_walk_formulas():
 
 def test_assignment_walk_matches_array_engine():
     for formula in _array_walk_formulas():
-        expected = [(alpha, masks, closure_masks(models, formula.num_vars))
+        n = formula.num_vars
+
+        def vector(masks):
+            pos, neg = masks
+            return pos | neg << n
+
+        expected = [(alpha, vector(masks), vector(closure_masks(models, n)))
                     for alpha, masks, models in assignment_walk_arrays(formula)]
         assert list(assignment_walk(formula)) == expected
 
@@ -524,12 +531,12 @@ def test_assignment_walk_footprint_follows_the_models():
     model = sum(1 << (v - 1) for v in range(1, n + 1) if v % 3)
     tracemalloc.start()
     try:
-        alpha, masks, entailed = next(assignment_walk(formula))
+        alpha, up, sem = next(assignment_walk(formula))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert alpha == frozenset()
-    assert masks == entailed == (model, (1 << n) - 1 - model)
+    assert up == sem == model | ((1 << n) - 1 - model) << n
     assert peak < 1 << 20
 
 
