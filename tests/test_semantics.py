@@ -511,15 +511,16 @@ def _array_walk_formulas():
     return out
 
 
+def _joined(masks, n):
+    """The literal vector of the masks (pos, neg), built apart from the engine under test."""
+    pos, neg = masks
+    return pos | neg << n
+
+
 def test_assignment_walk_matches_array_engine():
     for formula in _array_walk_formulas():
         n = formula.num_vars
-
-        def vector(masks):
-            pos, neg = masks
-            return pos | neg << n
-
-        expected = [(alpha, vector(masks), vector(closure_masks(models, n)))
+        expected = [(alpha, _joined(masks, n), _joined(closure_masks(models, n), n))
                     for alpha, masks, models in assignment_walk_arrays(formula)]
         assert list(assignment_walk(formula)) == expected
 
