@@ -168,13 +168,12 @@ def criterion_7() -> tuple[bool, str]:
     bad_models = bad_conjunction = bad_characterization = 0
     for formula in corpus:
         dr_vectors = {int(w) for w in enumerate_models(dual_rail(formula)).onset}
-        # one walk gives both sets: each closure contains alpha, so it is alpha when it has as
-        # many literals, and its literal vector is then a model word of the translation
+        # one walk gives both sets: a closed alpha's literal vector is a model word of the translation
         up_closed, sem_vectors = set(), set()
         for alpha, up, sem in assignment_walk(formula):
-            if up.bit_count() == len(alpha):
+            if up == alpha:
                 up_closed.add(up)
-            if sem.bit_count() == len(alpha):
+            if sem == alpha:
                 sem_vectors.add(sem)
         if dr_vectors != up_closed:
             bad_models += 1

@@ -62,30 +62,6 @@ def make_assignment(literals: Iterable[Literal]) -> PartialAssignment:
     return lits
 
 
-def literal_masks(lits: Iterable[Literal]) -> tuple[int, int]:
-    """Bitmasks (pos, neg) of a literal set: bit v-1 of pos for v, of neg for -v."""
-    pos = neg = 0
-    for lit in lits:
-        if lit > 0:
-            pos |= 1 << (lit - 1)
-        else:
-            neg |= 1 << (-lit - 1)
-    return pos, neg
-
-
-def mask_literals(pos: int, neg: int) -> list[Literal]:
-    """The literals of the masks (pos, neg) in literal_key order; the inverse of literal_masks."""
-    out = []
-    var = 1
-    while pos | neg:
-        if pos & 1:
-            out.append(var)
-        if neg & 1:
-            out.append(-var)
-        pos, neg, var = pos >> 1, neg >> 1, var + 1
-    return out
-
-
 def literal_vector(lits: Iterable[Literal], n: int) -> int:
     """The 2n-bit vector of literals over variables 1..n: bit v-1 for v, bit n+v-1 for -v.
 
@@ -102,7 +78,15 @@ def literal_vector(lits: Iterable[Literal], n: int) -> int:
 
 def vector_literals(vector: int, n: int) -> list[Literal]:
     """The literals of a 2n-bit literal vector in literal_key order; the inverse of literal_vector."""
-    return mask_literals(vector & ((1 << n) - 1), vector >> n)
+    out = []
+    pos, neg, var = vector & ((1 << n) - 1), vector >> n, 1
+    while pos | neg:
+        if pos & 1:
+            out.append(var)
+        if neg & 1:
+            out.append(-var)
+        pos, neg, var = pos >> 1, neg >> 1, var + 1
+    return out
 
 
 @dataclass(frozen=True)

@@ -81,16 +81,14 @@ def _least_failure(failures: Iterable[tuple[PartialAssignment, Literal | None]])
 def _naive_urc(formula: CnfFormula) -> DecisionReport:
     # a semantic closure holding a literal and its complement means no model extends alpha
     n = formula.num_vars
-    return _least_failure((alpha, None) for alpha, _, sem in assignment_walk(formula) if sem & sem >> n)
+    return _least_failure((frozenset(vector_literals(alpha, n)), None)
+                          for alpha, _, sem in assignment_walk(formula) if sem & sem >> n)
 
 
 def _naive_pc(formula: CnfFormula) -> DecisionReport:
-    failures = []
-    for alpha, up, sem in assignment_walk(formula):
-        missing = vector_literals(sem & ~up, formula.num_vars)
-        if missing:
-            failures.append((alpha, missing[0]))
-    return _least_failure(failures)
+    n = formula.num_vars
+    return _least_failure((frozenset(vector_literals(alpha, n)), vector_literals(sem & ~up, n)[0])
+                          for alpha, up, sem in assignment_walk(formula) if sem & ~up)
 
 
 def _unrefuted_primes(engine: UnitPropagator, primes: CnfFormula) -> Iterator[PartialAssignment]:

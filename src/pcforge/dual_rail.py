@@ -11,7 +11,7 @@ translation a polynomial-time proxy for propagation completeness.
 
 from __future__ import annotations
 
-from .cnf import Clause, CnfFormula, PartialAssignment, literal_vector, make_clause
+from .cnf import Clause, CnfFormula, PartialAssignment, literal_vector, make_clause, vector_literals
 from .errors import EmptyClauseError, LimitError, PreconditionError, UnsatisfiableError
 from .propagation import UnitPropagator, all_literals
 from .semantics import assignment_walk, prime_implicates
@@ -99,6 +99,5 @@ def closed_assignments(formula: CnfFormula) -> frozenset[PartialAssignment]:
         raise LimitError(f"{n} variables exceed the closed-assignment enumeration limit {CLOSED_LIMIT}")
     if n == 0:
         return frozenset({frozenset()})  # cl_sem is lit(empty universe) = {} even when unsatisfiable
-    # the walk skips conflicting assignments, whose cl_sem has all 2n literals; cl_sem
-    # contains alpha, so it is alpha when it has as many literals
-    return frozenset(alpha for alpha, _, sem in assignment_walk(formula) if sem.bit_count() == len(alpha))
+    # the walk skips conflicting assignments, whose cl_sem has all 2n literals
+    return frozenset(frozenset(vector_literals(alpha, n)) for alpha, _, sem in assignment_walk(formula) if sem == alpha)

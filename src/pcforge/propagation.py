@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cnf import (Clause, CnfFormula, Literal, PartialAssignment, is_tautological, literal_key, literal_masks,
+from .cnf import (Clause, CnfFormula, Literal, PartialAssignment, is_tautological, literal_key, literal_vector,
                   make_assignment)
 
 
@@ -94,12 +94,13 @@ class UnitPropagator:
     def start(self) -> tuple | None:
         """The root node of a walk over partial assignments, or None when the static units conflict.
 
-        A node is (pos, neg, val, counts, sat): the literal masks of the
-        assignment closed under propagation, then the state extend updates.
+        A node is (vector, val, counts, sat): the literal vector
+        (cnf.literal_vector) of the assignment closed under propagation, then
+        the state extend updates.
         """
         if self.empty is not None:
             return None
-        node = (0, 0, [0] * (self.num_vars + 1), self.lengths.copy(), [False] * len(self.clauses))
+        node = (0, [0] * (self.num_vars + 1), self.lengths.copy(), [False] * len(self.clauses))
         for lit in self.units:
             node = self.extend(node, lit)
             if node is None:
@@ -108,7 +109,7 @@ class UnitPropagator:
 
     def extend(self, node: tuple, lit: Literal) -> tuple | None:
         """The node after also assuming lit, or None on conflict; node itself when lit is already derived."""
-        pos, neg, val, counts, sat = node
+        vector, val, counts, sat = node
         state = val[abs(lit)]
         if state:  # already derived: nothing changes; its complement: a conflict
             return node if state == (1 if lit > 0 else -1) else None
@@ -117,8 +118,7 @@ class UnitPropagator:
         trail = [lit]
         if self._propagate(val, counts, sat, trail) is not None:
             return None
-        new_pos, new_neg = literal_masks(trail)
-        return pos | new_pos, neg | new_neg, val, counts, sat
+        return vector | literal_vector(trail, self.num_vars), val, counts, sat
 
     def _propagate(self, val: list[int], counts: list[int], sat: list[bool], trail: list[Literal]) -> int | None:
         """Process the trail to fixpoint, updating every argument in place.

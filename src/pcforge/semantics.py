@@ -27,7 +27,7 @@ of its propagation closure and of its semantic closure.  It carries the
 models that extend an assignment as a Python-int bitset over the indices
 of the cached model array, so a step is one int AND and one XOR.  Its
 propagation steps are UnitPropagator.start and extend; of a propagation
-node the walk reads only the (pos, neg) literal masks.
+node the walk reads only its literal vector.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .cnf import (Clause, CnfFormula, EncodingFormula, Literal, PartialAssignment, is_tautological, literal_masks,
-                  literal_vector, make_assignment, make_clause, mask_literals, vector_literals)
+from .cnf import (Clause, CnfFormula, EncodingFormula, Literal, PartialAssignment, is_tautological, literal_vector,
+                  make_assignment, make_clause, vector_literals)
 from .errors import LimitError, PreconditionError
 from .propagation import UnitPropagator
 
@@ -109,19 +109,21 @@ def _model_words(formula: CnfFormula) -> np.ndarray:
     LimitError is raised before a step that would make the array longer
     than MODEL_WORDS, and for a universe wider than the 64 bits of a word.
     """
-    if formula.num_vars > 64:
-        raise LimitError(f"{formula.num_vars} variables do not fit a 64-bit model word")
+    n = formula.num_vars
+    if n > 64:
+        raise LimitError(f"{n} variables do not fit a 64-bit model word")
     # per highest variable, shortest clauses first: they rule out the most words, so later
     # clauses test fewer; a tautological clause rules out none and would break the
     # one-comparison test below; the empty clause sits at variable 0 and rules out the start
-    levels = [[] for _ in range(formula.num_vars + 1)]
-    for pos, neg in map(literal_masks, sorted(formula.clauses, key=len)):
+    levels = [[] for _ in range(n + 1)]
+    for vector in (literal_vector(clause, n) for clause in sorted(formula.clauses, key=len)):
+        pos, neg = vector & ((1 << n) - 1), vector >> n
         if not pos & neg:
             levels[(pos | neg).bit_length()].append((np.uint64(pos | neg), np.uint64(neg)))
     words = np.zeros(1, dtype=np.uint64)
     done = 0  # words holds the models over variables 1..done
     for v, clauses in enumerate(levels):
-        if not clauses and v < formula.num_vars:
+        if not clauses and v < n:
             continue
         if v > done:
             if len(words) << (v - done) > MODEL_WORDS:
@@ -138,10 +140,10 @@ def _model_words(formula: CnfFormula) -> np.ndarray:
     return words
 
 
-def _select(models: np.ndarray, alpha: PartialAssignment) -> np.ndarray:
-    pos, neg = literal_masks(alpha)
-    pos64, neg64 = np.uint64(pos), np.uint64(neg)
-    return models[((models & pos64) == pos64) & ((models & neg64) == 0)]
+def _select(models: np.ndarray, vector: int, n: int) -> np.ndarray:
+    """The model words that extend the literals of the vector: none when it holds a literal and its complement."""
+    pos, neg = np.uint64(vector & ((1 << n) - 1)), np.uint64(vector >> n)
+    return models[((models & pos) == pos) & ((models & neg) == 0)]
 
 
 def enumerate_models(formula: CnfFormula) -> FunctionTable:
@@ -154,56 +156,51 @@ def satisfiable(formula: CnfFormula) -> bool:
 
 
 def entails(formula: CnfFormula, clause: Clause) -> bool:
-    """True iff every model of the formula satisfies the clause."""
+    """True iff every model of the formula satisfies the clause: no model extends its negation."""
+    n = formula.num_vars
     clause = make_clause(clause)
     for lit in clause:
-        if abs(lit) > formula.num_vars:
+        if abs(lit) > n:
             raise PreconditionError(f"clause variable {abs(lit)} outside universe")
-    models = _model_words(formula)
-    pos, neg = literal_masks(clause)
-    pos64, neg64 = np.uint64(pos), np.uint64(neg)
-    violating = ((models & pos64) == 0) & ((models & neg64) == neg64)
-    return not bool(violating.any())
+    return len(_select(_model_words(formula), literal_vector([-lit for lit in clause], n), n)) == 0
 
 
 def cl_sem(formula: CnfFormula, alpha: PartialAssignment) -> frozenset[Literal]:
     """Semantic closure: all literals entailed by the formula plus alpha.
 
     Equals the full literal set exactly when the formula plus alpha is
-    unsatisfiable.
+    unsatisfiable.  A literal outside the universe raises ValueError.
     """
-    alpha = make_assignment(alpha)
-    for lit in alpha:
-        if abs(lit) > formula.num_vars:
-            raise ValueError(f"assigned variable {abs(lit)} outside universe")
-    return frozenset(mask_literals(*closure_masks(_select(_model_words(formula), alpha), formula.num_vars)))
+    n = formula.num_vars
+    vector = literal_vector(make_assignment(alpha), n)
+    return frozenset(vector_literals(closure_vector(_select(_model_words(formula), vector, n), n), n))
 
 
-def closure_masks(models: np.ndarray, num_vars: int) -> tuple[int, int]:
-    """Masks (pos, neg) of the literals every model agrees on: all 2n literals when there is no model."""
-    full = (1 << num_vars) - 1
+def closure_vector(models: np.ndarray, n: int) -> int:
+    """The literal vector of the literals every model agrees on: all 2n bits when there is no model."""
+    full = (1 << n) - 1
     if len(models) == 0:
-        return full, full
-    return int(np.bitwise_and.reduce(models)), full & ~int(np.bitwise_or.reduce(models))
+        return full | full << n
+    return int(np.bitwise_and.reduce(models)) | (full & ~int(np.bitwise_or.reduce(models))) << n
 
 
-def assignment_walk(formula: CnfFormula) -> Iterator[tuple[PartialAssignment, int, int]]:
+def assignment_walk(formula: CnfFormula) -> Iterator[tuple[int, int, int]]:
     """Every partial assignment whose unit propagation does not conflict.
 
-    Yields (alpha, up, sem): the literal vectors (cnf.literal_vector) of
-    alpha's unit propagation closure and of its semantic closure, the
-    literals on which every model extending alpha agrees; that is all 2n
-    literals, all 2n bits set, when no model extends alpha.  The walk is
-    depth first over the variables, each unassigned, true or false in that
-    order.  A child extends its parent's propagation node
-    (UnitPropagator.extend) by one literal; below a conflict every
-    assignment conflicts too (unit propagation is monotone), so the
-    subtree is skipped.
+    Yields (alpha, up, sem), three literal vectors (cnf.literal_vector): of
+    alpha itself, of its unit propagation closure and of its semantic
+    closure, the literals on which every model extending alpha agrees; that
+    is all 2n literals, all 2n bits set, when no model extends alpha.  The
+    walk is depth first over the variables, each unassigned, true or false
+    in that order.  A child extends its parent's propagation node
+    (UnitPropagator.extend) and ORs its literal's vector into alpha; below a
+    conflict every assignment conflicts too (unit propagation is monotone),
+    so the subtree is skipped.
 
     The models extending alpha are a Python-int bitset over the indices of
     the cached model array: bit i is set when its i-th word extends alpha.
-    A step splits them with one AND against trues[v], the bitset of the
-    models where variable v+1 is true, built once per walk, and one XOR.
+    A step splits them with one AND against the bitset of the models where
+    its variable is true, built once per walk, and one XOR.
     At a yield only the variables propagation left free are looked up,
     each with one AND.  These n tables hold n bits per model, never more
     than the model array's own 64-bit words, so the walk's footprint
@@ -221,11 +218,11 @@ def assignment_walk(formula: CnfFormula) -> Iterator[tuple[PartialAssignment, in
     tables = [(literal_vector((v, -v), n), literal_vector((v,), n), literal_vector((-v,), n), true)
               for v, true in enumerate(trues, 1)]
     full = (1 << 2 * n) - 1
-    stack = [(1, frozenset(), root, (1 << len(words)) - 1)]
+    stack = [(1, 0, root, (1 << len(words)) - 1)]
     while stack:
         var, alpha, node, models = stack.pop()
         if var > n:
-            up = node[0] | node[1] << n
+            up = node[0]
             if not models:
                 yield alpha, up, full
                 continue
@@ -242,11 +239,12 @@ def assignment_walk(formula: CnfFormula) -> Iterator[tuple[PartialAssignment, in
                     sem |= false_lit
             yield alpha, up, sem
             continue
-        agree = models & trues[var - 1]
-        for lit, keep in ((-var, models ^ agree), (var, agree)):
+        _, true_lit, false_lit, true = tables[var - 1]
+        agree = models & true
+        for lit, bit, keep in ((-var, false_lit, models ^ agree), (var, true_lit, agree)):
             child = engine.extend(node, lit)
             if child is not None:
-                stack.append((var + 1, alpha | {lit}, child, keep))
+                stack.append((var + 1, alpha | bit, child, keep))
         stack.append((var + 1, alpha, node, models))
 
 

@@ -28,8 +28,7 @@ from itertools import product
 
 import numpy as np
 
-from pcforge.cnf import (CnfFormula, EncodingFormula, is_tautological, literal_key, literal_masks, make_clause,
-                        mask_literals)
+from pcforge.cnf import CnfFormula, EncodingFormula, is_tautological, literal_key, make_clause
 from pcforge.deciders import DecisionReport, is_urc
 from pcforge.errors import LimitError, PreconditionError
 from pcforge.propagation import UnitPropagator, all_literals
@@ -44,6 +43,23 @@ def eval_clause(clause, word: int) -> bool:
         if (lit > 0) == bool(bit):
             return True
     return False
+
+
+def literal_masks(lits) -> tuple[int, int]:
+    """Bitmasks (pos, neg) of a literal set: bit v-1 of pos for v, of neg for -v."""
+    pos = neg = 0
+    for lit in lits:
+        if lit > 0:
+            pos |= 1 << (lit - 1)
+        else:
+            neg |= 1 << (-lit - 1)
+    return pos, neg
+
+
+def mask_literals(pos: int, neg: int) -> list[int]:
+    """The literals of the masks (pos, neg), by variable and then positive first."""
+    return [lit for v in range(1, max(pos, neg).bit_length() + 1)
+            for lit, mask in ((v, pos), (-v, neg)) if mask >> (v - 1) & 1]
 
 
 def models_brute(formula) -> list[int]:
@@ -426,7 +442,7 @@ def recognize_qhorn_recursive(formula):
 
 
 def assignment_walk_arrays(formula):
-    """The partial-assignment walk that yields (alpha, (pos, neg), models), models a numpy array of words.
+    """The partial-assignment walk that yields (alpha, up, models), up the node's literal vector, models an array.
 
     Every partial assignment whose unit propagation does not conflict, depth
     first over the variables, each unassigned, true or false in that order;
@@ -442,7 +458,7 @@ def assignment_walk_arrays(formula):
     while stack:
         var, alpha, node, models = stack.pop()
         if var > n:
-            yield alpha, node[:2], models
+            yield alpha, node[0], models
             continue
         true = (models & np.uint64(1 << (var - 1))) != 0
         for lit, keep in ((-var, ~true), (var, true)):

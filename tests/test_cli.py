@@ -68,12 +68,12 @@ def test_check_urc_reports_witness(psi3_file, capsys):
     assert report["verdict"] is False
     assert report["witness"] == [4, 5, 6]
     # the reported witness re-validates against the input file
-    from pcforge.propagation import up_closure
-    from pcforge.semantics import satisfiable, _model_words, _select
+    from pcforge.propagation import all_literals, up_closure
+    from pcforge.semantics import cl_sem
     formula = parse_dimacs(open(psi3_file).read())
     alpha = frozenset(report["witness"])
-    assert len(_select(_model_words(formula), alpha)) == 0  # semantically inconsistent
-    assert not up_closure(formula, alpha).conflict           # but invisible to propagation
+    assert cl_sem(formula, alpha) == all_literals(9)  # semantically inconsistent
+    assert not up_closure(formula, alpha).conflict    # but invisible to propagation
 
 
 def test_check_pc_true(tmp_path, capsys):

@@ -9,11 +9,9 @@ from pcforge.cnf import (
     EncodingFormula,
     apply_assignment,
     literal_key,
-    literal_masks,
     literal_vector,
     make_assignment,
     make_clause,
-    mask_literals,
     parse_dimacs,
     vector_literals,
     write_dimacs,
@@ -178,17 +176,17 @@ def test_duplicate_clauses_collapse():
     assert f.clauses == ((1, 2), (1,))
 
 
-def test_literal_masks():
-    assert literal_masks([1, -3, 4]) == (0b1001, 0b100)
-    assert literal_masks([]) == (0, 0)
-
-
-def test_mask_literals_inverts_literal_masks():
-    assert mask_literals(0b1001, 0b100) == [1, -3, 4]
-    assert mask_literals(0b11, 0b11) == [1, -1, 2, -2]
-    assert mask_literals(0, 0) == []
+def test_vector_literals_round_trip_over_all_partial_assignments():
+    assert vector_literals(0b1001 | 0b0100 << 4, 4) == [1, -3, 4]
+    assert vector_literals(0, 4) == vector_literals(0, 0) == []
     for alpha in all_partial_assignments(4):
-        assert mask_literals(*literal_masks(alpha)) == sorted(alpha, key=lambda lit: (abs(lit), lit < 0))
+        assert vector_literals(literal_vector(alpha, 4), 4) == sorted(alpha, key=literal_key)
+
+
+def test_vector_literals_decodes_complementary_literals():
+    # all 2n bits: the semantic closure of an assignment that no model extends
+    assert vector_literals(0b1111, 2) == [1, -1, 2, -2]
+    assert vector_literals(0b101 | 0b001 << 3, 3) == [1, -1, 3]
 
 
 @st.composite

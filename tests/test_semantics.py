@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pcforge import semantics
-from pcforge.cnf import CnfFormula, EncodingFormula, make_clause, vector_literals
+from pcforge.cnf import CnfFormula, EncodingFormula, literal_vector, make_clause, vector_literals
 from pcforge.corpus import horn_formulas, qhorn_formulas, satisfiable_formulas
 from pcforge.deciders import is_pc
 from pcforge.errors import LimitError, PreconditionError
@@ -19,7 +19,7 @@ from pcforge.semantics import (
     _model_words,
     assignment_walk,
     cl_sem,
-    closure_masks,
+    closure_vector,
     entails,
     enumerate_models,
     equivalent,
@@ -387,11 +387,17 @@ def test_is_encoding_of_detects_wrong_function():
 
 def test_entails_matches_brute_oracle():
     rng = random.Random(31)
-    for _ in range(40):
-        formula = random_formula(rng, max_vars=4)
+    formulas = [random_formula(rng, max_vars=4) for _ in range(40)]
+    # unsatisfiable: every clause is entailed, the empty one included
+    formulas += [F([[1], [-1]], 2), F([[1, 2], [1, -2], [-1, 2], [-1, -2]], 3), CnfFormula(((),), 2)]
+    for formula in formulas:
         n = formula.num_vars
-        clause = make_clause([v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), rng.randint(1, n))])
-        assert entails(formula, clause) == entails_brute(formula, clause)
+        clauses = [(), make_clause([1, -1])]  # the empty clause and a tautology
+        for _ in range(5):
+            lits = [v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), rng.randint(1, n))]
+            clauses += [make_clause(lits), make_clause(lits + [-lits[0]])]  # plain and tautological
+        for clause in clauses:
+            assert entails(formula, clause) == entails_brute(formula, clause)
 
 
 def test_cl_sem_matches_brute_oracle():
@@ -468,8 +474,7 @@ def _walk_expected(formula):
 
 def _assert_walk_matches_oracle(formula):
     n = formula.num_vars
-    got = [(alpha, frozenset(vector_literals(up, n)), frozenset(vector_literals(sem, n)))
-           for alpha, up, sem in assignment_walk(formula)]
+    got = [tuple(frozenset(vector_literals(vector, n)) for vector in yielded) for yielded in assignment_walk(formula)]
     assert len({alpha for alpha, _, _ in got}) == len(got)  # each assignment once
     assert {alpha: (derived, entailed) for alpha, derived, entailed in got} == _walk_expected(formula)
 
@@ -511,17 +516,11 @@ def _array_walk_formulas():
     return out
 
 
-def _joined(masks, n):
-    """The literal vector of the masks (pos, neg), built apart from the engine under test."""
-    pos, neg = masks
-    return pos | neg << n
-
-
 def test_assignment_walk_matches_array_engine():
     for formula in _array_walk_formulas():
         n = formula.num_vars
-        expected = [(alpha, _joined(masks, n), _joined(closure_masks(models, n), n))
-                    for alpha, masks, models in assignment_walk_arrays(formula)]
+        expected = [(literal_vector(alpha, n), up, closure_vector(models, n))
+                    for alpha, up, models in assignment_walk_arrays(formula)]
         assert list(assignment_walk(formula)) == expected
 
 
@@ -536,13 +535,13 @@ def test_assignment_walk_footprint_follows_the_models():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert alpha == frozenset()
+    assert alpha == 0
     assert up == sem == model | ((1 << n) - 1 - model) << n
     assert peak < 1 << 20
 
 
-def test_closure_masks():
+def test_closure_vector():
     models = np.array([0b011, 0b111], dtype=np.uint64)
-    assert closure_masks(models, 4) == (0b011, 0b1000)
-    assert closure_masks(np.empty(0, dtype=np.uint64), 3) == (0b111, 0b111)
-    assert closure_masks(np.array([0], dtype=np.uint64), 0) == (0, 0)
+    assert closure_vector(models, 4) == 0b011 | 0b1000 << 4
+    assert closure_vector(np.empty(0, dtype=np.uint64), 3) == 0b111 | 0b111 << 3
+    assert closure_vector(np.array([0], dtype=np.uint64), 0) == 0
