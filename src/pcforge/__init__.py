@@ -13,7 +13,7 @@ from .cnf import (
     write_dimacs,
 )
 from .deciders import DecisionReport, is_absorbed, is_pc, is_urc, reduce_pc_irredundant, reduce_urc_irredundant
-from .dual_rail import closed_assignments, dual_rail, horn_entails, horn_equivalent, pc_via_dual_rail
+from .dual_rail import closed_assignments, dual_rail, horn_equivalent, pc_via_dual_rail
 from .families import (
     gen_cycle_extension,
     gen_gamma,

@@ -135,6 +135,20 @@ class CnfFormula:
     def variables(self) -> range:
         return range(1, self.num_vars + 1)
 
+    def clause_vectors(self) -> list[int]:
+        """The literal vector (literal_vector) of each clause, in clause order.
+
+        Every literal is in range by construction, so none is checked.
+        """
+        n = self.num_vars
+        out = []
+        for clause in self.clauses:
+            vector = 0
+            for lit in clause:
+                vector |= 1 << (lit - 1 if lit > 0 else n - lit - 1)
+            out.append(vector)
+        return out
+
     def is_horn(self) -> bool:
         return all(sum(1 for lit in clause if lit > 0) <= 1 for clause in self.clauses)
 
@@ -292,7 +306,10 @@ def parse_dimacs(text: Union[str, bytes]) -> Union[CnfFormula, EncodingFormula]:
 
 
 def write_dimacs(obj: Union[CnfFormula, EncodingFormula]) -> str:
-    """Serialize to DIMACS; round-trips bit-exactly through parse_dimacs."""
+    """Serialize to DIMACS; round-trips bit-exactly through parse_dimacs.
+
+    Each clause is formatted in one step by the format string of its width.
+    """
     if isinstance(obj, EncodingFormula):
         formula = obj.formula
         aux = " ".join(str(v) for v in sorted(obj.aux_vars))
@@ -300,6 +317,8 @@ def write_dimacs(obj: Union[CnfFormula, EncodingFormula]) -> str:
     else:
         formula = obj
         head = ""
-    lines = [f"p cnf {formula.num_vars} {len(formula.clauses)}"]
-    lines += [" ".join(map(str, clause)) + " 0" if clause else "0" for clause in formula.clauses]
+    clauses = formula.clauses
+    formats = ["%d " * k + "0" for k in range(max(map(len, clauses), default=0) + 1)]
+    lines = [f"p cnf {formula.num_vars} {len(clauses)}"]
+    lines += [formats[len(clause)] % clause for clause in clauses]
     return head + "\n".join(lines) + "\n"

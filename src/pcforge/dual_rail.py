@@ -39,24 +39,6 @@ def dual_rail(formula: CnfFormula) -> CnfFormula:
     return CnfFormula.from_clauses(clauses, 2 * n)
 
 
-def horn_entails(horn: CnfFormula, clause: Clause) -> bool:
-    """Exact entailment for Horn formulas via unit propagation.
-
-    The clause is entailed iff propagation from its negation refutes the
-    formula; for Horn input this check is complete.  (A trail without a
-    conflict holds every negated literal, so it derives none of the
-    clause.)  The empty clause is entailed iff the formula itself is
-    refutable.
-    """
-    if not horn.is_horn():
-        raise PreconditionError("horn_entails requires a Horn formula")
-    clause = make_clause(clause)
-    for lit in clause:
-        if abs(lit) > horn.num_vars:
-            raise PreconditionError(f"clause variable {abs(lit)} outside universe")
-    return UnitPropagator(horn).refutes(clause)
-
-
 def horn_equivalent(h1: CnfFormula, h2: CnfFormula) -> bool:
     """Mutual clause-wise Horn entailment over a shared universe."""
     if h1.num_vars != h2.num_vars:

@@ -22,11 +22,11 @@ arithmetic.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from typing import Iterator
 
 from .cnf import Clause, CnfFormula, EncodingFormula, Literal, apply_assignment, literal_key, make_clause
 from .errors import NotQHornError, PreconditionError
@@ -278,25 +278,6 @@ def phi_q_plus(split: QHornSplit) -> CnfFormula:
     return CnfFormula(tuple(sorted(closure, key=clause_sort_key)), split.num_vars)
 
 
-def _resolution_pairs(clauses: tuple[Clause, ...]) -> Iterator[tuple[Clause, Clause, Clause]]:
-    """(ci, cj, resolvent) for each pair i < j of binary clauses that resolves, in (i, j) order.
-
-    Partners are found per literal of ci, so the clash is known; one reached through both clashes twice.
-    """
-    positions: dict[Literal, list[int]] = defaultdict(list)
-    for j, clause in enumerate(clauses):
-        for lit in clause:
-            positions[lit].append(j)
-    for i, ci in enumerate(clauses):
-        a, b = ci
-        via_a, via_b = ({j for j in positions[-lit] if j > i} for lit in ci)
-        for j in sorted(via_a ^ via_b):
-            cj = clauses[j]
-            clash, x = (a, b) if j in via_a else (b, a)
-            y = cj[1] if cj[0] == -clash else cj[0]
-            yield ci, cj, (x,) if x == y else (x, y) if abs(x) < abs(y) else (y, x)  # x == -y: a second clash
-
-
 def compile_urc_encoding(formula: CnfFormula, valuation: Valuation | None = None) -> EncodingFormula:
     """Compile a q-Horn formula into a unit-refutation-complete encoding.
 
@@ -334,17 +315,47 @@ def compile_urc_encoding(formula: CnfFormula, valuation: Valuation | None = None
             rest = [unflip(lit) for lit in clause if abs(lit) not in x2_set]
             group2.append(canonical(rest + [aux_of[half]]))
 
+    # Groups 3 and 4: for each pair i < j of closure clauses that clash on exactly one literal,
+    # in (i, j) order.  The partners j of ci = (p, q) are merged from the sorted position lists
+    # of -p and -q, each ending in the sentinel len(clauses_list); one in both lists clashes twice.
     group3: list[Clause] = []
     group4: list[Clause] = []
     clauses_list = fq.clauses
-    for ci, cj, resolvent in _resolution_pairs(clauses_list):
-        a, b = aux_of[ci], aux_of[cj]  # a < b, since ci comes first
-        if len(resolvent) == 1:
-            group4.append(canonical((-a, -b, unflip(resolvent[0]))))
-        else:
-            # the resolvent differs from both parents, so only its auxiliary needs placing
-            r = aux_of[resolvent]
-            group3.append((r, -a, -b) if r < a else (-a, r, -b) if r < b else (-a, -b, r))
+    end = len(clauses_list)
+    positions: dict[Literal, list[int]] = defaultdict(list)
+    for j, clause in enumerate(clauses_list):
+        for lit in clause:
+            positions[lit].append(j)
+    for listed in positions.values():
+        listed.append(end)
+    unlisted = [end]
+    for i, (p, q) in enumerate(clauses_list):
+        via_p, via_q = positions.get(-p, unlisted), positions.get(-q, unlisted)
+        k, m = bisect_right(via_p, i), bisect_right(via_q, i)
+        a = n + 1 + i
+        while True:
+            jp, jq = via_p[k], via_q[m]
+            if jp < jq:
+                j, clash, x = jp, p, q
+                k += 1
+            elif jq < jp:
+                j, clash, x = jq, q, p
+                m += 1
+            elif jp == end:
+                break
+            else:
+                k += 1
+                m += 1
+                continue
+            cj = clauses_list[j]
+            y = cj[1] if cj[0] == -clash else cj[0]
+            b = n + 1 + j
+            if x == y:
+                group4.append(canonical((-a, -b, unflip(x))))
+            else:
+                # the resolvent differs from both parents, so only its auxiliary needs placing
+                r = aux_of[(x, y) if abs(x) < abs(y) else (y, x)]
+                group3.append((r, -a, -b) if r < a else (-a, r, -b) if r < b else (-a, -b, r))
 
     group5: list[Clause] = []
     group6: list[Clause] = []

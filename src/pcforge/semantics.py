@@ -100,42 +100,60 @@ def _model_words(formula: CnfFormula) -> np.ndarray:
     """Sorted, read-only array of satisfying assignment words of the formula.
 
     The array is built one variable at a time.  It starts as the one empty
-    word; variable v doubles it, the copy with bit v-1 set coming after the
-    rest, which keeps it sorted because every earlier word is below
-    2**(v-1), and then each clause whose highest variable is v filters it.
-    After step v the array holds the models of the clauses over variables
-    1..v, so work and memory follow those model counts rather than 2**n.
-    A run of variables at which no clause ends is added in one step.
-    LimitError is raised before a step that would make the array longer
-    than MODEL_WORDS, and for a universe wider than the 64 bits of a word.
+    word; variable v doubles it into the half where v is false and the half
+    where v is true, and each clause whose highest variable is v filters, by
+    its other literals, only the half where its literal on v is false: a
+    clause holding v the false half, one holding -v the true half.  The
+    true half, with bit v-1 set, comes after the false half, which keeps
+    the array sorted because every earlier word is below 2**(v-1).  After
+    step v the array holds the models of the clauses over variables 1..v,
+    so work and memory follow those model counts rather than 2**n.  A run
+    of variables at which no clause ends is added in one step.  LimitError
+    is raised before a step that would make the array longer than
+    MODEL_WORDS, and for a universe wider than the 64 bits of a word.
     """
     n = formula.num_vars
     if n > 64:
         raise LimitError(f"{n} variables do not fit a 64-bit model word")
-    # per highest variable, shortest clauses first: they rule out the most words, so later
-    # clauses test fewer; a tautological clause rules out none and would break the
-    # one-comparison test below; the empty clause sits at variable 0 and rules out the start
-    levels = [[] for _ in range(n + 1)]
-    for vector in (literal_vector(clause, n) for clause in sorted(formula.clauses, key=len)):
+    # per highest variable v, the clauses holding v and those holding -v, each as the masks of
+    # its other literals, shortest first: they rule out the most words, so later clauses test
+    # fewer; a tautological clause rules out none and would break the one-comparison test below
+    plus: list[list] = [[] for _ in range(n + 1)]
+    minus: list[list] = [[] for _ in range(n + 1)]
+    for vector in sorted(formula.clause_vectors(), key=int.bit_count):
         pos, neg = vector & ((1 << n) - 1), vector >> n
-        if not pos & neg:
-            levels[(pos | neg).bit_length()].append((np.uint64(pos | neg), np.uint64(neg)))
+        if pos & neg:
+            continue
+        if not vector:  # the empty clause rules out every word
+            words = np.zeros(0, dtype=np.uint64)
+            words.flags.writeable = False
+            return words
+        top = 1 << (pos | neg).bit_length() - 1
+        rest = (np.uint64((pos | neg) & ~top), np.uint64(neg & ~top))
+        (plus if pos & top else minus)[top.bit_length()].append(rest)
     words = np.zeros(1, dtype=np.uint64)
     done = 0  # words holds the models over variables 1..done
-    for v, clauses in enumerate(levels):
-        if not clauses and v < n:
+    for v in range(1, n + 1):
+        if not plus[v] and not minus[v] and v < n:
             continue
-        if v > done:
-            if len(words) << (v - done) > MODEL_WORDS:
-                raise LimitError(f"more than {MODEL_WORDS} model words over variables 1..{v}")
-            # variables done+1..v in one block: row r gives them the bits of r, and as every
+        if len(words) << (v - done) > MODEL_WORDS:
+            raise LimitError(f"more than {MODEL_WORDS} model words over variables 1..{v}")
+        if v - 1 > done:
+            # variables done+1..v-1 in one block: row r gives them the bits of r, and as every
             # word is below 2**done, the rows follow each other in order
-            high = np.arange(0, 1 << v, 1 << done, dtype=np.uint64)
+            high = np.arange(0, 1 << (v - 1), 1 << done, dtype=np.uint64)
             words = (high[:, None] | words).ravel()
-            done = v
-        for both, neg in clauses:
-            # a word violates the clause when its positive variables are 0 and its negative ones 1
-            words = words[(words & both) != neg]
+        false = true = words
+        words = None  # held by the halves only: once both are filtered it is freed before the next array
+        # a word violates the rest of a clause when its positive variables are 0 and its negative ones 1
+        for both, neg in plus[v]:
+            false = false[(false & both) != neg]
+        for both, neg in minus[v]:
+            true = true[(true & both) != neg]
+        words = np.empty(len(false) + len(true), dtype=np.uint64)
+        words[:len(false)] = false
+        np.bitwise_or(true, np.uint64(1 << (v - 1)), out=words[len(false):])
+        done = v
     words.flags.writeable = False
     return words
 

@@ -10,6 +10,11 @@ The q-Horn encoding reference uses only the package's data model
 (around 8 variables or fewer), except for the replaced engines kept as
 references for the engines that replaced them: model_words_chunked, the
 model enumerator that scanned all 2**n words in chunks;
+model_words_doubling, the prefix enumerator whose clauses filtered the
+whole doubled array at their highest variable; write_dimacs_joined, the
+DIMACS writer that joined the literals of each clause;
+compile_urc_encoding_pairs, the q-Horn compiler that found each closure
+clause's resolution partners through per-clause sets;
 prime_implicates_linear_scan, the consensus procedure that scanned every
 admitted clause for each subsumption test and each resolution partner;
 prime_urc_per_prime, prime_pc_per_prime and reduce_urc_by_entailment, the
@@ -28,11 +33,14 @@ from itertools import product
 
 import numpy as np
 
-from pcforge.cnf import CnfFormula, EncodingFormula, is_tautological, literal_key, make_clause
+from collections import defaultdict
+
+from pcforge import semantics
+from pcforge.cnf import CnfFormula, EncodingFormula, is_tautological, literal_key, literal_vector, make_clause
 from pcforge.deciders import DecisionReport, is_urc
-from pcforge.errors import LimitError, PreconditionError
+from pcforge.errors import LimitError, NotQHornError, PreconditionError
 from pcforge.propagation import UnitPropagator, all_literals
-from pcforge.qhorn import Valuation
+from pcforge.qhorn import Valuation, normalize, phi_q_plus, recognize_qhorn
 from pcforge.semantics import _model_words, entails, prime_implicates
 
 
@@ -81,6 +89,40 @@ def model_words_chunked(formula) -> np.ndarray:
     out = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.uint64)
     out.flags.writeable = False
     return out
+
+
+def model_words_doubling(formula) -> np.ndarray:
+    """Sorted, read-only uint64 array of model words, grown one variable at a time.
+
+    At variable v the array doubles (the copy with bit v-1 set after the
+    rest) and every clause whose highest variable is v filters the whole
+    doubled array; a run of variables at which no clause ends is added in
+    one block.  It raises LimitError where semantics._model_words does,
+    reading semantics.MODEL_WORDS at call time.
+    """
+    n = formula.num_vars
+    if n > 64:
+        raise LimitError(f"{n} variables do not fit a 64-bit model word")
+    levels = [[] for _ in range(n + 1)]
+    for vector in (literal_vector(clause, n) for clause in sorted(formula.clauses, key=len)):
+        pos, neg = vector & ((1 << n) - 1), vector >> n
+        if not pos & neg:
+            levels[(pos | neg).bit_length()].append((np.uint64(pos | neg), np.uint64(neg)))
+    words = np.zeros(1, dtype=np.uint64)
+    done = 0
+    for v, clauses in enumerate(levels):
+        if not clauses and v < n:
+            continue
+        if v > done:
+            if len(words) << (v - done) > semantics.MODEL_WORDS:
+                raise LimitError(f"more than {semantics.MODEL_WORDS} model words over variables 1..{v}")
+            high = np.arange(0, 1 << v, 1 << done, dtype=np.uint64)
+            words = (high[:, None] | words).ravel()
+            done = v
+        for both, neg in clauses:
+            words = words[(words & both) != neg]
+    words.flags.writeable = False
+    return words
 
 
 def satisfiable_brute(formula) -> bool:
@@ -297,6 +339,80 @@ def resolution_pairs_all_pairs(clauses):
             if resolvent is not None:
                 out.append((clauses[i], clauses[j], resolvent))
     return out
+
+
+def resolution_pairs_sets(clauses):
+    """(ci, cj, resolvent) for each pair i < j of binary clauses that resolves, in (i, j) order, from per-clause sets."""
+    positions = defaultdict(list)
+    for j, clause in enumerate(clauses):
+        for lit in clause:
+            positions[lit].append(j)
+    for i, ci in enumerate(clauses):
+        a, b = ci
+        via_a, via_b = ({j for j in positions[-lit] if j > i} for lit in ci)
+        for j in sorted(via_a ^ via_b):
+            cj = clauses[j]
+            clash, x = (a, b) if j in via_a else (b, a)
+            y = cj[1] if cj[0] == -clash else cj[0]
+            yield ci, cj, (x,) if x == y else (x, y) if abs(x) < abs(y) else (y, x)
+
+
+def compile_urc_encoding_pairs(formula, valuation=None):
+    """qhorn.compile_urc_encoding with groups 3 and 4 built from (ci, cj, resolvent) triples of per-clause sets."""
+    if valuation is None:
+        valuation = recognize_qhorn(formula)
+        if valuation is None:
+            raise NotQHornError("input formula is not q-Horn")
+    split = normalize(formula, valuation)
+    fq = phi_q_plus(split)
+    n = formula.num_vars
+    aux_of = {clause: n + 1 + idx for idx, clause in enumerate(fq.clauses)}
+    x2_set = set(split.x2)
+    unflip = split.unflip
+
+    def canonical(lits):
+        return tuple(sorted(lits, key=literal_key))
+
+    group1, group2 = [], []
+    for clause in split.phi1.clauses:
+        group1.append(canonical(map(unflip, clause)))
+    for clause in split.phi2.clauses:
+        half = tuple(lit for lit in clause if abs(lit) in x2_set)
+        if len(half) <= 1:
+            group1.append(canonical(map(unflip, clause)))
+        else:
+            rest = [unflip(lit) for lit in clause if abs(lit) not in x2_set]
+            group2.append(canonical(rest + [aux_of[half]]))
+    group3, group4 = [], []
+    for ci, cj, resolvent in resolution_pairs_sets(fq.clauses):
+        a, b = aux_of[ci], aux_of[cj]
+        if len(resolvent) == 1:
+            group4.append(canonical((-a, -b, unflip(resolvent[0]))))
+        else:
+            r = aux_of[resolvent]
+            group3.append((r, -a, -b) if r < a else (-a, r, -b) if r < b else (-a, -b, r))
+    group5, group6 = [], []
+    for clause in fq.clauses:
+        u, v = unflip(clause[0]), unflip(clause[1])
+        aux = aux_of[clause]
+        group5.append(canonical((-aux, u, v)))
+        group6 += [canonical((-u, aux)), canonical((-v, aux))]
+    all_clauses = group1 + group2 + group3 + group4 + group5 + group6
+    encoded = CnfFormula(tuple(dict.fromkeys(all_clauses)), n + len(fq.clauses))
+    return EncodingFormula(encoded, tuple(range(1, n + 1)), tuple(range(n + 1, n + 1 + len(fq.clauses))))
+
+
+def write_dimacs_joined(obj) -> str:
+    """DIMACS text with each clause's literals joined by spaces."""
+    if isinstance(obj, EncodingFormula):
+        formula = obj.formula
+        aux = " ".join(str(v) for v in sorted(obj.aux_vars))
+        head = f"c aux {aux} 0\n" if aux else "c aux 0\n"
+    else:
+        formula, head = obj, ""
+    lines = [f"p cnf {formula.num_vars} {len(formula.clauses)}"]
+    lines += [" ".join(map(str, clause)) + " 0" if clause else "0" for clause in formula.clauses]
+    return head + "\n".join(lines) + "\n"
 
 
 def encoding_onset_brute(encoding) -> frozenset[int]:

@@ -16,9 +16,12 @@ from pcforge.cnf import (
     vector_literals,
     write_dimacs,
 )
+from pcforge.corpus import horn_formulas, qhorn_formulas, satisfiable_formulas
 from pcforge.errors import DimacsError
+from pcforge.families import GENERATORS, gen_psi_qhorn
+from pcforge.qhorn import compile_urc_encoding
 
-from oracles import all_partial_assignments, models_brute, word_matches
+from oracles import all_partial_assignments, models_brute, word_matches, write_dimacs_joined
 
 
 def F(clauses, num_vars=None):
@@ -149,6 +152,25 @@ def test_write_simple():
     # an empty clause is the bare line 0, wherever it stands
     assert write_dimacs(F([[1], [], [-2, 3]], 3)) == "p cnf 3 3\n1 0\n0\n-2 3 0\n"
     assert write_dimacs(CnfFormula(((),), 0)) == "p cnf 0 1\n0\n"
+
+
+def _writer_corpus():
+    out = [CnfFormula((), 0), CnfFormula((), 4), CnfFormula(((),), 0), F([[1], [], [-2, 3]], 3),
+           EncodingFormula(F([[1], [-1, 2]], 2), (1, 2), ())]  # an encoding with no auxiliaries
+    out += satisfiable_formulas(1001, 40) + horn_formulas(1002, 40)
+    out += [formula for formula, _ in qhorn_formulas(1003, 40)]
+    for family, generate in GENERATORS.items():
+        out += [generate(m) for m in range(3, 6)]
+    out += [compile_urc_encoding(gen_psi_qhorn(n)[0]) for n in range(2, 6)]
+    return out
+
+
+def test_writer_matches_joined_writer():
+    for obj in _writer_corpus():
+        text = write_dimacs(obj)
+        assert text.splitlines() == write_dimacs_joined(obj).splitlines()  # a long text diff takes minutes
+        assert text.endswith("\n")
+        assert parse_dimacs(text) == obj
 
 
 def test_write_aux_header_before_p_line():

@@ -3,9 +3,9 @@ from itertools import product
 
 import pytest
 
-from pcforge.cnf import CnfFormula, literal_vector, make_clause, vector_literals
+from pcforge.cnf import CnfFormula, literal_vector, vector_literals
 from pcforge.deciders import is_pc
-from pcforge.dual_rail import closed_assignments, dual_rail, horn_entails, horn_equivalent, pc_via_dual_rail
+from pcforge.dual_rail import closed_assignments, dual_rail, horn_equivalent, pc_via_dual_rail
 from pcforge.errors import EmptyClauseError, PreconditionError, UnsatisfiableError
 from pcforge.families import gen_gamma, gen_psi_qhorn
 from pcforge.propagation import UnitPropagator
@@ -55,24 +55,12 @@ def test_dual_rail_rejects_empty_clause():
         dual_rail(F([[]], 1))
 
 
-def test_horn_entails_examples():
-    horn = F([[-1, 2], [-2, 3]])
-    assert horn_entails(horn, make_clause([-1, 3]))
-    assert not horn_entails(F([[-1, 2]]), make_clause([2]))
-    with pytest.raises(PreconditionError):
-        horn_entails(F([[1, 2]]), make_clause([1]))
-
-
-def test_horn_entails_empty_clause_means_refutable():
-    assert horn_entails(F([[1], [-1]]), ())
-    assert not horn_entails(F([[1]]), ())
-
-
 def test_dr_of_pc_formula_entails_dr_of_primes():
     formula = gen_gamma(3, "prime")
     source = dual_rail(formula)
     target = dual_rail(prime_implicates(formula))
-    assert all(horn_entails(source, clause) for clause in target.clauses)
+    engine = UnitPropagator(source)  # Horn: propagation from a clause's negation refutes iff it is entailed
+    assert all(engine.refutes(clause) for clause in target.clauses)
     assert horn_equivalent(source, target)
 
 

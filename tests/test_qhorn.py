@@ -1,18 +1,19 @@
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pcforge import qhorn
-from pcforge.cnf import CnfFormula, make_clause, write_dimacs
+from pcforge.cnf import CnfFormula, make_clause, parse_dimacs, write_dimacs
 from pcforge.corpus import qhorn_formulas
 from pcforge.deciders import is_urc
 from pcforge.errors import NotQHornError, PreconditionError, TautologyError
 from pcforge.families import gen_psi_qhorn
 from pcforge.qhorn import (
     Valuation,
-    _resolution_pairs,
     _two_sat_satisfiable,
     compile_urc_encoding,
     normalize,
@@ -22,8 +23,9 @@ from pcforge.qhorn import (
 )
 from pcforge.semantics import entails, enumerate_models, is_encoding_of, satisfiable
 
-from oracles import (compile_urc_encoding_reference, phi_q_plus_all_pairs, qhorn_brute, recognize_qhorn_recursive,
-                     resolution_pairs_all_pairs, satisfiable_brute)
+import oracles
+from oracles import (compile_urc_encoding_pairs, compile_urc_encoding_reference, phi_q_plus_all_pairs, qhorn_brute,
+                     recognize_qhorn_recursive, resolution_pairs_all_pairs, resolution_pairs_sets, satisfiable_brute)
 
 
 def F(clauses, num_vars=None):
@@ -316,10 +318,11 @@ def test_indexed_resolution_matches_all_pairs_reference(formula, valuation, monk
     split = normalize(formula, valuation)
     closure = phi_q_plus(split)
     assert list(closure.clauses) == phi_q_plus_all_pairs(split)
-    assert list(_resolution_pairs(closure.clauses)) == resolution_pairs_all_pairs(closure.clauses)
-    compiled = write_dimacs(compile_urc_encoding(formula, valuation))
+    assert list(resolution_pairs_sets(closure.clauses)) == resolution_pairs_all_pairs(closure.clauses)
+    encoding = compile_urc_encoding(formula, valuation)
+    assert encoding == compile_urc_encoding_pairs(formula, valuation)
+    compiled = write_dimacs(encoding)
     monkeypatch.setattr(qhorn, "phi_q_plus", lambda s: CnfFormula(tuple(phi_q_plus_all_pairs(s)), s.num_vars))
-    monkeypatch.setattr(qhorn, "_resolution_pairs", resolution_pairs_all_pairs)
     assert compiled == write_dimacs(compile_urc_encoding(formula, valuation))
 
 
@@ -332,12 +335,38 @@ def test_compiled_encoding_matches_make_clause_reference(formula, valuation):
     assert write_dimacs(encoding) == write_dimacs(expected)
 
 
-def test_binary_resolvent_matches_all_pairs_reference():
+def _benchmark_inputs():
+    """perfbench/inputs.py, the seeded generator of the benchmark workloads (standard library only)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_compiled_encode_inputs_match_the_set_compiler(seed):
+    ops, _ = _benchmark_inputs().build_encode(seed)
+    for op in ops:
+        if "dimacs" in op:
+            formula = parse_dimacs(op["dimacs"])
+            encoding = compile_urc_encoding(formula)
+            assert encoding == compile_urc_encoding_pairs(formula)
+            # line lists: a failing comparison of texts this long takes minutes to diff
+            assert write_dimacs(encoding).splitlines() == oracles.write_dimacs_joined(encoding).splitlines()
+
+
+def test_binary_resolvent_matches_all_pairs_reference(monkeypatch):
+    # closures in any order, tautological pairs such as (1, -1) included, through both compilers
     lits = [lit for v in (1, 2, 3) for lit in (v, -v)]
     binary = [make_clause([a, b]) for i, a in enumerate(lits) for b in lits[i + 1:]]
-    assert len(binary) == 15  # tautological pairs such as (1, -1) included
+    assert len(binary) == 15
+    formula, valuation = F([[1, 2], [-2, 3]], 3), Valuation((1, 1, 1))
     rng = random.Random(17)
     for _ in range(40):
         rng.shuffle(binary)
         clauses = tuple(binary)
-        assert list(_resolution_pairs(clauses)) == resolution_pairs_all_pairs(clauses), clauses
+        assert list(resolution_pairs_sets(clauses)) == resolution_pairs_all_pairs(clauses), clauses
+        for module in (qhorn, oracles):
+            monkeypatch.setattr(module, "phi_q_plus", lambda split: CnfFormula(clauses, split.num_vars))
+        assert compile_urc_encoding(formula, valuation) == compile_urc_encoding_pairs(formula, valuation), clauses

@@ -29,7 +29,8 @@ from pcforge.semantics import (
 )
 
 from oracles import (all_partial_assignments, assignment_walk_arrays, cl_sem_brute, encoding_onset_brute, entails_brute,
-                     model_words_chunked, models_brute, prime_implicates_linear_scan, primes_brute, up_fixpoint_brute)
+                     model_words_chunked, model_words_doubling, models_brute, prime_implicates_linear_scan, primes_brute,
+                     up_fixpoint_brute)
 
 
 def F(clauses, num_vars=None):
@@ -121,6 +122,8 @@ def _model_words_corpus():
     out = [CnfFormula((), 0), CnfFormula(((),), 0), CnfFormula((), 5),
            F([[1, 2], [], [-3]], 3), F([[-2], [1, 3], []], 3),  # an empty clause that is not the first
            F([[-4]], 4), F([[4]], 4), F([[1, -4], [-4]], 4), F([[4, -4]], 4),  # clauses on the top variable only
+           F([[1, -2, 4], [-1, 2, -4]], 4), F([[2, 5], [2, -5]], 5),  # a clause and its sign mirror on the top variable
+           F([[-3], [3]], 3), F([[1, 2, -2], [-1, 3]], 3),  # both units on the top variable; a tautology
            F([[-2], [1, 6]], 9)]  # runs of variables at which no clause ends, in the middle and at the top
     for _ in range(60):  # tautological clauses among the rest
         n = rng.randint(1, 6)
@@ -143,7 +146,35 @@ def test_model_words_match_chunked_engine():
         assert words.dtype == reference.dtype == np.uint64 and words.ndim == 1
         assert not words.flags.writeable
         assert np.array_equal(words, reference)
+        assert np.array_equal(words, model_words_doubling(formula))
         assert words.tolist() == models_brute(formula)
+
+
+def test_model_words_over_64_variables():
+    # the top variable is bit 63; no scan of 2**64 words, so the prefix engine is the reference
+    chain = F([[-v, v + 1] for v in range(1, 64)], 64)  # the 65 words 2**64 - 2**k
+    expected = [0] + [(1 << 64) - (1 << k) for k in range(63, -1, -1)]
+    gap = F([[-v] for v in range(1, 51)] + [[51, 64], [-52, -64]], 64)  # bits 50..62 in one block
+    for formula in (chain, gap):
+        words = _model_words.__wrapped__(formula)
+        assert np.array_equal(words, model_words_doubling(formula))
+    assert _model_words.__wrapped__(chain).tolist() == expected
+    assert len(_model_words.__wrapped__(gap)) == 1 << 13
+
+
+@pytest.mark.parametrize("wall", [1, 2, 3, 8, 40, 1 << 10])
+def test_model_wall_raises_at_the_doubling_engines_step(wall, monkeypatch):
+    corpus = _model_words_corpus()  # built at the full wall: the satisfiable corpus asks for models
+    monkeypatch.setattr(semantics, "MODEL_WORDS", wall)
+    for formula in corpus:
+        try:
+            expected = model_words_doubling(formula)
+        except LimitError as exc:
+            with pytest.raises(LimitError) as err:
+                _model_words.__wrapped__(formula)
+            assert str(err.value) == str(exc)
+        else:
+            assert np.array_equal(_model_words.__wrapped__(formula), expected)
 
 
 def test_model_words_work_follows_the_models():
