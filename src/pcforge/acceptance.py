@@ -290,5 +290,9 @@ def run_criterion(number: int) -> CriterionResult:
 
 
 def run_all(numbers=None) -> list[CriterionResult]:
-    wanted = set(numbers) if numbers else {num for num, *_ in CRITERIA}
+    """Run the criteria named in `numbers` (all when empty), in order; an unknown number raises before any runs."""
+    known = {num for num, *_ in CRITERIA}
+    wanted = set(numbers) if numbers else known
+    if wanted - known:
+        raise ValueError(f"no criterion {min(wanted - known)}")
     return [run_criterion(num) for num, *_ in CRITERIA if num in wanted]

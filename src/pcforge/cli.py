@@ -4,6 +4,10 @@ JSON reports go to standard output (stable key order, so reports are
 byte-reproducible); human-readable text goes to standard error.  Exit
 codes: 0 = true verdict or success, 1 = false verdict, 2 = usage, parse,
 or precondition error, 3 = enumeration limit exceeded.
+
+Each handler reads its input files through `_read` and returns
+``(payload, message, ok)``; `main` alone builds and prints the report and
+the message and turns `ok` or a typed error into the exit code.
 """
 
 from __future__ import annotations
@@ -11,16 +15,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 
 from . import acceptance
-from .cnf import CnfFormula, EncodingFormula, literal_key, make_clause, parse_dimacs, vector_literals, write_dimacs
+from .cnf import CnfFormula, EncodingFormula, literal_key, literal_vector, make_clause, parse_dimacs, write_dimacs
 from .deciders import DECIDER_LIMIT, is_absorbed, is_pc, is_urc, reduce_pc_irredundant, reduce_urc_irredundant
 from .dual_rail import dual_rail, pc_via_dual_rail
 from .errors import LimitError, NotQHornError, PcforgeError
 from .families import FAMILY_NAMES, companions, gen_cycle_extension, generate
-from .propagation import up_closure
+from .propagation import all_literals, up_closure
 from .qhorn import compile_urc_encoding, normalize, qhorn_sat, recognize_qhorn
 from .semantics import enumerate_models, equivalent, is_encoding_of, prime_implicates
 
@@ -29,62 +34,53 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
 
+# a literal list: ASCII integers (-?[0-9]+) separated by commas or whitespace
+_LITERAL_LIST = re.compile(r"[\s,]*(?:-?[0-9]+(?:[\s,]+-?[0-9]+)*[\s,]*)?", re.ASCII)
 
-def _digest(path: str) -> str:
+
+def _read(path: str, inputs: dict[str, str]) -> CnfFormula | EncodingFormula:
+    """Read `path` once, record the sha256 of its bytes in `inputs`, and parse those bytes."""
     with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
+        data = handle.read()
+    inputs[path] = hashlib.sha256(data).hexdigest()
+    return parse_dimacs(data)
 
 
-def _load(path: str):
-    with open(path, "rb") as handle:
-        return parse_dimacs(handle.read())
-
-
-def _load_formula(path: str) -> CnfFormula:
-    parsed = _load(path)
+def _formula(parsed: CnfFormula | EncodingFormula) -> CnfFormula:
     return parsed.formula if isinstance(parsed, EncodingFormula) else parsed
 
 
 def _literals(text: str) -> list[int]:
-    tokens = text.replace(",", " ").split()
-    return [int(tok) for tok in tokens]
+    if not _LITERAL_LIST.fullmatch(text):
+        raise PcforgeError(f"bad literal list {text!r}: expected integers separated by commas or whitespace")
+    return [int(tok) for tok in re.findall(r"-?[0-9]+", text)]
 
 
-def _report(command: str, inputs: dict[str, str], payload: dict, started: float) -> dict:
-    report = {"command": command, "inputs": inputs, "timing_ms": int((time.perf_counter() - started) * 1000)}
-    report.update(payload)
-    return report
+def _output(path: str | None, payload: dict, key: str, obj, header: str = "") -> None:
+    """The -o rule: write `obj` as DIMACS, after `header`, to `path`.
 
-
-def _emit(report: dict):
-    print(json.dumps(report, sort_keys=True))
-
-
-def _info(message: str):
-    print(message, file=sys.stderr)
-
-
-def _write_output(path: str | None, obj):
+    Without a path the payload gets `obj` under `key` instead: its DIMACS
+    text for the key "dimacs", its clause list for any other key.
+    """
     if path:
         with open(path, "w") as handle:
-            handle.write(write_dimacs(obj))
+            handle.write(header + write_dimacs(obj))
+    else:
+        payload[key] = write_dimacs(obj) if key == "dimacs" else [list(c) for c in _formula(obj).clauses]
 
 
-def _cmd_up(args, started: float) -> int:
-    formula = _load_formula(args.file)
-    assumptions = frozenset(_literals(args.assume))
-    result = up_closure(formula, assumptions)
+def _cmd_up(args, inputs: dict[str, str]) -> tuple[dict, str, bool]:
+    formula = _formula(_read(args.file, inputs))
+    result = up_closure(formula, frozenset(_literals(args.assume)))
     derived = sorted(result.literals, key=literal_key)
     payload = {"status": result.status, "derived": derived}
     if result.empty_clause is not None:
         payload["empty_clause"] = list(result.empty_clause)
-    _emit(_report("up", {args.file: _digest(args.file)}, payload, started))
-    _info("CONFLICT" if result.conflict else " ".join(str(l) for l in derived))
-    return EXIT_TRUE
+    return payload, "CONFLICT" if result.conflict else " ".join(str(l) for l in derived), True
 
 
-def _cmd_check(args, started: float) -> int:
-    formula = _load_formula(args.file)
+def _cmd_check(args, inputs: dict[str, str]) -> tuple[dict, str, bool]:
+    formula = _formula(_read(args.file, inputs))
     payload: dict = {"property": args.property}
     if args.property == "pc-dr":
         verdict = pc_via_dual_rail(formula)
@@ -97,124 +93,93 @@ def _cmd_check(args, started: float) -> int:
             if report.literal is not None:
                 payload["witness_literal"] = report.literal
     payload["verdict"] = verdict
-    _emit(_report("check", {args.file: _digest(args.file)}, payload, started))
-    _info(f"{args.property} = {verdict}")
-    return EXIT_TRUE if verdict else EXIT_FALSE
+    return payload, f"{args.property} = {verdict}", verdict
 
 
-def _cmd_primes(args, started: float) -> int:
-    formula = _load_formula(args.file)
-    result = prime_implicates(formula)
-    _write_output(args.output, result)
+def _cmd_primes(args, inputs: dict[str, str]) -> tuple[dict, str, bool]:
+    result = prime_implicates(_formula(_read(args.file, inputs)))
     payload = {"count": len(result.clauses)}
-    if not args.output:
-        payload["clauses"] = [list(c) for c in result.clauses]
-    _emit(_report("primes", {args.file: _digest(args.file)}, payload, started))
-    _info(f"{len(result.clauses)} prime implicates")
-    return EXIT_TRUE
+    _output(args.output, payload, "clauses", result)
+    return payload, f"{len(result.clauses)} prime implicates", True
 
 
-def _cmd_equiv(args, started: float) -> int:
-    f1, f2 = _load_formula(args.file1), _load_formula(args.file2)
+def _cmd_equiv(args, inputs: dict[str, str]) -> tuple[dict, str, bool]:
+    f1, f2 = _formula(_read(args.file1, inputs)), _formula(_read(args.file2, inputs))
     verdict = equivalent(f1, f2)
-    inputs = {args.file1: _digest(args.file1), args.file2: _digest(args.file2)}
-    _emit(_report("equiv", inputs, {"verdict": verdict}, started))
-    _info(f"equivalent = {verdict}")
-    return EXIT_TRUE if verdict else EXIT_FALSE
+    return {"verdict": verdict}, f"equivalent = {verdict}", verdict
 
 
-def _cmd_encodes(args, started: float) -> int:
-    parsed = _load(args.encoding)
+def _cmd_encodes(args, inputs: dict[str, str]) -> tuple[dict, str, bool]:
+    parsed = _read(args.encoding, inputs)
     if isinstance(parsed, EncodingFormula):
         encoding = parsed
     else:
         encoding = EncodingFormula(parsed, tuple(parsed.variables), ())
-    spec_formula = _load_formula(args.function)
+    spec_formula = _formula(_read(args.function, inputs))
     verdict = is_encoding_of(encoding, enumerate_models(spec_formula))
-    inputs = {args.encoding: _digest(args.encoding), args.function: _digest(args.function)}
-    _emit(_report("encodes", inputs, {"verdict": verdict}, started))
-    _info(f"encodes = {verdict}")
-    return EXIT_TRUE if verdict else EXIT_FALSE
+    return {"verdict": verdict}, f"encodes = {verdict}", verdict
 
 
-def _cmd_dr(args, started: float) -> int:
-    formula = _load_formula(args.file)
+def _cmd_dr(args, inputs: dict[str, str]) -> tuple[dict, str, bool]:
+    formula = _formula(_read(args.file, inputs))
     rail = dual_rail(formula)
     payload = {"meta_vars": rail.num_vars, "clauses": len(rail.clauses)}
+    header = ""
     if args.output:
         # meta-variable m stands for the literal of bit m-1 of the literal vector
-        lines = [f"c meta {meta} {vector_literals(1 << (meta - 1), formula.num_vars)[0]}"
-                 for meta in range(1, rail.num_vars + 1)]
-        with open(args.output, "w") as handle:
-            handle.write("\n".join(lines) + "\n" + write_dimacs(rail))
-    else:
-        payload["horn_clauses"] = [list(c) for c in rail.clauses]
-    _emit(_report("dr", {args.file: _digest(args.file)}, payload, started))
-    _info(f"dual rail: {payload['clauses']} Horn clauses over {payload['meta_vars']} meta-variables")
-    return EXIT_TRUE
+        lits = sorted(all_literals(formula.num_vars), key=lambda lit: literal_vector((lit,), formula.num_vars))
+        header = "\n".join(f"c meta {meta} {lit}" for meta, lit in enumerate(lits, start=1)) + "\n"
+    _output(args.output, payload, "horn_clauses", rail, header)
+    return payload, f"dual rail: {payload['clauses']} Horn clauses over {payload['meta_vars']} meta-variables", True
 
 
-def _cmd_qhorn(args, started: float) -> int:
-    formula = _load_formula(args.file)
-    inputs = {args.file: _digest(args.file)}
+def _cmd_qhorn(args, inputs: dict[str, str]) -> tuple[dict, str, bool]:
+    formula = _formula(_read(args.file, inputs))
     if args.action == "recognize":
         valuation = recognize_qhorn(formula)
         if valuation is None:
-            _emit(_report("qhorn recognize", inputs, {"qhorn": False}, started))
-            _info("NOT-QHORN")
-            return EXIT_FALSE
+            return {"qhorn": False}, "NOT-QHORN", False
         weights = {str(v): float(valuation.weight(v)) for v in formula.variables}
-        _emit(_report("qhorn recognize", inputs, {"qhorn": True, "weights": weights}, started))
-        _info("q-Horn")
-        return EXIT_TRUE
+        return {"qhorn": True, "weights": weights}, "q-Horn", True
     if args.action == "sat":
         valuation = recognize_qhorn(formula)
         if valuation is None:
             raise NotQHornError("input formula is not q-Horn")
         verdict = qhorn_sat(normalize(formula, valuation))
-        _emit(_report("qhorn sat", inputs, {"satisfiable": verdict}, started))
-        _info("SAT" if verdict else "UNSAT")
-        return EXIT_TRUE if verdict else EXIT_FALSE
-    # compile
+        return {"satisfiable": verdict}, "SAT" if verdict else "UNSAT", verdict
+    # compile: the -o file is written before --verify runs
     encoding = compile_urc_encoding(formula)
-    _write_output(args.output, encoding)
     payload = {
         "input_vars": len(encoding.input_vars),
         "aux_vars": len(encoding.aux_vars),
         "clauses": len(encoding.formula.clauses),
     }
+    _output(args.output, payload, "encoding_clauses", encoding)
+    ok = True
     if args.verify:
         payload["verified_encoding"] = is_encoding_of(encoding, enumerate_models(formula))
         payload["verified_urc"] = is_urc(encoding.formula, limit=encoding.num_vars, method="primes").verdict
-    if not args.output:
-        payload["encoding_clauses"] = [list(c) for c in encoding.formula.clauses]
-    _emit(_report("qhorn compile", inputs, payload, started))
-    _info(f"compiled: {payload['clauses']} clauses, {payload['aux_vars']} auxiliary variables")
-    if args.verify and not (payload["verified_encoding"] and payload["verified_urc"]):
-        return EXIT_FALSE
-    return EXIT_TRUE
+        ok = payload["verified_encoding"] and payload["verified_urc"]
+    return payload, f"compiled: {payload['clauses']} clauses, {payload['aux_vars']} auxiliary variables", ok
 
 
-def _cmd_gen(args, started: float) -> int:
+def _cmd_gen(args, inputs: dict[str, str]) -> tuple[dict, str, bool]:
     if args.family == "cycle_ext":
         if not args.base:
             raise PcforgeError("gen cycle_ext requires --base FILE")
         if args.parameter is not None:
             raise PcforgeError("gen cycle_ext takes no parameter")
-        obj = gen_cycle_extension(_load_formula(args.base))
-        inputs = {args.base: _digest(args.base)}
+        obj = gen_cycle_extension(_formula(_read(args.base, inputs)))
     else:
         if args.parameter is None:
             raise PcforgeError(f"gen {args.family} requires a parameter")
         if args.base:
             raise PcforgeError(f"gen {args.family} takes no --base (cycle_ext only)")
         obj = generate(args.family, args.parameter)
-        inputs = {}
     extra = companions(args.family, args.parameter) if args.companions else None
     if args.companions and extra is None:
         raise PcforgeError(f"gen {args.family} has no companions")
-    formula = obj.formula if isinstance(obj, EncodingFormula) else obj
-    _write_output(args.output, obj)
+    formula = _formula(obj)
     payload = {"family": args.family, "clauses": len(formula.clauses), "num_vars": formula.num_vars}
     if args.parameter is not None:
         payload["parameter"] = args.parameter
@@ -222,55 +187,39 @@ def _cmd_gen(args, started: float) -> int:
         payload["aux_vars"] = list(obj.aux_vars)
     if extra is not None:
         payload["companions"] = extra
-    if not args.output:
-        payload["dimacs"] = write_dimacs(obj)
-    _emit(_report("gen", inputs, payload, started))
-    _info(f"{args.family}({args.parameter if args.parameter is not None else args.base}): "
-          f"{payload['clauses']} clauses over {payload['num_vars']} variables")
-    return EXIT_TRUE
+    _output(args.output, payload, "dimacs", obj)
+    subject = args.parameter if args.parameter is not None else args.base
+    return payload, f"{args.family}({subject}): {payload['clauses']} clauses over {payload['num_vars']} variables", True
 
 
-def _cmd_reduce(args, started: float) -> int:
-    formula = _load_formula(args.file)
-    if args.property == "pc":
-        result = reduce_pc_irredundant(formula, seed=args.seed, limit=args.limit)
-    else:
-        result = reduce_urc_irredundant(formula, seed=args.seed, limit=args.limit)
-    _write_output(args.output, result)
+def _cmd_reduce(args, inputs: dict[str, str]) -> tuple[dict, str, bool]:
+    formula = _formula(_read(args.file, inputs))
+    reducer = reduce_pc_irredundant if args.property == "pc" else reduce_urc_irredundant
+    result = reducer(formula, seed=args.seed, limit=args.limit)
     payload = {"property": args.property, "before": len(formula.clauses), "after": len(result.clauses)}
-    if not args.output:
-        payload["clauses"] = [list(c) for c in result.clauses]
-    _emit(_report("reduce", {args.file: _digest(args.file)}, payload, started))
-    _info(f"{payload['before']} -> {payload['after']} clauses")
-    return EXIT_TRUE
+    _output(args.output, payload, "clauses", result)
+    return payload, f"{payload['before']} -> {payload['after']} clauses", True
 
 
-def _cmd_absorb(args, started: float) -> int:
-    formula = _load_formula(args.file)
+def _cmd_absorb(args, inputs: dict[str, str]) -> tuple[dict, str, bool]:
+    formula = _formula(_read(args.file, inputs))
     clause = make_clause(_literals(args.clause))
     verdict = is_absorbed(clause, formula)
-    _emit(_report("absorb", {args.file: _digest(args.file)}, {"clause": list(clause), "verdict": verdict}, started))
-    _info(f"absorbed = {verdict}")
-    return EXIT_TRUE if verdict else EXIT_FALSE
+    return {"clause": list(clause), "verdict": verdict}, f"absorbed = {verdict}", verdict
 
 
-def _cmd_suite(args, started: float) -> int:
-    numbers = [int(tok) for tok in args.only.replace(",", " ").split()] if args.only else None
-    results = []
-    all_pass = True
-    for result in acceptance.run_all(numbers):
-        _info(result.line)
-        results.append({
-            "criterion": result.number,
-            "title": result.title,
-            "passed": result.passed,
-            "seconds": round(result.seconds, 3),
-            "budget": result.budget,
-            "detail": result.detail,
-        })
-        all_pass &= result.passed and result.seconds <= result.budget
-    _emit(_report("suite", {}, {"results": results, "all_passed": all_pass}, started))
-    return EXIT_TRUE if all_pass else EXIT_FALSE
+def _cmd_suite(args, inputs: dict[str, str]) -> tuple[dict, str, bool]:
+    results = acceptance.run_all(_literals(args.only))
+    all_pass = all(result.passed and result.seconds <= result.budget for result in results)
+    rows = [{
+        "criterion": result.number,
+        "title": result.title,
+        "passed": result.passed,
+        "seconds": round(result.seconds, 3),
+        "budget": result.budget,
+        "detail": result.detail,
+    } for result in results]
+    return {"results": rows, "all_passed": all_pass}, "\n".join(result.line for result in results), all_pass
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,20 +306,23 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
+    inputs: dict[str, str] = {}
     try:
-        return _HANDLERS[args.command](args, started)
+        payload, message, ok = _HANDLERS[args.command](args, inputs)
+        command = f"qhorn {args.action}" if args.command == "qhorn" else args.command
+        timing_ms = int((time.perf_counter() - started) * 1000)
+        print(json.dumps({"command": command, "inputs": inputs, "timing_ms": timing_ms, **payload}, sort_keys=True))
+        code = EXIT_TRUE if ok else EXIT_FALSE
     except LimitError as exc:
-        _info(f"limit exceeded: {exc}")
-        return EXIT_LIMIT
+        message, code = f"limit exceeded: {exc}", EXIT_LIMIT
     except NotQHornError as exc:
-        _info(f"not q-Horn: {exc}")
-        return EXIT_FALSE
+        message, code = f"not q-Horn: {exc}", EXIT_FALSE
     except (PcforgeError, ValueError, OSError) as exc:
-        _info(f"error: {exc}")
-        return EXIT_USAGE
+        message, code = f"error: {exc}", EXIT_USAGE
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -301,3 +301,34 @@ def test_pc_dr_and_urc_reduction_past_24_variables(tmp_path, capsys):
     code, report, _ = run(capsys, "reduce", "urc", str(path), "--limit", "30")
     assert code == 0 and (report["before"], report["after"]) == (30, 29)
     assert [-1, 30] not in report["clauses"]
+
+
+@pytest.mark.parametrize("text", ["1_0", "+1", "1.0", "0x1", "\u0661", "1-2", "--1", "1;2"])
+def test_assume_takes_an_ascii_literal_list(tmp_path, capsys, text):
+    path = tmp_path / "f.cnf"
+    path.write_text(write_dimacs(gen_psi_horn(3)))
+    code, report, err = run(capsys, "up", str(path), f"--assume={text}")
+    assert code == 2 and report is None and "literal list" in err
+    code, report, _ = run(capsys, "up", str(path), "--assume", " 1,\t-2  3,")
+    assert code == 0 and report["status"] == "conflict"
+
+
+@pytest.mark.parametrize("text", ["+1 2 3", "1 2 3_0", "\uff11"])
+def test_clause_takes_an_ascii_literal_list(tmp_path, capsys, text):
+    path = tmp_path / "delta.cnf"
+    path.write_text("p cnf 4 3\n-1 2 0\n-1 3 0\n-2 -3 4 0\n")
+    code, report, err = run(capsys, "absorb", str(path), "--clause", text)
+    assert code == 2 and report is None and "literal list" in err
+
+
+@pytest.mark.parametrize("text", ["1_0", "+1", "1 0x2"])
+def test_suite_only_takes_an_ascii_literal_list(capsys, text):
+    code, report, err = run(capsys, "suite", "--only", text)
+    assert code == 2 and report is None and "literal list" in err
+
+
+@pytest.mark.parametrize("text", ["99", "0", "1,99", "-1"])
+def test_suite_only_rejects_a_number_that_names_no_criterion(capsys, text):
+    code, report, err = run(capsys, "suite", f"--only={text}")
+    assert code == 2 and report is None
+    assert "no criterion" in err and "PASS" not in err
