@@ -62,18 +62,25 @@ def make_assignment(literals: Iterable[Literal]) -> PartialAssignment:
     return lits
 
 
+def literal_vector_unchecked(lits: Iterable[Literal], n: int) -> int:
+    """literal_vector for literals already known to lie in 1..n, such as a formula's or a propagation trail's."""
+    vector = 0
+    for lit in lits:
+        vector |= 1 << (lit - 1 if lit > 0 else n - lit - 1)
+    return vector
+
+
 def literal_vector(lits: Iterable[Literal], n: int) -> int:
     """The 2n-bit vector of literals over variables 1..n: bit v-1 for v, bit n+v-1 for -v.
 
     It is the word over the dual-rail meta-variables [[v]] = v and [[-v]] = n + v.
     A literal outside 1..n raises ValueError.
     """
-    vector = 0
+    lits = tuple(lits)
     for lit in lits:
         if not 1 <= abs(lit) <= n:
             raise ValueError(f"literal {lit} outside universe 1..{n}")
-        vector |= 1 << (lit - 1 if lit > 0 else n - lit - 1)
-    return vector
+    return literal_vector_unchecked(lits, n)
 
 
 def vector_literals(vector: int, n: int) -> list[Literal]:
@@ -136,18 +143,8 @@ class CnfFormula:
         return range(1, self.num_vars + 1)
 
     def clause_vectors(self) -> list[int]:
-        """The literal vector (literal_vector) of each clause, in clause order.
-
-        Every literal is in range by construction, so none is checked.
-        """
-        n = self.num_vars
-        out = []
-        for clause in self.clauses:
-            vector = 0
-            for lit in clause:
-                vector |= 1 << (lit - 1 if lit > 0 else n - lit - 1)
-            out.append(vector)
-        return out
+        """The literal vector (literal_vector) of each clause, in clause order; every literal is in range."""
+        return [literal_vector_unchecked(clause, self.num_vars) for clause in self.clauses]
 
     def is_horn(self) -> bool:
         return all(sum(1 for lit in clause if lit > 0) <= 1 for clause in self.clauses)
@@ -211,7 +208,8 @@ def apply_assignment(formula: CnfFormula, beta: PartialAssignment) -> CnfFormula
 
 
 # whitespace-separated ASCII integers; int() alone would also take "1_0", "+1" and non-ASCII digits
-_INTEGERS = re.compile(r"(?:-?[0-9]+(?:\s+-?[0-9]+)*)?")
+_INTEGERS = re.compile(r"(?:-?[0-9]+(?:\s+-?[0-9]+)*)?", re.ASCII)
+_NON_ASCII = re.compile(r"[^\x00-\x7f]")
 
 
 def _integers(text: str, lineno: int, message: str) -> list[int]:
@@ -229,14 +227,15 @@ def parse_dimacs(text: Union[str, bytes]) -> Union[CnfFormula, EncodingFormula]:
     and aux variables are ASCII decimal integers (``-?[0-9]+``).  A line
     holding only ``%`` ends the input, as in the SATLIB benchmark files
     (which follow it with a ``0`` that is not an empty clause); the clause
-    count of the header must still match.
+    count of the header must still match.  The input, bytes or str, must be
+    ASCII: the first other byte or character raises, naming its line.
     """
+    kind = "byte 0x{:02x}" if isinstance(text, bytes) else "character U+{:04X}"
     if isinstance(text, bytes):
-        try:
-            text = text.decode("ascii")
-        except UnicodeDecodeError as exc:
-            lineno = text.count(b"\n", 0, exc.start) + 1
-            raise DimacsError(lineno, f"non-ASCII byte 0x{text[exc.start]:02x}") from None
+        text = text.decode("latin-1")  # one character per byte, with the byte's value
+    if not text.isascii():
+        start = _NON_ASCII.search(text).start()
+        raise DimacsError(text.count("\n", 0, start) + 1, "non-ASCII " + kind.format(ord(text[start])))
     num_vars = num_clauses = None
     aux_lines: dict[int, int] = {}  # auxiliary variable -> line declaring it
     saw_aux = False

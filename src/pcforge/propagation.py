@@ -4,10 +4,12 @@
 whether the negation of a clause is refuted (``refutes``) and whether the
 negated rest of a clause derives one of its literals (``absorbs``), and
 steps the walk over partial assignments one literal at a time (``start``,
-``extend``).  ``up_closure`` computes the closure of a partial assignment;
-by convention the closure of a refuted assignment (one from which the
-empty clause is derivable) is the full literal set of the universe, which
-makes closure results comparable across formulas for the same function.
+``extend``), all from one root: the assumptions, then the formula's
+units, propagated.  ``up_closure`` computes the closure of a partial
+assignment; by convention the closure of a refuted assignment (one from
+which the empty clause is derivable) is the full literal set of the
+universe, which makes closure results comparable across formulas for the
+same function.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cnf import (Clause, CnfFormula, Literal, PartialAssignment, is_tautological, literal_key, literal_vector,
-                  make_assignment)
+from .cnf import (Clause, CnfFormula, Literal, PartialAssignment, is_tautological, literal_key,
+                  literal_vector_unchecked, make_assignment)
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,13 @@ class PropagationResult:
 
 
 class UnitPropagator:
-    """Counter-based propagation over a fixed formula, reusable across calls."""
+    """Counter-based propagation over a fixed formula, reusable across calls.
+
+    The state is a value per variable and, per clause, a count of literals
+    not yet processed as false (Dowling and Gallier's scheme): a clause with
+    a true literal never reaches 0, so 0 is a conflict.  A walk node is
+    (vector, val, counts), vector the closed assignment's literal vector.
+    """
 
     __slots__ = ("num_vars", "clauses", "occ", "lengths", "units", "empty")
 
@@ -60,6 +68,38 @@ class UnitPropagator:
 
     def run(self, assumptions=()) -> tuple[bool, list[Literal], int | None]:
         """Propagate to fixpoint; returns (conflict, assigned literals in order, empty clause index)."""
+        _, _, trail, empty = self._root(assumptions)
+        return empty is not None, trail, empty
+
+    def refutes(self, clause: Clause) -> bool:
+        """Does propagation from the negation of the clause conflict?  A tautology's negation is refuted by itself."""
+        return is_tautological(clause) or self.run([-lit for lit in clause])[0]
+
+    def absorbs(self, clause: Clause, lit: Literal) -> bool:
+        """Does propagation from the negation of the rest of the clause derive lit or a conflict?"""
+        conflict, trail, _ = self.run([-other for other in clause if other != lit])
+        return conflict or lit in trail
+
+    def start(self) -> tuple | None:
+        """The root node of a walk over partial assignments, or None when the static units conflict."""
+        val, counts, trail, empty = self._root()
+        return None if empty is not None else (literal_vector_unchecked(trail, self.num_vars), val, counts)
+
+    def extend(self, node: tuple, lit: Literal) -> tuple | None:
+        """The node after also assuming lit, or None on conflict; node itself when lit is already derived."""
+        vector, val, counts = node
+        state = val[abs(lit)]
+        if state:  # already derived: nothing changes; its complement: a conflict
+            return node if state == (1 if lit > 0 else -1) else None
+        val, counts = val.copy(), counts.copy()
+        val[abs(lit)] = 1 if lit > 0 else -1
+        trail = [lit]
+        if self._propagate(val, counts, trail) is not None:
+            return None
+        return vector | literal_vector_unchecked(trail, self.num_vars), val, counts
+
+    def _root(self, assumptions=()) -> tuple[list[int], list[int], list[Literal], int | None]:
+        """(val, counts, trail, empty index) after the assumptions, then the static units, then propagation."""
         nv = self.num_vars
         val = [0] * (nv + 1)  # 0 unassigned, 1 true, -1 false (for the positive literal)
         trail: list[Literal] = []
@@ -77,66 +117,24 @@ class UnitPropagator:
             if val[abs(lit)] == 0:
                 val[abs(lit)] = 1 if lit > 0 else -1
                 trail.append(lit)
-        if self.empty is not None:
-            return True, trail, self.empty
-        empty = self._propagate(val, self.lengths.copy(), [False] * len(self.clauses), trail)
-        return empty is not None, trail, empty
+        counts = self.lengths.copy()
+        empty = self.empty if self.empty is not None else self._propagate(val, counts, trail)
+        return val, counts, trail, empty
 
-    def refutes(self, clause: Clause) -> bool:
-        """Does propagation from the negation of the clause conflict?  A tautology's negation is refuted by itself."""
-        return is_tautological(clause) or self.run([-lit for lit in clause])[0]
-
-    def absorbs(self, clause: Clause, lit: Literal) -> bool:
-        """Does propagation from the negation of the rest of the clause derive lit or a conflict?"""
-        conflict, trail, _ = self.run([-other for other in clause if other != lit])
-        return conflict or lit in trail
-
-    def start(self) -> tuple | None:
-        """The root node of a walk over partial assignments, or None when the static units conflict.
-
-        A node is (vector, val, counts, sat): the literal vector
-        (cnf.literal_vector) of the assignment closed under propagation, then
-        the state extend updates.
-        """
-        if self.empty is not None:
-            return None
-        node = (0, [0] * (self.num_vars + 1), self.lengths.copy(), [False] * len(self.clauses))
-        for lit in self.units:
-            node = self.extend(node, lit)
-            if node is None:
-                break
-        return node
-
-    def extend(self, node: tuple, lit: Literal) -> tuple | None:
-        """The node after also assuming lit, or None on conflict; node itself when lit is already derived."""
-        vector, val, counts, sat = node
-        state = val[abs(lit)]
-        if state:  # already derived: nothing changes; its complement: a conflict
-            return node if state == (1 if lit > 0 else -1) else None
-        val, counts, sat = val.copy(), counts.copy(), sat.copy()
-        val[abs(lit)] = 1 if lit > 0 else -1
-        trail = [lit]
-        if self._propagate(val, counts, sat, trail) is not None:
-            return None
-        return vector | literal_vector(trail, self.num_vars), val, counts, sat
-
-    def _propagate(self, val: list[int], counts: list[int], sat: list[bool], trail: list[Literal]) -> int | None:
+    def _propagate(self, val: list[int], counts: list[int], trail: list[Literal]) -> int | None:
         """Process the trail to fixpoint, updating every argument in place.
 
-        val already holds the trail's literals; counts (open literals per
-        clause) and sat reflect only the literals assigned before them.
-        Returns the index of a clause that became empty, or None.
+        val already holds the trail's literals; counts reflect only the
+        literals assigned before them.  At count 1 a clause's open literal is
+        assigned unless one of its literals is true.  Returns the index of a
+        clause that became empty, or None.
         """
         occ, clauses = self.occ, self.clauses
         head = 0
         while head < len(trail):
             lit = trail[head]
             head += 1
-            for idx in occ[lit]:
-                sat[idx] = True
             for idx in occ[-lit]:
-                if sat[idx]:
-                    continue
                 counts[idx] -= 1
                 remaining = counts[idx]
                 if remaining == 0:
@@ -149,7 +147,6 @@ class UnitPropagator:
                             trail.append(cand)
                             break
                         if state == (1 if cand > 0 else -1):
-                            sat[idx] = True
                             break
         return None
 

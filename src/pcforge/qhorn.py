@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
-from .cnf import Clause, CnfFormula, EncodingFormula, Literal, apply_assignment, literal_key, make_clause
+from .cnf import Clause, CnfFormula, EncodingFormula, Literal, apply_assignment, make_clause
 from .errors import NotQHornError, PreconditionError
 from .propagation import UnitPropagator
 from .semantics import clause_sort_key
@@ -298,22 +298,20 @@ def compile_urc_encoding(formula: CnfFormula, valuation: Valuation | None = None
     x2_set = set(split.x2)
     unflip = split.unflip
 
-    # Each output clause is built canonical once: its literals have distinct variables
-    # (the input has no tautology and unflip keeps variables), so a literal_key sort suffices.
-    def canonical(lits) -> Clause:
-        return tuple(sorted(lits, key=literal_key))
-
+    # Every output clause is built in canonical order: the split's clauses are sorted by variable,
+    # unflip keeps variables and every auxiliary lies above every input.  No two output clauses
+    # coincide (phi1 and phi2 are disjoint and each group has its own auxiliary pattern).
     group1: list[Clause] = []
     group2: list[Clause] = []
     for clause in split.phi1.clauses:
-        group1.append(canonical(map(unflip, clause)))
+        group1.append(tuple(map(unflip, clause)))
     for clause in split.phi2.clauses:
         half = tuple(lit for lit in clause if abs(lit) in x2_set)
         if len(half) <= 1:
-            group1.append(canonical(map(unflip, clause)))
+            group1.append(tuple(map(unflip, clause)))
         else:
-            rest = [unflip(lit) for lit in clause if abs(lit) not in x2_set]
-            group2.append(canonical(rest + [aux_of[half]]))
+            rest = tuple(unflip(lit) for lit in clause if abs(lit) not in x2_set)
+            group2.append(rest + (aux_of[half],))
 
     # Groups 3 and 4: for each pair i < j of closure clauses that clash on exactly one literal,
     # in (i, j) order.  The partners j of ci = (p, q) are merged from the sorted position lists
@@ -351,7 +349,7 @@ def compile_urc_encoding(formula: CnfFormula, valuation: Valuation | None = None
             y = cj[1] if cj[0] == -clash else cj[0]
             b = n + 1 + j
             if x == y:
-                group4.append(canonical((-a, -b, unflip(x))))
+                group4.append((unflip(x), -a, -b))
             else:
                 # the resolvent differs from both parents, so only its auxiliary needs placing
                 r = aux_of[(x, y) if abs(x) < abs(y) else (y, x)]
@@ -362,12 +360,11 @@ def compile_urc_encoding(formula: CnfFormula, valuation: Valuation | None = None
     for clause in clauses_list:
         u, v = unflip(clause[0]), unflip(clause[1])
         aux = aux_of[clause]
-        group5.append(canonical((-aux, u, v)))
-        group6.append(canonical((-u, aux)))
-        group6.append(canonical((-v, aux)))
+        group5.append((u, v, -aux))
+        group6.append((-u, aux))
+        group6.append((-v, aux))
 
-    all_clauses = group1 + group2 + group3 + group4 + group5 + group6
-    encoded = CnfFormula(tuple(dict.fromkeys(all_clauses)), n + len(clauses_list))
+    encoded = CnfFormula(tuple(group1 + group2 + group3 + group4 + group5 + group6), n + len(clauses_list))
     inputs = tuple(range(1, n + 1))
     aux_vars = tuple(range(n + 1, n + 1 + len(clauses_list)))
     return EncodingFormula(encoded, inputs, aux_vars)

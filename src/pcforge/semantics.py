@@ -27,7 +27,7 @@ of its propagation closure and of its semantic closure.  It carries the
 models that extend an assignment as a Python-int bitset over the indices
 of the cached model array, so a step is one int AND and one XOR.  Its
 propagation steps are UnitPropagator.start and extend; of a propagation
-node the walk reads only its literal vector.
+node (vector, val, counts) the walk reads only the literal vector.
 """
 
 from __future__ import annotations

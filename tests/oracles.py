@@ -20,16 +20,20 @@ admitted clause for each subsumption test and each resolution partner;
 prime_urc_per_prime, prime_pc_per_prime and reduce_urc_by_entailment, the
 primes deciders that ran propagation for every prime and the URC reducer
 that also asked model-based entailment of each removal;
-recognize_qhorn_recursive, the recursive q-Horn weight search; and
+recognize_qhorn_recursive, the recursive q-Horn weight search;
 assignment_walk_arrays, the partial-assignment walk that carried the models
-extending each assignment as a filtered numpy array.
+extending each assignment as a filtered numpy array; and
+UnitPropagatorSatFlags, the propagation engine that marked every clause
+holding a true literal as satisfied and stopped counting it down.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import random
 import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
@@ -42,6 +46,15 @@ from pcforge.errors import LimitError, NotQHornError, PreconditionError
 from pcforge.propagation import UnitPropagator, all_literals
 from pcforge.qhorn import Valuation, normalize, phi_q_plus, recognize_qhorn
 from pcforge.semantics import _model_words, entails, prime_implicates
+
+
+def benchmark_inputs():
+    """perfbench/inputs.py, the seeded generator of the benchmark workloads (standard library only)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def eval_clause(clause, word: int) -> bool:
@@ -582,3 +595,119 @@ def assignment_walk_arrays(formula):
             if child is not None:
                 stack.append((var + 1, alpha | {lit}, child, models if child is node else models[keep]))
         stack.append((var + 1, alpha, node, models))
+
+
+class UnitPropagatorSatFlags:
+    """The propagation engine that kept a satisfied flag per clause beside the counters."""
+
+    __slots__ = ("num_vars", "clauses", "occ", "lengths", "units", "empty")
+
+    def __init__(self, formula: CnfFormula):
+        self.num_vars = formula.num_vars
+        self.clauses = formula.clauses
+        self.lengths = [len(clause) for clause in self.clauses]
+        # static units in clause order, up to the first empty clause, where every run stops
+        self.empty = next((idx for idx, length in enumerate(self.lengths) if length == 0), None)
+        stop = len(self.clauses) if self.empty is None else self.empty
+        self.units = [clause[0] for clause in self.clauses[:stop] if len(clause) == 1]
+        # occ[lit] lists the clauses containing lit; -v indexes from the end, slot 0 is unused
+        occ: list[list[int]] = [[] for _ in range(2 * formula.num_vars + 1)]
+        for idx, clause in enumerate(self.clauses):
+            for lit in clause:
+                occ[lit].append(idx)
+        self.occ = occ
+
+    def run(self, assumptions=()) -> tuple[bool, list[Literal], int | None]:
+        """Propagate to fixpoint; returns (conflict, assigned literals in order, empty clause index)."""
+        nv = self.num_vars
+        val = [0] * (nv + 1)  # 0 unassigned, 1 true, -1 false (for the positive literal)
+        trail: list[Literal] = []
+        for lit in assumptions:
+            if not (1 <= abs(lit) <= nv):
+                raise ValueError(f"assumed literal {lit} outside universe 1..{nv}")
+            want = 1 if lit > 0 else -1
+            if val[abs(lit)] == -want:
+                raise ValueError("inconsistent assumption set")
+            if val[abs(lit)] == 0:
+                val[abs(lit)] = want
+                trail.append(lit)
+        for lit in self.units:
+            # a falsified static unit conflicts in _propagate, once the assumption is processed
+            if val[abs(lit)] == 0:
+                val[abs(lit)] = 1 if lit > 0 else -1
+                trail.append(lit)
+        if self.empty is not None:
+            return True, trail, self.empty
+        empty = self._propagate(val, self.lengths.copy(), [False] * len(self.clauses), trail)
+        return empty is not None, trail, empty
+
+    def refutes(self, clause: Clause) -> bool:
+        """Does propagation from the negation of the clause conflict?  A tautology's negation is refuted by itself."""
+        return is_tautological(clause) or self.run([-lit for lit in clause])[0]
+
+    def absorbs(self, clause: Clause, lit: Literal) -> bool:
+        """Does propagation from the negation of the rest of the clause derive lit or a conflict?"""
+        conflict, trail, _ = self.run([-other for other in clause if other != lit])
+        return conflict or lit in trail
+
+    def start(self) -> tuple | None:
+        """The root node of a walk over partial assignments, or None when the static units conflict.
+
+        A node is (vector, val, counts, sat): the literal vector
+        (cnf.literal_vector) of the assignment closed under propagation, then
+        the state extend updates.
+        """
+        if self.empty is not None:
+            return None
+        node = (0, [0] * (self.num_vars + 1), self.lengths.copy(), [False] * len(self.clauses))
+        for lit in self.units:
+            node = self.extend(node, lit)
+            if node is None:
+                break
+        return node
+
+    def extend(self, node: tuple, lit: Literal) -> tuple | None:
+        """The node after also assuming lit, or None on conflict; node itself when lit is already derived."""
+        vector, val, counts, sat = node
+        state = val[abs(lit)]
+        if state:  # already derived: nothing changes; its complement: a conflict
+            return node if state == (1 if lit > 0 else -1) else None
+        val, counts, sat = val.copy(), counts.copy(), sat.copy()
+        val[abs(lit)] = 1 if lit > 0 else -1
+        trail = [lit]
+        if self._propagate(val, counts, sat, trail) is not None:
+            return None
+        return vector | literal_vector(trail, self.num_vars), val, counts, sat
+
+    def _propagate(self, val: list[int], counts: list[int], sat: list[bool], trail: list[Literal]) -> int | None:
+        """Process the trail to fixpoint, updating every argument in place.
+
+        val already holds the trail's literals; counts (open literals per
+        clause) and sat reflect only the literals assigned before them.
+        Returns the index of a clause that became empty, or None.
+        """
+        occ, clauses = self.occ, self.clauses
+        head = 0
+        while head < len(trail):
+            lit = trail[head]
+            head += 1
+            for idx in occ[lit]:
+                sat[idx] = True
+            for idx in occ[-lit]:
+                if sat[idx]:
+                    continue
+                counts[idx] -= 1
+                remaining = counts[idx]
+                if remaining == 0:
+                    return idx
+                if remaining == 1:
+                    for cand in clauses[idx]:
+                        state = val[abs(cand)]
+                        if state == 0:
+                            val[abs(cand)] = 1 if cand > 0 else -1
+                            trail.append(cand)
+                            break
+                        if state == (1 if cand > 0 else -1):
+                            sat[idx] = True
+                            break
+        return None

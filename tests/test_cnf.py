@@ -86,6 +86,18 @@ def test_parse_non_ascii_byte_carries_line_number():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("char", ["\u00a0", "\u3000", "\u2028"])
+def test_parse_non_ascii_character_carries_line_number(char):
+    # str input follows the bytes rule: an NBSP or ideographic space does not separate
+    # literals, and a line separator does not split a line
+    with pytest.raises(DimacsError) as err:
+        parse_dimacs(f"p cnf 2 1\n1{char}2 0\n")
+    assert err.value.line == 2 and f"U+{ord(char):04X}" in str(err.value)
+    with pytest.raises(DimacsError) as err:
+        parse_dimacs(f"c first\nc {char}\np cnf 1 1\n1 0\n")
+    assert err.value.line == 2
+
+
 @pytest.mark.parametrize("text,line", [
     ("p cnf 10 1\n1_0 0\n", 2),
     ("p cnf 2 1\n+1 0\n", 2),

@@ -3,14 +3,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from pcforge.cnf import CnfFormula, literal_key
-from pcforge.corpus import qhorn_formulas, satisfiable_formulas
-from pcforge.families import gen_psi_qhorn
+from pcforge.cnf import CnfFormula, EncodingFormula, literal_key, parse_dimacs
+from pcforge.corpus import horn_formulas, qhorn_formulas, satisfiable_formulas
+from pcforge.families import GENERATORS, gen_psi_qhorn
 from pcforge.propagation import PropagationResult, UnitPropagator, all_literals, up_closure
 from pcforge.qhorn import compile_urc_encoding
 from pcforge.semantics import cl_sem
 
-from oracles import all_partial_assignments, cl_sem_brute, up_fixpoint_brute
+from oracles import UnitPropagatorSatFlags, all_partial_assignments, benchmark_inputs, cl_sem_brute, up_fixpoint_brute
 
 
 def F(clauses, num_vars=None):
@@ -191,3 +191,103 @@ def test_clause_questions_go_through_run(monkeypatch):
     engine.absorbs((-1, 2), 2)
     assert len(calls) == 2
 
+
+
+def _vector(node):
+    return None if node is None else node[0]
+
+
+def _assert_walks_agree(new, old, rng):
+    """Equal start/extend vectors over the whole walk (small universes) or random paths (large ones).
+
+    Vectors are compared, not counts: the flag engine stops counting a clause down once it is satisfied.
+    """
+    n = new.num_vars
+    roots = new.start(), old.start()
+    assert _vector(roots[0]) == _vector(roots[1])
+    if roots[0] is None:
+        return
+    if n <= 6:
+        stack = [(1, *roots)]
+        while stack:
+            var, a, b = stack.pop()
+            if var > n:
+                continue
+            for lit in (-var, var):
+                child_a, child_b = new.extend(a, lit), old.extend(b, lit)
+                assert _vector(child_a) == _vector(child_b)
+                assert (child_a is a) == (child_b is b)
+                if child_a is not None:
+                    stack.append((var + 1, child_a, child_b))
+            stack.append((var + 1, a, b))
+        return
+    for _ in range(20):
+        a, b = roots
+        for var in rng.sample(range(1, n + 1), n):
+            lit = var * rng.choice((1, -1))
+            a, b = new.extend(a, lit), old.extend(b, lit)
+            assert _vector(a) == _vector(b)
+            if a is None:
+                break
+
+
+def _assert_engines_agree(formula, rng, runs=20):
+    new, old = UnitPropagator(formula), UnitPropagatorSatFlags(formula)
+    n = formula.num_vars
+    for _ in range(runs):
+        size = rng.randint(0, min(5, n))
+        alpha = [var * rng.choice((1, -1)) for var in rng.sample(range(1, n + 1), size)]
+        assert new.run(alpha) == old.run(alpha), alpha
+    clauses = list(formula.clauses[:40])
+    for _ in range(10 if n else 0):
+        width = rng.randint(1, min(3, n))
+        clauses.append(tuple(var * rng.choice((1, -1)) for var in rng.sample(range(1, n + 1), width)))
+    for clause in clauses:
+        assert new.refutes(clause) == old.refutes(clause), clause
+        for lit in clause:
+            assert new.absorbs(clause, lit) == old.absorbs(clause, lit), (clause, lit)
+    _assert_walks_agree(new, old, rng)
+
+
+def _differential_corpus():
+    formulas = satisfiable_formulas(41, 40, max_vars=6)
+    formulas += horn_formulas(43, 40)
+    qhorn = qhorn_formulas(47, 12, max_vars=8)
+    formulas += [f for f, _ in qhorn]
+    formulas += [compile_urc_encoding(f, v).formula for f, v in qhorn]
+    for generate in GENERATORS.values():
+        for parameter in (3, 4):
+            generated = generate(parameter)
+            formulas.append(generated.formula if isinstance(generated, EncodingFormula) else generated)
+    rng = random.Random(53)
+    for f in satisfiable_formulas(59, 20, max_vars=6):
+        # static units, complementary ones included, and an empty clause after the units
+        units = [[var * rng.choice((1, -1))] for var in rng.sample(range(1, f.num_vars + 1), min(2, f.num_vars))]
+        with_units = CnfFormula.from_clauses(list(f.clauses) + units, f.num_vars)
+        formulas.append(with_units)
+        formulas.append(CnfFormula.from_clauses(list(f.clauses) + [[-lit for lit in units[0]]] + units, f.num_vars))
+        formulas.append(CnfFormula(with_units.clauses + ((),) + f.clauses[:1], f.num_vars))
+    formulas += [CnfFormula(((1,), (), (2,)), 2), CnfFormula(((),), 1), CnfFormula((), 0), CnfFormula(((1, -1),), 1)]
+    return formulas
+
+
+def test_engine_matches_the_flag_engine_on_the_corpora():
+    rng = random.Random(61)
+    for formula in _differential_corpus():
+        _assert_engines_agree(formula, rng)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_engine_matches_the_flag_engine_on_the_encode_queries(seed):
+    ops, _ = benchmark_inputs().build_encode(seed)
+    rng = random.Random(seed)
+    engines = {}
+    for index, op in enumerate(ops):
+        if op["kind"] == "compile":
+            formula = compile_urc_encoding(parse_dimacs(op["dimacs"])).formula
+            engines[index] = UnitPropagator(formula), UnitPropagatorSatFlags(formula)
+            _assert_engines_agree(formula, rng, runs=5)
+        elif op["kind"] == "query":
+            new, old = engines[op["compile"]]
+            alpha = sorted(op["alpha"], key=literal_key)
+            assert new.run(alpha) == old.run(alpha), alpha

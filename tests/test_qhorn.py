@@ -1,7 +1,5 @@
-import importlib.util
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -335,18 +333,9 @@ def test_compiled_encoding_matches_make_clause_reference(formula, valuation):
     assert write_dimacs(encoding) == write_dimacs(expected)
 
 
-def _benchmark_inputs():
-    """perfbench/inputs.py, the seeded generator of the benchmark workloads (standard library only)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_compiled_encode_inputs_match_the_set_compiler(seed):
-    ops, _ = _benchmark_inputs().build_encode(seed)
+    ops, _ = oracles.benchmark_inputs().build_encode(seed)
     for op in ops:
         if "dimacs" in op:
             formula = parse_dimacs(op["dimacs"])
@@ -370,3 +359,18 @@ def test_binary_resolvent_matches_all_pairs_reference(monkeypatch):
         for module in (qhorn, oracles):
             monkeypatch.setattr(module, "phi_q_plus", lambda split: CnfFormula(clauses, split.num_vars))
         assert compile_urc_encoding(formula, valuation) == compile_urc_encoding_pairs(formula, valuation), clauses
+
+
+def test_compiled_encodings_repeat_no_clause():
+    # the compiler emits each clause once without deduplicating: phi1 and phi2 are disjoint and
+    # every clause group has its own auxiliary pattern
+    formulas = [(gen_psi_qhorn(n)[0], None) for n in range(2, 7)]
+    for seed in range(1, 8):
+        ops, _ = oracles.benchmark_inputs().build_encode(seed)
+        formulas += [(parse_dimacs(op["dimacs"]), None) for op in ops if "dimacs" in op]
+    for formula, valuation in qhorn_formulas(1003, 200):
+        formulas += [(formula, valuation), (formula, None)]
+    assert len(formulas) == 482
+    for formula, valuation in formulas:
+        clauses = compile_urc_encoding(formula, valuation).formula.clauses
+        assert len(set(clauses)) == len(clauses)
