@@ -32,6 +32,11 @@ def literal_key(lit: Literal) -> tuple[int, bool]:
     return (abs(lit), lit < 0)
 
 
+def clause_sort_key(clause: Clause) -> tuple:
+    """Deterministic clause order: by size, then the literal_key tuples."""
+    return (len(clause), tuple(map(literal_key, clause)))
+
+
 def make_clause(literals: Iterable[Literal]) -> Clause:
     """Canonicalize a clause: drop duplicates, sort by literal_key.
 

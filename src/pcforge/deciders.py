@@ -10,19 +10,18 @@ Two interchangeable strategies, chosen by ``method``:
   cross-check of the other strategy.
 * ``primes``, the default, checks only the critical assignments.  A
   formula is URC iff unit propagation refutes the negation of every prime
-  implicate (``UnitPropagator.refutes``), and PC iff every prime implicate
-  is absorbed: for each literal of the prime, propagation from the negated
-  remainder derives that literal or a conflict (``UnitPropagator.absorbs``).
-  Minimality of primes plus monotonicity of unit resolution make these
-  finitely many checks equivalent to the full quantification.  A prime
-  that is a clause of the formula passes both checks by construction and
-  is not propagated.
+  implicate, and PC iff every prime is absorbed: for each literal of the
+  prime, propagation from the negated remainder derives that literal or a
+  conflict.  Minimality of primes plus monotonicity of unit resolution
+  make these finitely many checks equivalent to the full quantification.
 
-Both strategies return the same verdict and a deterministic witness: the
-least failing assignment under (size, sorted (variable, polarity) key),
-and for PC then the least missing literal.  The URC reducer asks the same
-refutation question of each candidate subset, so it needs no model
-enumeration either.
+Two streams ask these questions of an engine and a clause set, skipping
+the engine's own clauses, which pass both by construction: ``_unrefuted``
+and ``_unabsorbed`` yield the failures.  The primes deciders,
+``is_absorbed`` and both reducers are each one expression over them, so
+none enumerates models.  Both strategies return the same verdict and a
+deterministic witness: the least failing assignment under (size, sorted
+(variable, polarity) key), and for PC then the least missing literal.
 """
 
 from __future__ import annotations
@@ -91,21 +90,26 @@ def _naive_pc(formula: CnfFormula) -> DecisionReport:
                           for alpha, up, sem in assignment_walk(formula) if sem & ~up)
 
 
-def _unrefuted_primes(engine: UnitPropagator, primes: CnfFormula) -> Iterator[PartialAssignment]:
-    """The negated primes whose unit propagation does not conflict: the formula is URC iff there are none.
+def _unrefuted(engine: UnitPropagator, clauses: Iterable[Clause]) -> Iterator[tuple[PartialAssignment, None]]:
+    """(negated clause, None) for each clause whose negation propagation does not refute; () negates to {}."""
+    own = set(engine.clauses)  # a clause of the engine's formula is refuted without a run
+    for clause in clauses:
+        if clause not in own and not engine.refutes(clause):
+            yield frozenset(-lit for lit in clause), None
 
-    A prime that is a clause of the engine's formula is refuted without a run.
-    The empty prime of an unsatisfiable formula negates to the empty assignment.
-    """
-    clauses = set(engine.clauses)
-    for prime in primes.clauses:
-        if prime not in clauses and not engine.refutes(prime):
-            yield frozenset(-lit for lit in prime)
+
+def _unabsorbed(engine: UnitPropagator, clauses: Iterable[Clause]) -> Iterator[tuple[PartialAssignment, Literal]]:
+    """(negated rest, literal) for each literal of a clause that propagation from the negated rest does not absorb."""
+    own = set(engine.clauses)  # a clause of the engine's formula is absorbed without a run
+    for clause in clauses:
+        if clause not in own:
+            for lit in clause:
+                if not engine.absorbs(clause, lit):
+                    yield frozenset(-other for other in clause if other != lit), lit
 
 
 def _prime_urc(formula: CnfFormula) -> DecisionReport:
-    unrefuted = _unrefuted_primes(UnitPropagator(formula), prime_implicates(formula))
-    return _least_failure((alpha, None) for alpha in unrefuted)
+    return _least_failure(_unrefuted(UnitPropagator(formula), prime_implicates(formula).clauses))
 
 
 def _prime_pc(formula: CnfFormula) -> DecisionReport:
@@ -114,11 +118,7 @@ def _prime_pc(formula: CnfFormula) -> DecisionReport:
         # every clause is an implicate of an unsatisfiable formula: the empty prime is absorbed
         # iff each unit clause is, that is iff propagation alone conflicts
         primes = [(lit,) for lit in all_literals(formula.num_vars)]
-    engine = UnitPropagator(formula)
-    clauses = set(formula.clauses)  # a clause of the formula is absorbed without a run
-    return _least_failure((frozenset(-other for other in prime if other != lit), lit)
-                          for prime in primes if prime not in clauses
-                          for lit in prime if not engine.absorbs(prime, lit))
+    return _least_failure(_unabsorbed(UnitPropagator(formula), primes))
 
 
 def is_urc(formula: CnfFormula, limit: int = DECIDER_LIMIT, method: str = "primes") -> DecisionReport:
@@ -143,8 +143,7 @@ def is_absorbed(clause: Clause, formula: CnfFormula) -> bool:
         raise TautologyError("absorption is not defined for tautological clauses")
     if not entails(formula, clause):
         raise PreconditionError("clause is not an implicate of the formula")
-    engine = UnitPropagator(formula)
-    return all(engine.absorbs(clause, lit) for lit in clause)
+    return not any(_unabsorbed(UnitPropagator(formula), [clause]))
 
 
 class ReductionError(PreconditionError):
@@ -177,8 +176,7 @@ def reduce_pc_irredundant(formula: CnfFormula, seed: int | None = None, limit: i
         raise PreconditionError("input formula is not propagation complete")
 
     def absorbed(clause: Clause, rest: CnfFormula) -> bool:
-        engine = UnitPropagator(rest)
-        return all(engine.absorbs(clause, lit) for lit in clause)
+        return not any(_unabsorbed(UnitPropagator(rest), [clause]))
 
     result = _greedy_reduce(formula, seed, absorbed)
     if not is_pc(result, limit=limit).verdict:
@@ -196,8 +194,7 @@ def reduce_urc_irredundant(formula: CnfFormula, seed: int | None = None, limit: 
     # a rest refuting every negated prime entails every clause, so it is equivalent and URC; the
     # removed clause, an implicate it must refute too, is the likeliest to fail and goes first
     def still_urc(clause: Clause, rest: CnfFormula) -> bool:
-        engine = UnitPropagator(rest)
-        return engine.refutes(clause) and next(_unrefuted_primes(engine, primes), None) is None
+        return not any(_unrefuted(UnitPropagator(rest), (clause, *primes.clauses)))
 
     result = _greedy_reduce(formula, seed, still_urc)
     if not is_urc(result, limit=limit).verdict:

@@ -11,7 +11,7 @@ translation a polynomial-time proxy for propagation completeness.
 
 from __future__ import annotations
 
-from .cnf import Clause, CnfFormula, PartialAssignment, literal_vector, make_clause, vector_literals
+from .cnf import CnfFormula, PartialAssignment, literal_vector, vector_literals
 from .errors import EmptyClauseError, LimitError, PreconditionError, UnsatisfiableError
 from .propagation import UnitPropagator, all_literals
 from .semantics import assignment_walk, prime_implicates
@@ -30,12 +30,12 @@ def dual_rail(formula: CnfFormula) -> CnfFormula:
         raise EmptyClauseError("dual-rail translation is undefined for the empty clause")
     n = formula.num_vars
     meta = {lit: literal_vector((lit,), n).bit_length() for lit in all_literals(n)}  # [[lit]]: its bit, 1-based
-    clauses: list[Clause] = []
+    clauses: list[list[int]] = []
     for clause in formula.clauses:
         for lit in clause:
-            clauses.append(make_clause([meta[lit]] + [-meta[-other] for other in clause if other != lit]))
+            clauses.append([meta[lit]] + [-meta[-other] for other in clause if other != lit])
     for var in range(1, n + 1):
-        clauses.append(make_clause([-meta[var], -meta[-var]]))
+        clauses.append([-meta[var], -meta[-var]])
     return CnfFormula.from_clauses(clauses, 2 * n)
 
 

@@ -126,6 +126,13 @@ def gen_psi_qhorn(n: int) -> tuple[CnfFormula, tuple[Clause, ...]]:
     choice, which are exactly its prime implicates on the activator
     literals.
     """
+    formula = _psi_qhorn_formula(n)
+    rows = [(-(n + i), -(2 * n + i)) for i in range(1, n + 1)]  # (-a_i, -b_i)
+    return formula, tuple(make_clause(choice) for choice in product(*rows))
+
+
+def _psi_qhorn_formula(n: int) -> CnfFormula:
+    """The psi_qhorn formula alone, without its 2^n blocking clauses."""
     if n < 2:
         raise ValueError("psi_qhorn requires n >= 2")
     x = lambda i: i
@@ -139,12 +146,7 @@ def gen_psi_qhorn(n: int) -> tuple[CnfFormula, tuple[Clause, ...]]:
     for act in (a(n), b(n)):
         clauses.append([-act, -x(1), -x(n)])
         clauses.append([-act, x(1), x(n)])
-    formula = CnfFormula.from_clauses(clauses, 3 * n)
-    blockers = []
-    for choice in product((0, 1), repeat=n):
-        lits = [-(a(i) if choice[i - 1] == 0 else b(i)) for i in range(1, n + 1)]
-        blockers.append(make_clause(lits))
-    return formula, tuple(blockers)
+    return CnfFormula.from_clauses(clauses, 3 * n)
 
 
 def gen_psi_qhorn_pc(n: int) -> EncodingFormula:
@@ -260,7 +262,7 @@ def gen_parity(n: int, mode: str = "cnf") -> CnfFormula | EncodingFormula:
 GENERATORS = {
     "psi_horn": gen_psi_horn,
     "psi_horn_pc": gen_psi_horn_pc,
-    "psi_qhorn": lambda n: gen_psi_qhorn(n)[0],
+    "psi_qhorn": _psi_qhorn_formula,
     "psi_qhorn_pc": gen_psi_qhorn_pc,
     "gamma": lambda m: gen_gamma(m, "base"),
     "gamma_prime": lambda m: gen_gamma(m, "prime"),

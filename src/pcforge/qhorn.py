@@ -28,10 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
-from .cnf import Clause, CnfFormula, EncodingFormula, Literal, apply_assignment, make_clause
+from .cnf import Clause, CnfFormula, EncodingFormula, Literal, apply_assignment, clause_sort_key
 from .errors import NotQHornError, PreconditionError
 from .propagation import UnitPropagator
-from .semantics import clause_sort_key
 
 _TAUTOLOGY_MESSAGE = "q-Horn operations do not accept tautological clauses"
 
@@ -67,16 +66,15 @@ class Valuation:
 def recognize_qhorn(formula: CnfFormula) -> Valuation | None:
     """Find a witnessing valuation, or None when none exists (exact).
 
-    Fast paths first: any 2-CNF takes weight 1/2 everywhere, any Horn
-    formula weight 1 everywhere.  Otherwise a backtracking search over
-    per-variable weights, pruning on partial clause sums.
+    Any 2-CNF takes weight 1/2 everywhere, by policy.  Otherwise a
+    backtracking search over per-variable weights, pruning on partial
+    clause sums.  It tries weight 1 first for every variable, so a Horn
+    formula gets weight 1 everywhere without backtracking.
     """
     formula.reject_tautologies(_TAUTOLOGY_MESSAGE)
     n = formula.num_vars
     if all(len(clause) <= 2 for clause in formula.clauses):
         return Valuation((1,) * n)
-    if formula.is_horn():
-        return Valuation((2,) * n)
 
     occurrences: dict[int, list[tuple[int, Literal]]] = {v: [] for v in range(1, n + 1)}
     for idx, clause in enumerate(formula.clauses):
@@ -145,9 +143,10 @@ def normalize(formula: CnfFormula, valuation: Valuation) -> QHornSplit:
     x1 = tuple(v for v in range(1, n + 1) if weight[v - 1] == 2)
     x2 = tuple(v for v in range(1, n + 1) if weight[v - 1] == 1)
     x2_set = set(x2)
+    # renaming keeps each clause's variables in order and is a bijection: the clauses stay canonical and distinct
     phi1, phi2 = [], []
     for clause in formula.clauses:
-        renamed = make_clause(-lit if abs(lit) in flipped else lit for lit in clause)
+        renamed = tuple(-lit if abs(lit) in flipped else lit for lit in clause)
         if any(abs(lit) in x2_set for lit in renamed):
             phi2.append(renamed)
         else:
@@ -157,8 +156,8 @@ def normalize(formula: CnfFormula, valuation: Valuation) -> QHornSplit:
         flipped=flipped,
         x1=x1,
         x2=x2,
-        phi1=CnfFormula.from_clauses(phi1, n),
-        phi2=CnfFormula.from_clauses(phi2, n),
+        phi1=CnfFormula(tuple(phi1), n),
+        phi2=CnfFormula(tuple(phi2), n),
     )
 
 
@@ -286,7 +285,6 @@ def compile_urc_encoding(formula: CnfFormula, valuation: Valuation | None = None
     output is an encoding of the input's function over the original,
     un-renamed variables.
     """
-    formula.reject_tautologies(_TAUTOLOGY_MESSAGE)
     if valuation is None:
         valuation = recognize_qhorn(formula)
         if valuation is None:

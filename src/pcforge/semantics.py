@@ -39,8 +39,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .cnf import (Clause, CnfFormula, EncodingFormula, Literal, PartialAssignment, is_tautological, literal_vector,
-                  make_assignment, make_clause, vector_literals)
+from .cnf import (Clause, CnfFormula, EncodingFormula, Literal, PartialAssignment, clause_sort_key, is_tautological,
+                  literal_vector, make_assignment, make_clause, vector_literals)
 from .errors import LimitError, PreconditionError
 from .propagation import UnitPropagator
 
@@ -292,11 +292,6 @@ def is_encoding_of(encoding: EncodingFormula, table: FunctionTable) -> bool:
     np.not_equal(projected[1:], projected[:-1], out=distinct[1:])
     # both sides are sorted and duplicate-free
     return bool(np.array_equal(projected[distinct], table.onset))
-
-
-def clause_sort_key(clause: Clause):
-    """Deterministic clause order: by size, then (variable, polarity) tuples."""
-    return (len(clause), tuple((abs(lit), lit < 0) for lit in clause))
 
 
 @lru_cache(maxsize=32)

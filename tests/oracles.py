@@ -533,6 +533,25 @@ def reduce_urc_by_entailment(formula, seed=None):
     return CnfFormula(tuple(c for c, kept in zip(formula.clauses, keep) if kept), formula.num_vars)
 
 
+def reduce_pc_by_brute_absorption(formula, seed=None):
+    """Greedy PC reduction, same order as the reducer, that drops a clause when whole-formula scanning of
+    the rest derives each of its literals, or a conflict, from the negation of the other literals."""
+    order = list(range(len(formula.clauses)))
+    if seed is not None:
+        random.Random(seed).shuffle(order)
+    keep = [True] * len(order)
+    for idx in order:
+        keep[idx] = False
+        rest = CnfFormula(tuple(c for c, kept in zip(formula.clauses, keep) if kept), formula.num_vars)
+        clause = formula.clauses[idx]
+        absorbed = True
+        for lit in clause:
+            conflict, assigned = up_fixpoint_brute(rest, {-other for other in clause if other != lit})
+            absorbed = absorbed and (conflict or lit in assigned)
+        keep[idx] = not absorbed
+    return CnfFormula(tuple(c for c, kept in zip(formula.clauses, keep) if kept), formula.num_vars)
+
+
 def recognize_qhorn_recursive(formula):
     """The q-Horn weight search as a recursion over the variables (weights 2, 1, 0 in turn), fast paths first."""
     n = formula.num_vars

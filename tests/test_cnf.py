@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,9 +18,12 @@ from pcforge.cnf import (
     write_dimacs,
 )
 from pcforge.corpus import horn_formulas, qhorn_formulas, satisfiable_formulas
+from pcforge.deciders import reduce_pc_irredundant, reduce_urc_irredundant
+from pcforge.dual_rail import dual_rail
 from pcforge.errors import DimacsError
 from pcforge.families import GENERATORS, gen_psi_qhorn
-from pcforge.qhorn import compile_urc_encoding
+from pcforge.qhorn import compile_urc_encoding, normalize, phi_q_plus, recognize_qhorn
+from pcforge.semantics import prime_implicates
 
 from oracles import all_partial_assignments, models_brute, word_matches, write_dimacs_joined
 
@@ -350,3 +354,34 @@ def test_encoding_partition_validated():
         EncodingFormula(f, (1, 2), ())  # 3 missing
     with pytest.raises(ValueError):
         EncodingFormula(f, (1, 2, 3), (3,))  # overlap
+
+
+def _assert_canonical(formula):
+    assert all(clause == make_clause(clause) for clause in formula.clauses), formula
+    assert len(set(formula.clauses)) == len(formula.clauses), formula
+
+
+def test_formulas_the_package_builds_are_canonical():
+    rng = random.Random(139)
+    families = [GENERATORS[name](3) for name in GENERATORS]
+    formulas = satisfiable_formulas(131, 30, max_vars=6) + horn_formulas(137, 20, max_vars=7)
+    formulas += [f if isinstance(f, CnfFormula) else f.formula for f in families]
+    for formula in formulas:
+        n = formula.num_vars
+        beta = [v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), rng.randint(0, n))]
+        primes = prime_implicates(formula)
+        built = [apply_assignment(formula, beta), dual_rail(formula), primes]
+        if not primes.has_empty_clause() and n <= 10:
+            built += [reduce_pc_irredundant(primes, limit=n), reduce_urc_irredundant(primes, limit=n)]
+        for out in built:
+            _assert_canonical(out)
+    qhorn = qhorn_formulas(149, 30, max_vars=7) + [(f, recognize_qhorn(f)) for f in formulas]
+    for formula, valuation in qhorn:
+        if valuation is None:
+            continue
+        split = normalize(formula, valuation)
+        encoding = compile_urc_encoding(formula, valuation).formula
+        for out in (split.phi1, split.phi2, phi_q_plus(split), encoding):
+            _assert_canonical(out)
+        if encoding.num_vars <= 10:
+            _assert_canonical(reduce_urc_irredundant(encoding, limit=encoding.num_vars))

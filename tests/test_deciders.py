@@ -20,8 +20,8 @@ from pcforge.propagation import UnitPropagator, up_closure
 from pcforge.qhorn import compile_urc_encoding
 from pcforge.semantics import cl_sem, entails, equivalent, prime_implicates
 
-from oracles import (models_brute, pc_brute, prime_pc_per_prime, prime_urc_per_prime, reduce_urc_by_entailment,
-                     urc_brute)
+from oracles import (models_brute, pc_brute, prime_pc_per_prime, prime_urc_per_prime, reduce_pc_by_brute_absorption,
+                     reduce_urc_by_entailment, urc_brute)
 
 
 def F(clauses, num_vars=None):
@@ -274,6 +274,17 @@ def test_reduce_urc_matches_the_entailment_guarded_reference():
             assert reduced.clauses == reduce_urc_by_entailment(formula, seed=seed).clauses, (formula, seed)
 
 
+def test_reduce_pc_matches_the_brute_absorption_reference():
+    formulas = [prime_implicates(f) for f in satisfiable_formulas(109, 30, max_vars=6)]
+    formulas += [gen_psi_horn_pc(3), gen_psi_horn_pc(4), gen_gamma(2, "prime"), gen_gamma(3, "prime")]
+    formulas += [gen_parity(n, "cnf") for n in (2, 3, 4)]
+    for formula in formulas:
+        for seed in (None, 1, 2, 3):
+            reduced = reduce_pc_irredundant(formula, seed=seed, limit=formula.num_vars)
+            assert reduced.clauses == reduce_pc_by_brute_absorption(formula, seed=seed).clauses, (formula, seed)
+    assert any(len(reduce_pc_irredundant(f, limit=f.num_vars).clauses) < len(f.clauses) for f in formulas)
+
+
 def test_method_values():
     formula = F(DELTA, 4)
     assert is_urc(formula) == is_urc(formula, method="primes")
@@ -296,6 +307,21 @@ def test_primes_that_are_clauses_need_no_propagation(monkeypatch):
     assert is_urc(formula).verdict and is_pc(formula).verdict
     assert calls == []
     assert is_urc(F(DELTA, 4)).verdict and calls  # the counter does see runs
+
+
+def test_absorbed_clauses_of_the_formula_need_no_propagation(monkeypatch):
+    calls = []
+    run = UnitPropagator.run
+
+    def counted(engine, assumptions=()):
+        calls.append(assumptions)
+        return run(engine, assumptions)
+
+    monkeypatch.setattr(UnitPropagator, "run", counted)
+    formula = gen_gamma(3, "dprime")
+    assert all(is_absorbed(clause, formula) for clause in formula.clauses)
+    assert calls == []
+    assert is_absorbed(make_clause([-1, 2, 4]), F(DELTA, 4)) and calls  # the counter does see runs
 
 
 def test_absorption_past_24_variables():

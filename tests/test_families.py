@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from pcforge.cnf import CnfFormula, make_clause, write_dimacs
@@ -87,6 +89,18 @@ def test_psi_qhorn_shape_and_blockers():
     # the blockers are exactly the activator-only prime implicates
     activator_only = {c for c in primes if all(abs(l) > 2 for l in c)}
     assert activator_only == set(blockers)
+
+
+def test_psi_qhorn_generator_builds_no_blockers():
+    tracemalloc.start()
+    try:
+        formula = generate("psi_qhorn", 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(formula.clauses) == 64 and peak < 1 << 20
+    with pytest.raises(ValueError):
+        gen_psi_qhorn(1)
 
 
 def test_psi_qhorn_urc_failure():

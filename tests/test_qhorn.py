@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from pcforge import qhorn
 from pcforge.cnf import CnfFormula, make_clause, parse_dimacs, write_dimacs
-from pcforge.corpus import qhorn_formulas
+from pcforge.corpus import horn_formulas, qhorn_formulas
 from pcforge.deciders import is_urc
 from pcforge.errors import NotQHornError, PreconditionError, TautologyError
 from pcforge.families import gen_psi_qhorn
@@ -195,6 +195,7 @@ def test_recognition_matches_the_recursive_search():
     formulas = [formula for formula, _ in qhorn_formulas(127, 60, max_vars=9)]
     formulas += [gen_psi_qhorn(n)[0] for n in range(2, 7)]
     formulas += [F([[i, i + 1, -(i + 2)] for i in range(1, n - 1)], n) for n in (3, 10, 200)]
+    formulas += [f for f in horn_formulas(151, 60, max_vars=9) if any(len(c) > 2 for c in f.clauses)]
     for _ in range(150):
         n = rng.randint(3, 9)
         formulas.append(F([[v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), rng.randint(1, 3))]
