@@ -1,3 +1,5 @@
+import hashlib
+import json
 import tracemalloc
 
 import pytest
@@ -215,3 +217,46 @@ def test_companions():
     data = companions("gamma_dprime", 3)
     assert data["even_subsets"] == [[1, 2], [1, 3], [2, 3]]
     assert companions("parity_cnf", 3) is None
+
+
+def _family_outputs(family):
+    """The DIMACS (or, for companions, the JSON) of one family at every valid parameter up to 10."""
+    if family in GENERATORS:
+        low = 3 if family.startswith("psi_horn") else 2
+        return [write_dimacs(GENERATORS[family](p)) for p in range(low, 11)]
+    if family == "psi_horn_base":
+        return [write_dimacs(psi_horn_base(m)) for m in range(3, 11)]
+    if family == "psi_horn_base_primes":
+        return [write_dimacs(CnfFormula.from_clauses(psi_horn_base_primes(m), 3 * m + 1)) for m in range(3, 11)]
+    if family == "cycle_ext":
+        return [write_dimacs(gen_cycle_extension(psi_horn_base(m))) for m in range(3, 7)]
+    if family == "psi_qhorn_blockers":
+        return [write_dimacs(CnfFormula.from_clauses(gen_psi_qhorn(n)[1], 3 * n)) for n in range(2, 11)]
+    name = family.removesuffix("_companions")
+    return [json.dumps(companions(name, p), sort_keys=True) for p in range(2, 11)]
+
+
+# sha256 over the concatenated outputs of each family, taken before the generators were rewritten
+FAMILY_OUTPUT_DIGESTS = {
+    "psi_horn": "6e93800a96da4c9ad94798ffc69df24c19d7f0b5a4de4029b3f749e93d3fd3a4",
+    "psi_horn_pc": "972d5ac3ce13c6e64953fcacefff6536c0ae8d3e38663e37984e69422704ca4e",
+    "psi_qhorn": "7957159b1b861d533ec6e7ad1cd697044f44cfb138d8ac99a558ac4758364a31",
+    "psi_qhorn_pc": "8368974cf48ef0f3c72dde97f0ccc0598eae360d6cea88cb9cca6adf19cc6c1a",
+    "gamma": "9248f90929839ca25d500007bf3faea6a4496cbe25e2aaedf8d28dc057876af2",
+    "gamma_prime": "eee201ebba1318d3639d65c1401ba4dec6d8f7df556ab07b9de3f63a94a6fb1d",
+    "gamma_dprime": "ca9c476863b4520fa3f19e8d260eaf65407feb0889091ee184cab341dae5d6c7",
+    "parity_cnf": "2ae64577c843b729ed9d5c428413c9e6f677fce73c2431aef13bf7bc4debae4c",
+    "parity_enc": "9e5810f5ed738d168ceb54ba472e2185acb3cdc81e8a6d2e76d31bdc2eba62dc",
+    "psi_horn_base": "f871d4e5613d188b7d6c7724dcba202d680797fd498cd6178e942524f4a66819",
+    "psi_horn_base_primes": "d87c8e8a615c74d71a7e972f49d1980058c773bbee44aae8a4e6caaea0fd6804",
+    "cycle_ext": "713ea5f61139479d8c04b13359286091df53a8e0750fc3a314be3a17bffa9852",
+    "psi_qhorn_blockers": "f95a722db77b5e8b1c1edc0a3eca88e889417cc6643e8ccf60ac8d2d9323eb07",
+    "psi_qhorn_companions": "2655f2721e88260e5574045d3184ce3965653d6a04f9910f16206dfa312328cb",
+    "gamma_dprime_companions": "b8f554bc43f2e432c8a27e878a4186a1f63fe18c91c0ea27d5483ecba19b9828",
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_OUTPUT_DIGESTS))
+def test_family_output_bytes_are_pinned(family):
+    digest = hashlib.sha256("".join(_family_outputs(family)).encode()).hexdigest()
+    assert digest == FAMILY_OUTPUT_DIGESTS[family]
