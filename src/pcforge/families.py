@@ -1,7 +1,9 @@
 """Deterministic generators for the formula families used by the test matrix.
 
 Every generator is a pure function of its parameter: identical calls give
-identical clause order and hence byte-identical DIMACS.
+identical clause order and hence byte-identical DIMACS.  Each one computes
+its clause count from the parameter first and raises LimitError, before
+any clause is built, when the count is past semantics.PRIME_CLAUSES.
 
 Variable numbering, fixed per family:
 
@@ -19,36 +21,48 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
+from . import semantics
 from .cnf import Clause, CnfFormula, EncodingFormula, make_clause
-from .errors import UnsatisfiableError
-from .semantics import satisfiable
+from .errors import LimitError, UnsatisfiableError
+
+
+def _pow2(k: int) -> int:
+    """2^k as a clause count, capped just past PRIME_CLAUSES so that a huge k forms no huge int."""
+    return 1 << max(0, min(k, semantics.PRIME_CLAUSES.bit_length()))
+
+
+def _bound(family: str, parameter: int, clauses: int) -> None:
+    """Fail closed before a family instance of more than PRIME_CLAUSES clauses is built."""
+    if clauses > semantics.PRIME_CLAUSES:
+        bound = semantics.PRIME_CLAUSES
+        raise LimitError(f"{family}, parameter {parameter}: more than PRIME_CLAUSES = {bound} clauses")
+
+
+def _cycle(xs) -> list[list[int]]:
+    """The clauses of the implication cycle x_1 -> x_2 -> ... -> x_k -> x_1."""
+    return [[-a, b] for a, b in zip(xs, [*xs[1:], xs[0]])]
 
 
 def gen_psi_horn(m: int) -> CnfFormula:
     """Horn formula whose smallest propagation-complete equivalent is exponential.
 
-    2m clauses: an implication cycle on x_1..x_m and per-step side clauses
-    feeding a single wide negative clause.
+    2m clauses: the core clauses of psi_horn_base, the i-th widened by -x_i,
+    then an implication cycle on x_1..x_m.
     """
-    if m < 3:
-        raise ValueError("psi_horn requires m >= 3")
-    x = lambda i: i
-    y = lambda i: m + i
-    z = lambda i: 2 * m - 1 + i
-    clauses: list = []
-    for i in range(1, m):
-        clauses.append([-x(i), -y(i), z(i)])
-    clauses.append([-x(m)] + [-z(i) for i in range(1, m)])
-    for i in range(1, m):
-        clauses.append([-x(i), x(i + 1)])
-    clauses.append([-x(m), x(1)])
-    return CnfFormula.from_clauses(clauses, 3 * m + 1)
+    _bound("psi_horn", m, 2 * m)
+    base = psi_horn_base(m)
+    widened = [[-x, *clause] for x, clause in enumerate(base.clauses, start=1)]
+    return CnfFormula.from_clauses(widened + _cycle(range(1, m + 1)), base.num_vars)
 
 
 def psi_horn_base(m: int) -> CnfFormula:
-    """The cycle-free core of psi_horn on the y/z variables (same numbering)."""
+    """The cycle-free core of psi_horn on the y/z variables (same numbering).
+
+    m clauses: y_i -> z_i for i < m, then one wide negative clause on the z_i.
+    """
     if m < 3:
         raise ValueError("psi_horn requires m >= 3")
+    _bound("psi_horn_base", m, m)
     y = lambda i: m + i
     z = lambda i: 2 * m - 1 + i
     clauses = [[-y(i), z(i)] for i in range(1, m)]
@@ -59,21 +73,15 @@ def psi_horn_base(m: int) -> CnfFormula:
 def psi_horn_base_primes(m: int) -> tuple[Clause, ...]:
     """All 2^(m-1) + m - 1 prime implicates of the psi_horn core, explicitly.
 
-    The binary clauses plus, for every subset S of indices, the wide clause
-    with -y_i for i in S and -z_i otherwise.
+    The binary clauses of psi_horn_base plus, for every subset S of indices,
+    the wide clause with -y_i for i in S and -z_i otherwise; S is read as the
+    bits of a counter, bit i-1 for index i.
     """
-    y = lambda i: m + i
-    z = lambda i: 2 * m - 1 + i
-    primes = [make_clause([-y(i), z(i)]) for i in range(1, m)]
-    for bits in range(1 << (m - 1)):
-        lits = []
-        for i in range(1, m):
-            if bits & (1 << (i - 1)):
-                lits.append(-y(i))
-            else:
-                lits.append(-z(i))
-        primes.append(make_clause(lits))
-    return tuple(primes)
+    _bound("psi_horn_base_primes", m, _pow2(m - 1) + m - 1)
+    *binary, _ = psi_horn_base(m).clauses
+    # each binary clause (-y_i, z_i) offers -z_i or -y_i; the last factor of product turns fastest
+    choices = product(*[(-z, neg_y) for neg_y, z in reversed(binary)])
+    return (*binary, *map(make_clause, choices))
 
 
 def gen_psi_horn_pc(m: int) -> CnfFormula:
@@ -84,36 +92,38 @@ def gen_psi_horn_pc(m: int) -> CnfFormula:
     """
     if m < 3:
         raise ValueError("psi_horn_pc requires m >= 3")
-    x = lambda i: i
-    clauses: list = []
-    for i in range(1, m):
-        clauses.append([-x(i), x(i + 1)])
-    clauses.append([-x(m), x(1)])
-    for prime in psi_horn_base_primes(m):
-        clauses.append([-x(1)] + list(prime))
-    return CnfFormula.from_clauses(clauses, 3 * m + 1)
+    _bound("psi_horn_pc", m, _pow2(m - 1) + 2 * m - 1)
+    widened = [[-1, *prime] for prime in psi_horn_base_primes(m)]
+    return CnfFormula.from_clauses(_cycle(range(1, m + 1)) + widened, 3 * m + 1)
 
 
 def gen_cycle_extension(phi: CnfFormula) -> CnfFormula:
     """Attach an implication cycle of fresh variables to a satisfiable base.
 
     With m = |phi| clauses and p prime implicates of phi, the result has
-    exactly m*p + m*(m-1) prime implicates.
+    exactly m*p + m*(m-1) prime implicates.  Its 2m clauses are the cycle,
+    then the i-th base clause widened by -x_i.
     """
     m = len(phi.clauses)
     if m < 2:
         raise ValueError("cycle extension requires at least 2 clauses")
-    if not satisfiable(phi):
+    _bound("cycle_ext", m, 2 * m)
+    if not semantics.satisfiable(phi):
         raise UnsatisfiableError("cycle extension requires a satisfiable base formula")
-    n0 = phi.num_vars
-    x = lambda i: n0 + i
-    clauses: list = []
-    for i in range(1, m):
-        clauses.append([-x(i), x(i + 1)])
-    clauses.append([-x(m), x(1)])
-    for i, base_clause in enumerate(phi.clauses, start=1):
-        clauses.append([-x(i)] + list(base_clause))
-    return CnfFormula.from_clauses(clauses, n0 + m)
+    xs = range(phi.num_vars + 1, phi.num_vars + m + 1)
+    widened = [[-x, *clause] for x, clause in zip(xs, phi.clauses)]
+    return CnfFormula.from_clauses(_cycle(xs) + widened, phi.num_vars + m)
+
+
+def _activators(n: int) -> list[tuple[int, int]]:
+    """(a_i, b_i) of psi_qhorn for i = 1..n."""
+    return [(n + i, 2 * n + i) for i in range(1, n + 1)]
+
+
+def _row(n: int, i: int, act: int) -> list[list[int]]:
+    """x_i <-> x_{i+1} activated by act; the wrap-around row i = n is x_n <-> -x_1."""
+    nxt = i + 1 if i < n else -1
+    return [[-act, -i, nxt], [-act, i, -nxt]]
 
 
 def gen_psi_qhorn(n: int) -> tuple[CnfFormula, tuple[Clause, ...]]:
@@ -126,8 +136,9 @@ def gen_psi_qhorn(n: int) -> tuple[CnfFormula, tuple[Clause, ...]]:
     choice, which are exactly its prime implicates on the activator
     literals.
     """
+    _bound("psi_qhorn blockers", n, _pow2(n))
     formula = _psi_qhorn_formula(n)
-    rows = [(-(n + i), -(2 * n + i)) for i in range(1, n + 1)]  # (-a_i, -b_i)
+    rows = [(-a, -b) for a, b in _activators(n)]
     return formula, tuple(make_clause(choice) for choice in product(*rows))
 
 
@@ -135,17 +146,8 @@ def _psi_qhorn_formula(n: int) -> CnfFormula:
     """The psi_qhorn formula alone, without its 2^n blocking clauses."""
     if n < 2:
         raise ValueError("psi_qhorn requires n >= 2")
-    x = lambda i: i
-    a = lambda i: n + i
-    b = lambda i: 2 * n + i
-    clauses: list = []
-    for i in range(1, n):
-        for act in (a(i), b(i)):
-            clauses.append([-act, -x(i), x(i + 1)])
-            clauses.append([-act, x(i), -x(i + 1)])
-    for act in (a(n), b(n)):
-        clauses.append([-act, -x(1), -x(n)])
-        clauses.append([-act, x(1), x(n)])
+    _bound("psi_qhorn", n, 4 * n)
+    clauses = [clause for i, acts in enumerate(_activators(n), start=1) for act in acts for clause in _row(n, i, act)]
     return CnfFormula.from_clauses(clauses, 3 * n)
 
 
@@ -157,26 +159,19 @@ def gen_psi_qhorn_pc(n: int) -> EncodingFormula:
     """
     if n < 2:
         raise ValueError("psi_qhorn_pc requires n >= 2")
-    x = lambda i: i
-    a = lambda i: n + i
-    b = lambda i: 2 * n + i
+    _bound("psi_qhorn_pc", n, 4 * n + 1)
     c = lambda i: 3 * n + i
-    clauses: list = []
-    for i in range(1, n + 1):
-        clauses.append([-a(i), c(i)])
-        clauses.append([-b(i), c(i)])
+    clauses = [[-act, c(i)] for i, acts in enumerate(_activators(n), start=1) for act in acts]
     clauses.append([-c(i) for i in range(1, n + 1)])
-    for i in range(1, n):
-        clauses.append([-c(i), -x(i), x(i + 1)])
-        clauses.append([-c(i), x(i), -x(i + 1)])
-    clauses.append([-c(n), -x(1), -x(n)])
-    clauses.append([-c(n), x(1), x(n)])
+    for i in range(1, n + 1):
+        clauses += _row(n, i, c(i))
     formula = CnfFormula.from_clauses(clauses, 4 * n)
     return EncodingFormula(formula, tuple(range(1, 3 * n + 1)), tuple(range(3 * n + 1, 4 * n + 1)))
 
 
 def gamma_even_subsets(m: int) -> tuple[tuple[int, ...], ...]:
-    """Non-empty even-size subsets of {1..m}, by size then lexicographically."""
+    """Non-empty even-size subsets of {1..m}, by size then lexicographically: 2^(m-1) - 1 of them."""
+    _bound("gamma_even_subsets", m, _pow2(m - 1) - 1)
     out = []
     for k in range(2, m + 1, 2):
         out.extend(combinations(range(1, m + 1), k))
@@ -191,13 +186,15 @@ def gen_gamma(m: int, variant: str = "base") -> CnfFormula:
     prime: base plus the resolved shortcuts a_i -> d_i; 4m+1 clauses,
     propagation complete.
     dprime: base plus one blocking clause per non-empty even subset I
-    (a_j outside I, d_i inside); 3m + 2^(m-1) clauses, unit refutation
+    (gamma_blocking_clause); 3m + 2^(m-1) clauses, unit refutation
     complete and URC-irredundant.
     """
     if m < 2:
         raise ValueError("gamma requires m >= 2")
-    if variant not in ("base", "prime", "dprime"):
+    sizes = {"base": 3 * m + 1, "prime": 4 * m + 1, "dprime": 3 * m + _pow2(m - 1)}
+    if variant not in sizes:
         raise ValueError(f"unknown gamma variant {variant!r}")
+    _bound(f"gamma {variant}", m, sizes[variant])
     a = lambda i: i
     b = lambda i: m + i
     c = lambda i: 2 * m + i
@@ -208,17 +205,14 @@ def gen_gamma(m: int, variant: str = "base") -> CnfFormula:
         clauses.append([-a(i), c(i)])
         clauses.append([-b(i), -c(i), d(i)])
     if variant == "prime":
-        for i in range(1, m + 1):
-            clauses.append([-a(i), d(i)])
+        clauses += [[-a(i), d(i)] for i in range(1, m + 1)]
     elif variant == "dprime":
-        for subset in gamma_even_subsets(m):
-            inside = set(subset)
-            clauses.append([a(j) for j in range(1, m + 1) if j not in inside] + [d(i) for i in subset])
+        clauses += [gamma_blocking_clause(m, subset) for subset in gamma_even_subsets(m)]
     return CnfFormula.from_clauses(clauses, 4 * m)
 
 
 def gamma_blocking_clause(m: int, subset: tuple[int, ...]) -> Clause:
-    """The dprime clause attached to one even subset."""
+    """The dprime clause attached to one even subset I: a_j for j outside I, d_i for i inside."""
     inside = set(subset)
     d = lambda i: 3 * m + i
     return make_clause([j for j in range(1, m + 1) if j not in inside] + [d(i) for i in subset])
@@ -236,6 +230,7 @@ def gen_parity(n: int, mode: str = "cnf") -> CnfFormula | EncodingFormula:
     if n < 2:
         raise ValueError("parity requires n >= 2")
     if mode == "cnf":
+        _bound("parity cnf", n, _pow2(n - 1))
         clauses = []
         for word in range(1 << n):
             if bin(word).count("1") % 2 == 1:
@@ -243,6 +238,7 @@ def gen_parity(n: int, mode: str = "cnf") -> CnfFormula | EncodingFormula:
             clauses.append([(v if not word & (1 << (v - 1)) else -v) for v in range(1, n + 1)])
         return CnfFormula.from_clauses(clauses, n)
     if mode == "encoding":
+        _bound("parity encoding", n, 4 * (n - 1) + 1)
         y = lambda i: n + i - 1  # y_i for i >= 2
         clauses = []
         for i in range(2, n + 1):

@@ -1,12 +1,18 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from pcforge import semantics
 from pcforge.cnf import CnfFormula, make_clause, write_dimacs
 from pcforge.deciders import is_pc, is_urc
-from pcforge.errors import UnsatisfiableError
+from pcforge.errors import LimitError, UnsatisfiableError
 from pcforge.families import (
     FAMILY_NAMES,
     GENERATORS,
@@ -260,3 +266,104 @@ FAMILY_OUTPUT_DIGESTS = {
 def test_family_output_bytes_are_pinned(family):
     digest = hashlib.sha256("".join(_family_outputs(family)).encode()).hexdigest()
     assert digest == FAMILY_OUTPUT_DIGESTS[family]
+
+
+def test_psi_horn_base_primes_requires_the_base_range():
+    with pytest.raises(ValueError, match="psi_horn requires m >= 3"):
+        psi_horn_base_primes(2)
+
+
+def _builders(parameter):
+    """Every family builder and both companion builders, at one parameter."""
+    calls = {name: (lambda build=build: build(parameter)) for name, build in GENERATORS.items()}
+    calls["psi_horn_base"] = lambda: psi_horn_base(parameter)
+    calls["psi_horn_base_primes"] = lambda: psi_horn_base_primes(parameter)
+    calls["gamma_even_subsets"] = lambda: gamma_even_subsets(parameter)
+    calls["gen_psi_qhorn"] = lambda: gen_psi_qhorn(parameter)
+    for name in ("psi_qhorn", "gamma_dprime"):
+        calls[f"{name} companions"] = lambda name=name: companions(name, parameter)
+    return calls
+
+
+def _size(result):
+    """The clause count a builder's bound is taken on."""
+    if isinstance(result, tuple) and isinstance(result[0], CnfFormula):
+        return len(result[1])  # gen_psi_qhorn: the blockers outnumber the formula
+    if isinstance(result, dict):
+        return len(next(iter(result.values())))
+    return len(getattr(result, "formula", result))
+
+
+@pytest.mark.parametrize("parameter", [4, 5, 8])  # from n = 4 on, psi_qhorn has at least as many blockers as clauses
+def test_family_bound_is_each_builders_exact_clause_count(parameter, monkeypatch):
+    base = psi_horn_base(parameter)
+    calls = _builders(parameter)
+    calls["cycle_ext"] = lambda: gen_cycle_extension(base)
+    for name, call in calls.items():
+        size = _size(call())
+        monkeypatch.setattr(semantics, "PRIME_CLAUSES", size)
+        assert _size(call()) == size, name
+        monkeypatch.setattr(semantics, "PRIME_CLAUSES", size - 1)
+        with pytest.raises(LimitError, match="more than PRIME_CLAUSES"):
+            call()
+        monkeypatch.undo()
+
+
+def test_family_bound_fails_closed_before_building(monkeypatch):
+    # parameter 18 asks for up to 2^17 clauses: a builder that lost its bound shows in the peak
+    base = psi_horn_base(18)
+    monkeypatch.setattr(semantics, "PRIME_CLAUSES", 16)
+    calls = _builders(18)
+    calls["cycle_ext"] = lambda: gen_cycle_extension(base)
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            with pytest.raises(LimitError):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, name
+
+
+HUGE_PARAMETER_SCRIPT = """
+import time
+import tracemalloc
+from pcforge.errors import LimitError
+from test_families import _builders
+for name, call in _builders(10**9).items():
+    started = time.perf_counter()
+    tracemalloc.start()
+    try:
+        call()
+    except LimitError:
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20, name
+        assert time.perf_counter() - started < 1, name
+    else:
+        raise SystemExit(name + " built")
+    finally:
+        tracemalloc.stop()
+"""
+
+
+def test_family_bound_at_a_huge_parameter():
+    # in a child capped at 2 GiB of address space, so a builder that lost its bound fails there
+    # with MemoryError instead of exhausting the host; 1 << 10**9 alone would be 125 MB
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    result = subprocess.run([sys.executable, "-c", HUGE_PARAMETER_SCRIPT], env=env, preexec_fn=cap,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+
+
+def test_family_bound_at_the_default_prime_clauses():
+    assert len(generate("psi_qhorn", 30).clauses) == 120
+    with pytest.raises(LimitError):
+        companions("psi_qhorn", 30)
+    assert len(generate("parity_cnf", 18).clauses) == 131_072
+    with pytest.raises(LimitError):
+        generate("parity_cnf", 19)
