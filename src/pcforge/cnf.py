@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, groupby
 from typing import Iterable, Iterator, Union
 
 from .errors import DimacsError, TautologyError
@@ -309,10 +309,16 @@ def parse_dimacs(text: Union[str, bytes]) -> Union[CnfFormula, EncodingFormula]:
     return EncodingFormula(formula, inputs, aux)
 
 
+_WRITE_CHUNK = 4096  # literals formatted by one % operation
+
+
 def write_dimacs(obj: Union[CnfFormula, EncodingFormula]) -> str:
     """Serialize to DIMACS; round-trips bit-exactly through parse_dimacs.
 
-    Each clause is formatted in one step by the format string of its width.
+    Each run of consecutive clauses of one width is formatted in chunks of
+    at most _WRITE_CHUNK literals, each chunk by one % over its flattened
+    literals with that width's line repeated.  The text is joined from the
+    chunks, so besides the output only about one more copy of it is held.
     """
     if isinstance(obj, EncodingFormula):
         formula = obj.formula
@@ -322,7 +328,12 @@ def write_dimacs(obj: Union[CnfFormula, EncodingFormula]) -> str:
         formula = obj
         head = ""
     clauses = formula.clauses
-    formats = ["%d " * k + "0" for k in range(max(map(len, clauses), default=0) + 1)]
-    lines = [f"p cnf {formula.num_vars} {len(clauses)}"]
-    lines += [formats[len(clause)] % clause for clause in clauses]
-    return head + "\n".join(lines) + "\n"
+    pieces = [head, f"p cnf {formula.num_vars} {len(clauses)}\n"]
+    for width, run in groupby(clauses, len):
+        run = list(run)
+        line = "%d " * width + "0\n"
+        step = max(1, _WRITE_CHUNK // max(width, 1))
+        for begin in range(0, len(run), step):
+            chunk = run[begin:begin + step]
+            pieces.append(line * len(chunk) % tuple(chain.from_iterable(chunk)))
+    return "".join(pieces)

@@ -231,12 +231,11 @@ def gen_parity(n: int, mode: str = "cnf") -> CnfFormula | EncodingFormula:
         raise ValueError("parity requires n >= 2")
     if mode == "cnf":
         _bound("parity cnf", n, _pow2(n - 1))
-        clauses = []
-        for word in range(1 << n):
-            if bin(word).count("1") % 2 == 1:
-                continue
-            clauses.append([(v if not word & (1 << (v - 1)) else -v) for v in range(1, n + 1)])
-        return CnfFormula.from_clauses(clauses, n)
+        # the clause excluding the point word, built canonical: variables ascending, x_v negated where bit v-1 is set
+        variables = range(1, n + 1)
+        clauses = tuple(tuple([-v if word >> (v - 1) & 1 else v for v in variables])
+                        for word in range(1 << n) if not word.bit_count() & 1)
+        return CnfFormula(clauses, n)
     if mode == "encoding":
         _bound("parity encoding", n, 4 * (n - 1) + 1)
         y = lambda i: n + i - 1  # y_i for i >= 2

@@ -10,6 +10,9 @@ assignment; by convention the closure of a refuted assignment (one from
 which the empty clause is derivable) is the full literal set of the
 universe, which makes closure results comparable across formulas for the
 same function.
+
+The propagation state is one signed value per literal and one counter per
+clause, both plain lists indexed directly by literals and clause indices.
 """
 
 from __future__ import annotations
@@ -43,25 +46,28 @@ class PropagationResult:
 class UnitPropagator:
     """Counter-based propagation over a fixed formula, reusable across calls.
 
-    The state is a value per variable and, per clause, a count of literals
-    not yet processed as false (Dowling and Gallier's scheme): a clause with
-    a true literal never reaches 0, so 0 is a conflict.  A walk node is
-    (vector, val, counts), vector the closed assignment's literal vector.
+    The state is one signed value per literal, val[lit] = 1 when lit is
+    true, -1 when false and 0 while open, kept so that val[-lit] ==
+    -val[lit] (-v indexes from the end, as in occ), and, per clause, a
+    count of literals not yet processed as false (Dowling and Gallier's
+    scheme): a clause with a true literal never reaches 0, so 0 is a
+    conflict.  A walk node is (vector, val, counts), vector the closed
+    assignment's literal vector.
     """
 
     __slots__ = ("num_vars", "clauses", "occ", "lengths", "units", "empty")
 
     def __init__(self, formula: CnfFormula):
         self.num_vars = formula.num_vars
-        self.clauses = formula.clauses
-        self.lengths = [len(clause) for clause in self.clauses]
+        self.clauses = clauses = formula.clauses
+        self.lengths = lengths = list(map(len, clauses))
         # static units in clause order, up to the first empty clause, where every run stops
-        self.empty = next((idx for idx, length in enumerate(self.lengths) if length == 0), None)
-        stop = len(self.clauses) if self.empty is None else self.empty
-        self.units = [clause[0] for clause in self.clauses[:stop] if len(clause) == 1]
+        self.empty = lengths.index(0) if 0 in lengths else None
+        stop = len(clauses) if self.empty is None else self.empty
+        self.units = [clause[0] for clause in clauses[:stop] if len(clause) == 1]
         # occ[lit] lists the clauses containing lit; -v indexes from the end, slot 0 is unused
         occ: list[list[int]] = [[] for _ in range(2 * formula.num_vars + 1)]
-        for idx, clause in enumerate(self.clauses):
+        for idx, clause in enumerate(clauses):
             for lit in clause:
                 occ[lit].append(idx)
         self.occ = occ
@@ -88,11 +94,11 @@ class UnitPropagator:
     def extend(self, node: tuple, lit: Literal) -> tuple | None:
         """The node after also assuming lit, or None on conflict; node itself when lit is already derived."""
         vector, val, counts = node
-        state = val[abs(lit)]
+        state = val[lit]
         if state:  # already derived: nothing changes; its complement: a conflict
-            return node if state == (1 if lit > 0 else -1) else None
+            return node if state > 0 else None
         val, counts = val.copy(), counts.copy()
-        val[abs(lit)] = 1 if lit > 0 else -1
+        val[lit], val[-lit] = 1, -1
         trail = [lit]
         if self._propagate(val, counts, trail) is not None:
             return None
@@ -101,21 +107,21 @@ class UnitPropagator:
     def _root(self, assumptions=()) -> tuple[list[int], list[int], list[Literal], int | None]:
         """(val, counts, trail, empty index) after the assumptions, then the static units, then propagation."""
         nv = self.num_vars
-        val = [0] * (nv + 1)  # 0 unassigned, 1 true, -1 false (for the positive literal)
+        val = [0] * (2 * nv + 1)
         trail: list[Literal] = []
         for lit in assumptions:
             if not (1 <= abs(lit) <= nv):
                 raise ValueError(f"assumed literal {lit} outside universe 1..{nv}")
-            want = 1 if lit > 0 else -1
-            if val[abs(lit)] == -want:
+            state = val[lit]
+            if state < 0:
                 raise ValueError("inconsistent assumption set")
-            if val[abs(lit)] == 0:
-                val[abs(lit)] = want
+            if state == 0:
+                val[lit], val[-lit] = 1, -1
                 trail.append(lit)
         for lit in self.units:
             # a falsified static unit conflicts in _propagate, once the assumption is processed
-            if val[abs(lit)] == 0:
-                val[abs(lit)] = 1 if lit > 0 else -1
+            if val[lit] == 0:
+                val[lit], val[-lit] = 1, -1
                 trail.append(lit)
         counts = self.lengths.copy()
         empty = self.empty if self.empty is not None else self._propagate(val, counts, trail)
@@ -130,24 +136,22 @@ class UnitPropagator:
         clause that became empty, or None.
         """
         occ, clauses = self.occ, self.clauses
-        head = 0
-        while head < len(trail):
-            lit = trail[head]
-            head += 1
+        for lit in trail:  # the iterator also visits the literals appended on the way
             for idx in occ[-lit]:
-                counts[idx] -= 1
-                remaining = counts[idx]
+                remaining = counts[idx] - 1
+                counts[idx] = remaining
+                if remaining > 1:
+                    continue
                 if remaining == 0:
                     return idx
-                if remaining == 1:
-                    for cand in clauses[idx]:
-                        state = val[abs(cand)]
-                        if state == 0:
-                            val[abs(cand)] = 1 if cand > 0 else -1
-                            trail.append(cand)
-                            break
-                        if state == (1 if cand > 0 else -1):
-                            break
+                for cand in clauses[idx]:
+                    state = val[cand]
+                    if state == 0:
+                        val[cand], val[-cand] = 1, -1
+                        trail.append(cand)
+                        break
+                    if state > 0:
+                        break
         return None
 
 

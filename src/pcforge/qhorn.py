@@ -292,7 +292,12 @@ def compile_urc_encoding(formula: CnfFormula, valuation: Valuation | None = None
     split = normalize(formula, valuation)
     fq = phi_q_plus(split)
     n = formula.num_vars
-    aux_of = {clause: n + 1 + idx for idx, clause in enumerate(fq.clauses)}
+    clauses_list = fq.clauses
+    # aux_at[x][y] and aux_at[y][x] hold the auxiliary of the closure clause (x ∨ y); each row is filled
+    # in auxiliary order, so its values ascend
+    aux_at: dict[Literal, dict[Literal, int]] = defaultdict(dict)
+    for aux, (x, y) in enumerate(clauses_list, start=n + 1):
+        aux_at[x][y] = aux_at[y][x] = aux
     x2_set = set(split.x2)
     unflip = split.unflip
 
@@ -309,55 +314,47 @@ def compile_urc_encoding(formula: CnfFormula, valuation: Valuation | None = None
             group1.append(tuple(map(unflip, clause)))
         else:
             rest = tuple(unflip(lit) for lit in clause if abs(lit) not in x2_set)
-            group2.append(rest + (aux_of[half],))
+            group2.append(rest + (aux_at[half[0]][half[1]],))
 
-    # Groups 3 and 4: for each pair i < j of closure clauses that clash on exactly one literal,
-    # in (i, j) order.  The partners j of ci = (p, q) are merged from the sorted position lists
-    # of -p and -q, each ending in the sentinel len(clauses_list); one in both lists clashes twice.
+    # Groups 3 and 4: for each pair a < b of closure auxiliaries whose clauses clash on exactly one
+    # literal, in (a, b) order.  The partners b of (p ∨ q) are merged from the ascending auxiliaries
+    # of the clauses holding -p and -q, each list ending in the sentinel `end`; one in both lists
+    # clashes twice.  mates[lit] lists the other literal of each of those clauses.
     group3: list[Clause] = []
     group4: list[Clause] = []
-    clauses_list = fq.clauses
-    end = len(clauses_list)
-    positions: dict[Literal, list[int]] = defaultdict(list)
-    for j, clause in enumerate(clauses_list):
-        for lit in clause:
-            positions[lit].append(j)
-    for listed in positions.values():
-        listed.append(end)
+    end = n + 1 + len(clauses_list)
+    positions = {lit: [*row.values(), end] for lit, row in aux_at.items()}
+    mates = {lit: list(row) for lit, row in aux_at.items()}
     unlisted = [end]
-    for i, (p, q) in enumerate(clauses_list):
+    for a, (p, q) in enumerate(clauses_list, start=n + 1):
         via_p, via_q = positions.get(-p, unlisted), positions.get(-q, unlisted)
-        k, m = bisect_right(via_p, i), bisect_right(via_q, i)
-        a = n + 1 + i
+        mates_p, mates_q = mates.get(-p), mates.get(-q)
+        k, m = bisect_right(via_p, a), bisect_right(via_q, a)
         while True:
-            jp, jq = via_p[k], via_q[m]
-            if jp < jq:
-                j, clash, x = jp, p, q
+            bp, bq = via_p[k], via_q[m]
+            if bp < bq:
+                b, x, y = bp, q, mates_p[k]
                 k += 1
-            elif jq < jp:
-                j, clash, x = jq, q, p
+            elif bq < bp:
+                b, x, y = bq, p, mates_q[m]
                 m += 1
-            elif jp == end:
+            elif bp == end:
                 break
             else:
                 k += 1
                 m += 1
                 continue
-            cj = clauses_list[j]
-            y = cj[1] if cj[0] == -clash else cj[0]
-            b = n + 1 + j
             if x == y:
                 group4.append((unflip(x), -a, -b))
             else:
                 # the resolvent differs from both parents, so only its auxiliary needs placing
-                r = aux_of[(x, y) if abs(x) < abs(y) else (y, x)]
+                r = aux_at[x][y]
                 group3.append((r, -a, -b) if r < a else (-a, r, -b) if r < b else (-a, -b, r))
 
     group5: list[Clause] = []
     group6: list[Clause] = []
-    for clause in clauses_list:
-        u, v = unflip(clause[0]), unflip(clause[1])
-        aux = aux_of[clause]
+    for aux, (x, y) in enumerate(clauses_list, start=n + 1):
+        u, v = unflip(x), unflip(y)
         group5.append((u, v, -aux))
         group6.append((-u, aux))
         group6.append((-v, aux))

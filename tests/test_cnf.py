@@ -1,11 +1,13 @@
 import copy
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pcforge.cnf import (
+    _WRITE_CHUNK,
     CnfFormula,
     EncodingFormula,
     apply_assignment,
@@ -21,7 +23,7 @@ from pcforge.corpus import horn_formulas, qhorn_formulas, satisfiable_formulas
 from pcforge.deciders import reduce_pc_irredundant, reduce_urc_irredundant
 from pcforge.dual_rail import dual_rail
 from pcforge.errors import DimacsError
-from pcforge.families import GENERATORS, gen_psi_qhorn
+from pcforge.families import GENERATORS, gen_parity, gen_psi_qhorn
 from pcforge.qhorn import compile_urc_encoding, normalize, phi_q_plus, recognize_qhorn
 from pcforge.semantics import prime_implicates
 
@@ -178,7 +180,25 @@ def _writer_corpus():
     for family, generate in GENERATORS.items():
         out += [generate(m) for m in range(3, 6)]
     out += [compile_urc_encoding(gen_psi_qhorn(n)[0]) for n in range(2, 6)]
+    out += [compile_urc_encoding(formula, valuation) for formula, valuation in qhorn_formulas(1005, 40)]
+    out.append(_interleaved_widths())
     return out
+
+
+def _interleaved_widths() -> EncodingFormula:
+    """An encoding whose clause widths change from run to run, one run spanning several writer chunks."""
+    rng = random.Random(1004)
+    n = 20
+    runs = [(3, 2 * _WRITE_CHUNK // 3 + 1), (1, 3), (2, 5), (0, 1), (3, 1), (2, 1), (4, 7), (1, 1), (3, 50), (2, 2)]
+    seen, clauses = set(), []
+    for width, length in runs:
+        while length:
+            clause = make_clause(var * rng.choice((1, -1)) for var in rng.sample(range(1, n + 1), width))
+            if clause not in seen:
+                seen.add(clause)
+                clauses.append(clause)
+                length -= 1
+    return EncodingFormula(CnfFormula(tuple(clauses), n), tuple(range(1, 11)), tuple(range(11, n + 1)))
 
 
 def test_writer_matches_joined_writer():
@@ -187,6 +207,18 @@ def test_writer_matches_joined_writer():
         assert text.splitlines() == write_dimacs_joined(obj).splitlines()  # a long text diff takes minutes
         assert text.endswith("\n")
         assert parse_dimacs(text) == obj
+
+
+def test_writer_holds_about_one_copy_of_its_output():
+    # the chunks joined into the output are about one more copy of it; per-clause lines took about four
+    formula = gen_parity(16, "cnf")
+    tracemalloc.start()
+    try:
+        text = write_dimacs(formula)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)
 
 
 def test_write_aux_header_before_p_line():

@@ -255,6 +255,7 @@ def _differential_corpus():
     qhorn = qhorn_formulas(47, 12, max_vars=8)
     formulas += [f for f, _ in qhorn]
     formulas += [compile_urc_encoding(f, v).formula for f, v in qhorn]
+    formulas += [compile_urc_encoding(gen_psi_qhorn(n)[0]).formula for n in (2, 3, 4)]
     for generate in GENERATORS.values():
         for parameter in (3, 4):
             generated = generate(parameter)
