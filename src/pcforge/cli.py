@@ -20,12 +20,12 @@ import sys
 import time
 
 from . import acceptance
-from .cnf import CnfFormula, EncodingFormula, literal_key, literal_vector, make_clause, parse_dimacs, write_dimacs
+from .cnf import CnfFormula, EncodingFormula, literal_key, make_clause, parse_dimacs, write_dimacs
 from .deciders import DECIDER_LIMIT, is_absorbed, is_pc, is_urc, reduce_pc_irredundant, reduce_urc_irredundant
 from .dual_rail import dual_rail, pc_via_dual_rail
 from .errors import LimitError, NotQHornError, PcforgeError
 from .families import FAMILY_NAMES, companions, gen_cycle_extension, generate
-from .propagation import all_literals, up_closure
+from .propagation import up_closure
 from .qhorn import compile_urc_encoding, normalize, qhorn_sat, recognize_qhorn
 from .semantics import enumerate_models, equivalent, is_encoding_of, prime_implicates
 
@@ -126,9 +126,9 @@ def _cmd_dr(args, inputs: dict[str, str]) -> tuple[dict, str, bool]:
     payload = {"meta_vars": rail.num_vars, "clauses": len(rail.clauses)}
     header = ""
     if args.output:
-        # meta-variable m stands for the literal of bit m-1 of the literal vector
-        lits = sorted(all_literals(formula.num_vars), key=lambda lit: literal_vector((lit,), formula.num_vars))
-        header = "\n".join(f"c meta {meta} {lit}" for meta, lit in enumerate(lits, start=1)) + "\n"
+        # meta-variable m stands for the literal of bit m-1 of the literal vector: m itself up to n, then n - m
+        n = formula.num_vars
+        header = "\n".join(f"c meta {m} {m if m <= n else n - m}" for m in range(1, 2 * n + 1)) + "\n"
     _output(args.output, payload, "horn_clauses", rail, header)
     return payload, f"dual rail: {payload['clauses']} Horn clauses over {payload['meta_vars']} meta-variables", True
 

@@ -6,7 +6,8 @@ as duplicate-free tuples sorted by (variable, polarity) with the positive
 literal first, so equal clauses compare equal and DIMACS output is
 reproducible.  A formula carries an explicit universe size ``num_vars``
 which may exceed the variables actually occurring in clauses; this keeps
-equivalence over a shared universe well defined.
+equivalence over a shared universe well defined.  Past UNIVERSE_VARS it
+raises LimitError, as engines size their per-literal tables by it.
 
 All values are immutable after construction and safe to share between
 concurrent workers.
@@ -20,11 +21,13 @@ from functools import cached_property
 from itertools import chain, groupby
 from typing import Iterable, Iterator, Union
 
-from .errors import DimacsError, TautologyError
+from .errors import DimacsError, LimitError, TautologyError
 
 Literal = int
 Clause = tuple[Literal, ...]
 PartialAssignment = frozenset[Literal]
+
+UNIVERSE_VARS = 1 << 19  # the widest universe a formula may declare; gen psi_horn 100000 declares 300,001
 
 
 def literal_key(lit: Literal) -> tuple[int, bool]:
@@ -111,6 +114,8 @@ class CnfFormula:
     def __post_init__(self):
         if self.num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
+        if self.num_vars > UNIVERSE_VARS:
+            raise LimitError(f"{self.num_vars} variables exceed UNIVERSE_VARS = {UNIVERSE_VARS}")
         lits = set(chain.from_iterable(self.clauses))  # one C-level pass over the literals
         if lits and (0 in lits or min(lits) < -self.num_vars or max(lits) > self.num_vars):
             bad = next(lit for clause in self.clauses for lit in clause if not 1 <= abs(lit) <= self.num_vars)

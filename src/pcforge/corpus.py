@@ -58,8 +58,8 @@ def _random_qhorn_once(rng: random.Random, max_vars: int, max_half: int, max_cla
 
     Clause shapes respect the weight budget: either up to two half-weight
     literals, or one weight-1 literal, plus any number of weight-0
-    literals (negations of weight-1 variables or flipped-variable
-    positives).
+    literals (negations of weight-1 variables or positives of weight-0
+    variables).
     """
     n = rng.randint(2, max_vars)
     half_count = min(n, rng.choice((0, 1, 2, 2, 3, 3)), max_half)

@@ -11,7 +11,7 @@ translation a polynomial-time proxy for propagation completeness.
 
 from __future__ import annotations
 
-from .cnf import CnfFormula, PartialAssignment, literal_vector, vector_literals
+from .cnf import UNIVERSE_VARS, CnfFormula, PartialAssignment, vector_literals
 from .errors import EmptyClauseError, LimitError, PreconditionError, UnsatisfiableError
 from .propagation import UnitPropagator, all_literals
 from .semantics import assignment_walk, prime_implicates
@@ -23,13 +23,15 @@ def dual_rail(formula: CnfFormula) -> CnfFormula:
     [[v]] = v and [[-v]] = n + v, so a model word is the literal vector of
     the assignment it stands for.  One Horn clause per (clause, literal)
     pair plus one consistency clause per universe variable: the clause
-    count is length(formula) + num_vars.  The source formula must not
-    contain the empty clause.
+    count is length(formula) + num_vars.  The empty clause, and 2n past
+    cnf.UNIVERSE_VARS, are rejected.
     """
     if formula.has_empty_clause():
         raise EmptyClauseError("dual-rail translation is undefined for the empty clause")
     n = formula.num_vars
-    meta = {lit: literal_vector((lit,), n).bit_length() for lit in all_literals(n)}  # [[lit]]: its bit, 1-based
+    if 2 * n > UNIVERSE_VARS:
+        raise LimitError(f"{2 * n} meta-variables exceed UNIVERSE_VARS = {UNIVERSE_VARS}")
+    meta = {lit: lit if lit > 0 else n - lit for lit in all_literals(n)}  # [[lit]]: its literal vector bit, 1-based
     clauses: list[list[int]] = []
     for clause in formula.clauses:
         for lit in clause:

@@ -2,11 +2,15 @@
 
 A formula is q-Horn when its literals admit weights in {0, 1/2, 1} with
 complementary literals summing to 1 and every clause summing to at most 1.
-After renaming so that no variable has weight 0, the weight-1 part is Horn
-and the remaining clauses carry one or two half-weight literals.  The
-satisfiability procedure propagates on the Horn part and projects the rest
-to a 2-CNF, which is unsatisfiable iff some variable shares a strongly
-connected component of its implication graph with its complement.
+Renaming the weight-0 variables (x to -x) would make the clauses without a
+half-weight variable Horn and leave the others one or two half-weight
+literals plus negative ones (Boros, Crama and Hammer, AMAI 1990).  Unit
+propagation, clause reduction and the projection onto the half-weight
+variables commute with that renaming, so the code works on the formula's
+own clauses.  The satisfiability procedure propagates on the Horn part and
+projects the rest to a 2-CNF, which is unsatisfiable iff some variable
+shares a strongly connected component of its implication graph with its
+complement.
 
 The compiler turns the same structure into a unit-propagation-friendly
 encoding: one auxiliary variable per binary clause derivable over the
@@ -113,48 +117,32 @@ def recognize_qhorn(formula: CnfFormula) -> Valuation | None:
 
 @dataclass(frozen=True)
 class QHornSplit:
-    """Renaming-normalized view of a q-Horn formula.
+    """A q-Horn formula's own clauses, split by the half-weight variables x2.
 
-    All clauses live in the renamed space where every variable weighs 1 or
-    1/2; ``flipped`` records which variables were renamed.  ``phi1`` holds
-    the clauses entirely on weight-1 variables (a Horn formula), ``phi2``
-    the clauses with one or two half-weight literals.
+    ``phi1`` holds the clauses without a variable of x2, ``phi2`` those with
+    one or two, whose other literals weigh 0: once the weight-0 variables
+    are renamed, phi1 is Horn and those literals are negative.
     """
 
     num_vars: int
-    flipped: frozenset[int]
-    x1: tuple[int, ...]
     x2: tuple[int, ...]
     phi1: CnfFormula
     phi2: CnfFormula
 
-    def unflip(self, lit: Literal) -> Literal:
-        return -lit if abs(lit) in self.flipped else lit
-
 
 def normalize(formula: CnfFormula, valuation: Valuation) -> QHornSplit:
-    """Rename weight-0 variables and split into the Horn and half-weight parts."""
+    """Split the clauses, in their order, into those without and those with a half-weight variable."""
     formula.reject_tautologies(_TAUTOLOGY_MESSAGE)
     if not valuation.witnesses(formula):
         raise PreconditionError("valuation does not witness the formula")
     n = formula.num_vars
-    flipped = frozenset(v for v in range(1, n + 1) if valuation.doubled[v - 1] == 0)
-    weight = [2 if valuation.doubled[v - 1] in (0, 2) else 1 for v in range(1, n + 1)]
-    x1 = tuple(v for v in range(1, n + 1) if weight[v - 1] == 2)
-    x2 = tuple(v for v in range(1, n + 1) if weight[v - 1] == 1)
+    x2 = tuple(v for v in range(1, n + 1) if valuation.doubled[v - 1] == 1)
     x2_set = set(x2)
-    # renaming keeps each clause's variables in order and is a bijection: the clauses stay canonical and distinct
     phi1, phi2 = [], []
     for clause in formula.clauses:
-        renamed = tuple(-lit if abs(lit) in flipped else lit for lit in clause)
-        if any(abs(lit) in x2_set for lit in renamed):
-            phi2.append(renamed)
-        else:
-            phi1.append(renamed)
+        (phi2 if any(abs(lit) in x2_set for lit in clause) else phi1).append(clause)
     return QHornSplit(
         num_vars=n,
-        flipped=flipped,
-        x1=x1,
         x2=x2,
         phi1=CnfFormula(tuple(phi1), n),
         phi2=CnfFormula(tuple(phi2), n),
@@ -231,11 +219,10 @@ def _two_sat_satisfiable(clauses: list[Clause]) -> bool:
 def qhorn_sat(split: QHornSplit) -> bool:
     """Satisfiability of the split formula.
 
-    Unit propagation on the Horn part; its derived literals are applied to
-    the half-weight part, whose clauses that fall entirely inside the
-    half-weight literals form a 2-CNF deciding the rest.  Clauses still
-    mentioning weight-1 variables are satisfiable by an autark assignment
-    setting those variables false, so they can be dropped.
+    Unit propagation on phi1; its derived literals are applied to phi2, whose
+    clauses inside the half-weight variables form a 2-CNF deciding the rest.
+    The others, and what propagation leaves of phi1, hold a free weight-0
+    literal (negative after renaming); making those true satisfies them.
     """
     engine = UnitPropagator(split.phi1)
     conflict, trail, _ = engine.run(())
@@ -282,8 +269,8 @@ def compile_urc_encoding(formula: CnfFormula, valuation: Valuation | None = None
 
     One auxiliary variable per clause of the binary resolution closure over
     the half-weight literals; auxiliary count is at most 2*|x2|^2.  The
-    output is an encoding of the input's function over the original,
-    un-renamed variables.
+    output is an encoding of the input's function over its own variables,
+    which stay variables 1..n.
     """
     if valuation is None:
         valuation = recognize_qhorn(formula)
@@ -299,21 +286,17 @@ def compile_urc_encoding(formula: CnfFormula, valuation: Valuation | None = None
     for aux, (x, y) in enumerate(clauses_list, start=n + 1):
         aux_at[x][y] = aux_at[y][x] = aux
     x2_set = set(split.x2)
-    unflip = split.unflip
 
-    # Every output clause is built in canonical order: the split's clauses are sorted by variable,
-    # unflip keeps variables and every auxiliary lies above every input.  No two output clauses
-    # coincide (phi1 and phi2 are disjoint and each group has its own auxiliary pattern).
-    group1: list[Clause] = []
+    # Every output clause is built canonical (the input's are, and auxiliaries lie above inputs) and
+    # none repeats: phi1 and phi2 are disjoint and each group has its own auxiliary pattern.
+    group1: list[Clause] = list(split.phi1.clauses)
     group2: list[Clause] = []
-    for clause in split.phi1.clauses:
-        group1.append(tuple(map(unflip, clause)))
     for clause in split.phi2.clauses:
         half = tuple(lit for lit in clause if abs(lit) in x2_set)
         if len(half) <= 1:
-            group1.append(tuple(map(unflip, clause)))
+            group1.append(clause)
         else:
-            rest = tuple(unflip(lit) for lit in clause if abs(lit) not in x2_set)
+            rest = tuple(lit for lit in clause if abs(lit) not in x2_set)
             group2.append(rest + (aux_at[half[0]][half[1]],))
 
     # Groups 3 and 4: for each pair a < b of closure auxiliaries whose clauses clash on exactly one
@@ -345,7 +328,7 @@ def compile_urc_encoding(formula: CnfFormula, valuation: Valuation | None = None
                 m += 1
                 continue
             if x == y:
-                group4.append((unflip(x), -a, -b))
+                group4.append((x, -a, -b))
             else:
                 # the resolvent differs from both parents, so only its auxiliary needs placing
                 r = aux_at[x][y]
@@ -354,10 +337,9 @@ def compile_urc_encoding(formula: CnfFormula, valuation: Valuation | None = None
     group5: list[Clause] = []
     group6: list[Clause] = []
     for aux, (x, y) in enumerate(clauses_list, start=n + 1):
-        u, v = unflip(x), unflip(y)
-        group5.append((u, v, -aux))
-        group6.append((-u, aux))
-        group6.append((-v, aux))
+        group5.append((x, y, -aux))
+        group6.append((-x, aux))
+        group6.append((-y, aux))
 
     encoded = CnfFormula(tuple(group1 + group2 + group3 + group4 + group5 + group6), n + len(clauses_list))
     inputs = tuple(range(1, n + 1))

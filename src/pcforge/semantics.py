@@ -372,12 +372,12 @@ def prime_implicates(formula: CnfFormula) -> CnfFormula:
             other = occ[b + n if b < n else b - n]
             twice |= once & other
             once |= other
-        partners = once & ~twice & alive  # fixed here: later admissions wait for their own turn
+        # fixed here: later admissions wait for their own turn; a resolvent of ci that killed a partner cj would
+        # hold cj's clash literal, so come from a partner ck ⊆ cj, and add keeps no two such clauses alive
+        partners = once & ~twice & alive
         while partners and alive & me:
             low = partners & -partners
             partners ^= low
-            if not alive & low:
-                continue  # killed by a resolvent of ci, which then subsumes this resolvent too
             cj = items[low.bit_length() - 1]
             clash = ((ci & lo_mask) & (cj >> n)) | ((cj & lo_mask) & (ci >> n))
             resolvent = (ci | cj) & ~(clash | clash << n)

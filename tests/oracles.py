@@ -21,6 +21,9 @@ prime_urc_per_prime, prime_pc_per_prime and reduce_urc_by_entailment, the
 primes deciders that ran propagation for every prime and the URC reducer
 that also asked model-based entailment of each removal;
 recognize_qhorn_recursive, the recursive q-Horn weight search;
+normalize_renamed, the q-Horn split that renamed the weight-0 variables so
+that every variable weighed 1 or 1/2, and whose inverse renaming the
+compiler applied to every literal it emitted;
 assignment_walk_arrays, the partial-assignment walk that carried the models
 extending each assignment as a filtered numpy array; and
 UnitPropagatorSatFlags, the propagation engine that marked every clause
@@ -38,13 +41,14 @@ from pathlib import Path
 import numpy as np
 
 from collections import defaultdict
+from typing import NamedTuple
 
 from pcforge import semantics
 from pcforge.cnf import CnfFormula, EncodingFormula, is_tautological, literal_key, literal_vector, make_clause
 from pcforge.deciders import DecisionReport, is_urc
 from pcforge.errors import LimitError, NotQHornError, PreconditionError
 from pcforge.propagation import UnitPropagator, all_literals
-from pcforge.qhorn import Valuation, normalize, phi_q_plus, recognize_qhorn
+from pcforge.qhorn import Valuation, phi_q_plus, recognize_qhorn
 from pcforge.semantics import _model_words, entails, prime_implicates
 
 
@@ -308,6 +312,47 @@ def qhorn_brute(formula) -> bool:
     return False
 
 
+class RenamedSplit(NamedTuple):
+    """A q-Horn split in the renamed space, where every variable weighs 1 or 1/2.
+
+    ``flipped`` records which variables were renamed; ``phi1`` holds the
+    renamed clauses entirely on weight-1 variables (a Horn formula), ``phi2``
+    those with one or two half-weight literals.  A named tuple, not a
+    dataclass: perfbench/checks.py loads this file without registering it
+    as a module, and a dataclass looks its module up.
+    """
+
+    num_vars: int
+    flipped: frozenset[int]
+    x2: tuple[int, ...]
+    phi1: CnfFormula
+    phi2: CnfFormula
+
+    def unflip(self, lit):
+        return -lit if abs(lit) in self.flipped else lit
+
+
+def normalize_renamed(formula, valuation):
+    """qhorn.normalize as the renaming: flip weight-0 variables, then split into the Horn and half-weight parts."""
+    formula.reject_tautologies("q-Horn operations do not accept tautological clauses")
+    if not valuation.witnesses(formula):
+        raise PreconditionError("valuation does not witness the formula")
+    n = formula.num_vars
+    flipped = frozenset(v for v in range(1, n + 1) if valuation.doubled[v - 1] == 0)
+    weight = [2 if valuation.doubled[v - 1] in (0, 2) else 1 for v in range(1, n + 1)]
+    x2 = tuple(v for v in range(1, n + 1) if weight[v - 1] == 1)
+    x2_set = set(x2)
+    # renaming keeps each clause's variables in order and is a bijection: the clauses stay canonical and distinct
+    phi1, phi2 = [], []
+    for clause in formula.clauses:
+        renamed = tuple(-lit if abs(lit) in flipped else lit for lit in clause)
+        if any(abs(lit) in x2_set for lit in renamed):
+            phi2.append(renamed)
+        else:
+            phi1.append(renamed)
+    return RenamedSplit(n, flipped, x2, CnfFormula(tuple(phi1), n), CnfFormula(tuple(phi2), n))
+
+
 def _clause_key(clause):
     return (len(clause), tuple((abs(lit), lit < 0) for lit in clause))
 
@@ -371,12 +416,12 @@ def resolution_pairs_sets(clauses):
 
 
 def compile_urc_encoding_pairs(formula, valuation=None):
-    """qhorn.compile_urc_encoding with groups 3 and 4 built from (ci, cj, resolvent) triples of per-clause sets."""
+    """qhorn.compile_urc_encoding on the renamed split, groups 3 and 4 built from (ci, cj, resolvent) triples of sets."""
     if valuation is None:
         valuation = recognize_qhorn(formula)
         if valuation is None:
             raise NotQHornError("input formula is not q-Horn")
-    split = normalize(formula, valuation)
+    split = normalize_renamed(formula, valuation)
     fq = phi_q_plus(split)
     n = formula.num_vars
     aux_of = {clause: n + 1 + idx for idx, clause in enumerate(fq.clauses)}
@@ -437,7 +482,7 @@ def encoding_onset_brute(encoding) -> frozenset[int]:
 
 
 def compile_urc_encoding_reference(split):
-    """The URC encoding of a normalized q-Horn formula, clause by clause through make_clause.
+    """The URC encoding of a renamed q-Horn split (normalize_renamed), clause by clause through make_clause.
 
     One auxiliary per clause of the all-pairs binary closure; the six clause
     groups in order, each clause canonicalised by make_clause, and the list

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -157,6 +158,28 @@ def test_encodes(tmp_path, capsys):
     assert code == 0 and report["verdict"] is True
 
 
+def test_encodes_reads_a_plain_cnf_as_its_own_inputs(tmp_path, capsys):
+    plain, other = tmp_path / "plain.cnf", tmp_path / "other.cnf"
+    plain.write_text("p cnf 3 2\n1 -2 0\n2 3 0\n")
+    other.write_text("p cnf 3 2\n1 -2 0\n-2 3 0\n")
+    code, report, err = run(capsys, "encodes", str(plain), str(plain))
+    assert code == 0 and report["verdict"] is True and err == "encodes = True\n"
+    code, report, err = run(capsys, "encodes", str(plain), str(other))
+    assert code == 1 and report["verdict"] is False and err == "encodes = False\n"
+
+
+@pytest.mark.parametrize("argv", [["up", "huge.cnf", "--assume", "1"], ["primes", "huge.cnf"], ["dr", "huge.cnf"],
+                                  ["check", "pc-dr", "huge.cnf"], ["qhorn", "sat", "huge.cnf"],
+                                  ["encodes", "huge.cnf", "huge.cnf"]])
+def test_huge_declared_universe_is_a_limit_exit(tmp_path, capsys, monkeypatch, argv):
+    # 22 bytes declaring 300 million variables fail closed when parsed, before any engine runs
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "huge.cnf").write_bytes(b"p cnf 300000000 1\n1 0\n")
+    code, report, err = run(capsys, *argv)
+    assert (code, report) == (3, None)
+    assert err == "limit exceeded: 300000000 variables exceed UNIVERSE_VARS = 524288\n"
+
+
 def test_dr_output_has_meta_map(tmp_path, capsys):
     src = tmp_path / "f.cnf"
     src.write_text("p cnf 3 1\n1 -2 3 0\n")
@@ -167,6 +190,22 @@ def test_dr_output_has_meta_map(tmp_path, capsys):
     header = "c meta 1 1\nc meta 2 2\nc meta 3 3\nc meta 4 -1\nc meta 5 -2\nc meta 6 -3\np cnf 6 6\n"
     assert text.startswith(header)
     assert parse_dimacs(text).num_vars == 6
+
+
+def test_dr_meta_map_is_linear_in_the_universe(tmp_path, capsys):
+    # 32,768 meta-variables: a map built from one literal vector per literal would hold about 64 MB of ints
+    src, out = tmp_path / "wide.cnf", tmp_path / "wide.dr.cnf"
+    src.write_text("p cnf 16384 1\n1 -16384 0\n")
+    tracemalloc.start()
+    try:
+        code, report, _ = run(capsys, "dr", str(src), "-o", str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and report["meta_vars"] == 32768 and peak < 16 << 20
+    lines = out.read_text().splitlines()
+    assert lines[:2] == ["c meta 1 1", "c meta 2 2"] and lines[16383:16385] == ["c meta 16384 16384", "c meta 16385 -1"]
+    assert lines[32767:32771] == ["c meta 32768 -16384", "p cnf 32768 16386", "1 -16384 0", "-16385 32768 0"]
 
 
 def test_qhorn_recognize(psi3_file, capsys):

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from pcforge.cnf import (
     _WRITE_CHUNK,
+    UNIVERSE_VARS,
     CnfFormula,
     EncodingFormula,
     apply_assignment,
@@ -22,7 +24,7 @@ from pcforge.cnf import (
 from pcforge.corpus import horn_formulas, qhorn_formulas, satisfiable_formulas
 from pcforge.deciders import reduce_pc_irredundant, reduce_urc_irredundant
 from pcforge.dual_rail import dual_rail
-from pcforge.errors import DimacsError
+from pcforge.errors import DimacsError, LimitError
 from pcforge.families import GENERATORS, gen_parity, gen_psi_qhorn
 from pcforge.qhorn import compile_urc_encoding, normalize, phi_q_plus, recognize_qhorn
 from pcforge.semantics import prime_implicates
@@ -119,6 +121,52 @@ def test_parse_accepts_only_ascii_decimal_integers(text, line):
     with pytest.raises(DimacsError) as err:
         parse_dimacs(text)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("p cnf 1 1\n\n  \n2 0\n", 4, "literal 2 exceeds declared variable count 1"),  # blank lines count
+    ("p cnf 2 0\nc aux 1 0\n", 2, "aux declaration must precede the p line"),
+    ("c aux 1 2\np cnf 2 0\n", 1, "aux list must be positive variables terminated by 0"),
+    ("c aux -1 0\np cnf 2 0\n", 1, "aux list must be positive variables terminated by 0"),
+    ("c aux\np cnf 2 0\n", 1, "aux list must be positive variables terminated by 0"),
+    ("p cnf -1 0\n", 1, "negative counts in header"),
+    ("p cnf 2 -1\n", 1, "negative counts in header"),
+])
+def test_parse_reports_the_malformed_line(text, line, message):
+    with pytest.raises(DimacsError, match=f"^line {line}: {re.escape(message)}$") as err:
+        parse_dimacs(text)
+    assert err.value.line == line
+
+
+def test_parse_skips_blank_lines():
+    assert parse_dimacs("\np cnf 2 1\n   \n1 -2 0\n\n") == F([[1, -2]], 2)
+
+
+def test_huge_declared_universe_fails_closed_before_any_table():
+    # 22 bytes declaring 300 million variables: the engines would size per-literal tables by it
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitError, match=r"^300000000 variables exceed UNIVERSE_VARS = 524288$"):
+            parse_dimacs(b"p cnf 300000000 1\n1 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert CnfFormula(((1,), (-UNIVERSE_VARS,)), UNIVERSE_VARS).num_vars == UNIVERSE_VARS
+    with pytest.raises(LimitError):
+        CnfFormula((), UNIVERSE_VARS + 1)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: make_assignment([1, 0]), "literal 0 is not allowed in an assignment"),
+    (lambda: CnfFormula((), -1), "num_vars must be nonnegative"),
+    (lambda: EncodingFormula(CnfFormula((), 2), (1, 1, 2), ()), "repeated variable in input/aux lists"),
+    (lambda: EncodingFormula(CnfFormula((), 2), (1,), (2, 2)), "repeated variable in input/aux lists"),
+    (lambda: apply_assignment(F([[1]], 1), frozenset({-2})), "assigned variable 2 outside universe"),
+])
+def test_data_model_rejects_malformed_values(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_parse_signed_zero_and_leading_zeros_still_accepted():

@@ -5,8 +5,10 @@ import pytest
 from pcforge import semantics
 from pcforge.cnf import CnfFormula, make_clause
 from pcforge.corpus import horn_formulas, qhorn_formulas, random_formula as corpus_formula, satisfiable_formulas
+from pcforge import deciders
 from pcforge.deciders import (
     DecisionReport,
+    ReductionError,
     is_absorbed,
     is_pc,
     is_urc,
@@ -153,6 +155,30 @@ def test_absorbed_member_and_superclause():
 def test_absorbed_rejects_non_implicate():
     with pytest.raises(PreconditionError):
         is_absorbed(make_clause([2]), F(DELTA, 4))
+
+
+def test_absorbed_rejects_tautologies():
+    with pytest.raises(TautologyError, match="^absorption is not defined for tautological clauses$"):
+        is_absorbed((1, -1, 2), F(DELTA, 4))
+
+
+def test_reduce_urc_rejects_non_urc_input():
+    psi2, _ = gen_psi_qhorn(2)
+    with pytest.raises(PreconditionError, match="^input formula is not unit refutation complete$"):
+        reduce_urc_irredundant(psi2, limit=16)
+
+
+@pytest.mark.parametrize("reduce,decider,message", [
+    (reduce_pc_irredundant, "is_pc", "absorbed-clause removal broke propagation completeness"),
+    (reduce_urc_irredundant, "is_urc", "clause removal broke unit refutation completeness"),
+])
+def test_reducers_recheck_their_result(reduce, decider, message, monkeypatch):
+    # a decider that accepts the input and then rejects the reduced formula forces the recheck to fail
+    verdicts = iter([True, False])
+    monkeypatch.setattr(deciders, decider, lambda formula, limit: DecisionReport(next(verdicts)))
+    with pytest.raises(ReductionError) as err:
+        reduce(prime_implicates(F([[1, 2], [-2, 3]])), limit=10)
+    assert str(err.value) == message
 
 
 def test_shortcut_clause_is_not_absorbed_by_the_block():

@@ -3,11 +3,11 @@ from itertools import product
 
 import pytest
 
-from pcforge.cnf import CnfFormula, literal_vector, vector_literals
+from pcforge.cnf import UNIVERSE_VARS, CnfFormula, literal_vector, vector_literals
 from pcforge.deciders import is_pc
-from pcforge.dual_rail import closed_assignments, dual_rail, horn_equivalent, pc_via_dual_rail
-from pcforge.errors import EmptyClauseError, PreconditionError, UnsatisfiableError
-from pcforge.families import gen_gamma, gen_psi_qhorn
+from pcforge.dual_rail import CLOSED_LIMIT, closed_assignments, dual_rail, horn_equivalent, pc_via_dual_rail
+from pcforge.errors import EmptyClauseError, LimitError, PreconditionError, UnsatisfiableError
+from pcforge.families import gen_gamma, gen_psi_qhorn, generate
 from pcforge.propagation import UnitPropagator
 from pcforge.semantics import _model_words, prime_implicates
 
@@ -53,6 +53,29 @@ def test_dual_rail_size_and_hornness():
 def test_dual_rail_rejects_empty_clause():
     with pytest.raises(EmptyClauseError):
         dual_rail(F([[]], 1))
+
+
+def test_dual_rail_bounds_its_meta_variables():
+    # the widest family instance builds, but its 600,002 meta-variables are past the universe bound
+    psi_horn = generate("psi_horn", 100000)
+    assert psi_horn.num_vars == 300001 and len(psi_horn.clauses) == 200000
+    for formula in (psi_horn, CnfFormula((), UNIVERSE_VARS // 2 + 1)):
+        with pytest.raises(LimitError, match=f"^{2 * formula.num_vars} meta-variables exceed UNIVERSE_VARS = 524288$"):
+            dual_rail(formula)
+    assert dual_rail(CnfFormula((), 3)).num_vars == 6
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: horn_equivalent(F([[1, 2]], 2), F([[-1, 2]], 2)), PreconditionError,
+     "horn_equivalent requires Horn formulas"),
+    (lambda: pc_via_dual_rail(F([[1], []], 1)), EmptyClauseError, "pc_via_dual_rail does not accept the empty clause"),
+    (lambda: closed_assignments(CnfFormula((), CLOSED_LIMIT + 1)), LimitError,
+     "11 variables exceed the closed-assignment enumeration limit 10"),
+])
+def test_dual_rail_layer_rejects_out_of_scope_input(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
 
 
 def test_dr_of_pc_formula_entails_dr_of_primes():

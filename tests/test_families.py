@@ -268,6 +268,17 @@ def test_family_output_bytes_are_pinned(family):
     assert digest == FAMILY_OUTPUT_DIGESTS[family]
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: gen_psi_qhorn_pc(1), "psi_qhorn_pc requires n >= 2"),
+    (lambda: gen_parity(1), "parity requires n >= 2"),
+    (lambda: gen_parity(3, "x"), "unknown parity mode 'x'"),
+])
+def test_generators_reject_bad_parameters(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_psi_horn_base_primes_requires_the_base_range():
     with pytest.raises(ValueError, match="psi_horn requires m >= 3"):
         psi_horn_base_primes(2)

@@ -46,6 +46,18 @@ def test_unconstrained_variables_stay_as_assigned():
     assert result.literals == frozenset({3, -4})
 
 
+@pytest.mark.parametrize("assumptions,message", [
+    ((3,), "assumed literal 3 outside universe 1..2"),
+    ((1, -3), "assumed literal -3 outside universe 1..2"),
+    ((1, 2, -1), "inconsistent assumption set"),
+])
+def test_run_rejects_bad_assumptions(assumptions, message):
+    engine = UnitPropagator(F([[1, 2]], 2))
+    with pytest.raises(ValueError) as err:
+        engine.run(assumptions)
+    assert str(err.value) == message
+
+
 def test_inconsistent_assumptions_rejected():
     with pytest.raises(ValueError):
         up_closure(F([[1]]), [1, -1])

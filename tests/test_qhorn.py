@@ -88,12 +88,12 @@ def test_recognizer_rejects_tautologies():
 
 def test_normalize_splits_qhorn_family_without_flips():
     formula, _ = gen_psi_qhorn(2)
-    split = normalize(formula, recognize_qhorn(formula))
-    assert split.flipped == frozenset()
-    assert split.x1 == (3, 4, 5, 6)
+    valuation = recognize_qhorn(formula)
+    split = normalize(formula, valuation)
+    assert 0 not in valuation.doubled  # no variable would be renamed
     assert split.x2 == (1, 2)
     assert len(split.phi1.clauses) == 0
-    assert len(split.phi2.clauses) == 8
+    assert split.phi2.clauses == formula.clauses and len(split.phi2.clauses) == 8
     assert split.phi1.is_horn()
 
 
@@ -102,10 +102,20 @@ def test_normalize_flips_weight_zero_variables():
     formula = F([[1, 2], [1, 2, 3]], 3)
     valuation = Valuation((2, 0, 0))
     split = normalize(formula, valuation)
-    assert split.flipped == frozenset({2, 3})
     assert split.x2 == ()
-    assert split.phi1.clauses == ((1, -2), (1, -2, -3))
-    assert split.phi1.is_horn()
+    assert split.phi1.clauses == ((1, 2), (1, 2, 3)) and not split.phi1.is_horn()
+    # the split keeps the formula's own clauses: phi1 is Horn once the weight-0 variables 2 and 3 are flipped
+    renamed = oracles.normalize_renamed(formula, valuation)
+    assert renamed.flipped == frozenset({2, 3})
+    assert renamed.phi1.clauses == ((1, -2), (1, -2, -3))
+    assert renamed.phi1.is_horn()
+
+
+def test_valuation_rejects_other_weights_and_universes():
+    with pytest.raises(ValueError, match="^doubled weights must be 0, 1 or 2$"):
+        Valuation((3,))
+    # a valuation over another universe witnesses nothing, even clauses it could weigh
+    assert Valuation((1,)).witnesses(F([[1]], 1)) and not Valuation((1, 1)).witnesses(F([[1]], 1))
 
 
 def test_normalize_validates_valuation():
@@ -122,7 +132,8 @@ def test_half_clauses_carry_negative_integral_literals():
             half = [l for l in clause if abs(l) in x2]
             rest = [l for l in clause if abs(l) not in x2]
             assert 1 <= len(half) <= 2
-            assert all(l < 0 for l in rest)
+            # after renaming the weight-0 variables these are negative literals of weight-1 variables
+            assert all(valuation.doubled_weight(l) == 0 for l in rest)
 
 
 def test_qhorn_sat_unsat_at_horn_stage():
@@ -328,7 +339,7 @@ def test_indexed_resolution_matches_all_pairs_reference(formula, valuation, monk
 @pytest.mark.parametrize("formula,valuation", _differential_corpus(100))
 def test_compiled_encoding_matches_make_clause_reference(formula, valuation):
     valuation = valuation if valuation is not None else recognize_qhorn(formula)
-    expected = compile_urc_encoding_reference(normalize(formula, valuation))
+    expected = compile_urc_encoding_reference(oracles.normalize_renamed(formula, valuation))
     encoding = compile_urc_encoding(formula, valuation)
     assert encoding == expected
     assert write_dimacs(encoding) == write_dimacs(expected)
@@ -375,3 +386,23 @@ def test_compiled_encodings_repeat_no_clause():
     for formula, valuation in formulas:
         clauses = compile_urc_encoding(formula, valuation).formula.clauses
         assert len(set(clauses)) == len(clauses)
+
+
+def test_unrenamed_layer_matches_the_renamed_references():
+    # the split keeps the formula's own clauses; the references build the renamed split and map
+    # every emitted literal back, so equal outputs show that the renaming changes nothing
+    formulas = [(gen_psi_qhorn(n)[0], None) for n in range(2, 8)]
+    for seed in (1, 2, 3):
+        ops, _ = oracles.benchmark_inputs().build_encode(seed)
+        formulas += [(parse_dimacs(op["dimacs"]), None) for op in ops if "dimacs" in op]
+    for formula, valuation in qhorn_formulas(1003, 200):
+        formulas += [(formula, valuation), (formula, None)]
+    assert len(formulas) == 6 + 33 + 400
+    for formula, planted in formulas:
+        valuation = planted if planted is not None else recognize_qhorn(formula)
+        split, renamed = normalize(formula, valuation), oracles.normalize_renamed(formula, valuation)
+        assert split.x2 == renamed.x2
+        assert qhorn_sat(split) == qhorn_sat(renamed)
+        assert phi_q_plus(split) == phi_q_plus(renamed)
+        compiled = write_dimacs(compile_urc_encoding(formula, planted))
+        assert compiled == write_dimacs(compile_urc_encoding_reference(renamed))

@@ -393,6 +393,11 @@ def test_prime_implicates_max_clauses(monkeypatch):
     assert _primes_bounded(monkeypatch, psi4, 85) == prime_implicates(psi4)
 
 
+def test_entails_rejects_clauses_outside_the_universe():
+    with pytest.raises(PreconditionError, match="^clause variable 3 outside universe$"):
+        entails(F([[1, 2]], 2), (1, -3))
+
+
 def test_equivalent_examples():
     assert equivalent(gen_gamma(3, "base"), gen_gamma(3, "prime"))
     assert equivalent(gen_gamma(3, "base"), gen_gamma(3, "dprime"))
