@@ -9,6 +9,12 @@ which may exceed the variables actually occurring in clauses; this keeps
 equivalence over a shared universe well defined.  Past UNIVERSE_VARS it
 raises LimitError, as engines size their per-literal tables by it.
 
+The large builders (the DIMACS parser, the q-Horn compiler, the dual-rail
+translation, the parity family) hold one int object per literal value,
+however often it occurs, taking them from a per-parse token table or from
+literal_table.  formula_cache keeps an engine's per-formula result for as
+long as the formula lives.
+
 All values are immutable after construction and safe to share between
 concurrent workers.
 """
@@ -16,10 +22,12 @@ concurrent workers.
 from __future__ import annotations
 
 import re
+import weakref
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import chain, groupby
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, TypeVar, Union
 
 from .errors import DimacsError, LimitError, TautologyError
 
@@ -28,6 +36,15 @@ Clause = tuple[Literal, ...]
 PartialAssignment = frozenset[Literal]
 
 UNIVERSE_VARS = 1 << 19  # the widest universe a formula may declare; gen psi_horn 100000 declares 300,001
+
+
+def literal_table(top: int) -> list[Literal]:
+    """One int object per literal over variables 1..top: table[lit] is it, -v indexing from the end.
+
+    A formula built from its entries holds each literal value once, however
+    often it occurs; table[0] is 0.
+    """
+    return [*range(top + 1), *range(-top, 0)]
 
 
 def literal_key(lit: Literal) -> tuple[int, bool]:
@@ -176,6 +193,48 @@ class CnfFormula:
         return CnfFormula(rest, self.num_vars)
 
 
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+Result = TypeVar("Result")
+
+
+def formula_cache(fn: Callable[[CnfFormula], Result]) -> Callable[[CnfFormula], Result]:
+    """Cache fn(formula) for as long as the formula lives, instead of for a fixed number of formulas.
+
+    The results are kept in a weakref.WeakKeyDictionary keyed by the
+    formula: an equal formula shares the entry while the first key object
+    lives, and the entry goes when that object does.  A result must
+    therefore not reference its formula, or its entry never dies.  As with
+    functools.lru_cache, a miss is counted before fn runs, a result is kept
+    only when fn returns, and the wrapper has cache_info() (maxsize None),
+    cache_clear() and __wrapped__.
+    """
+    results: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+    hits = misses = 0
+
+    @wraps(fn)
+    def cached(formula: CnfFormula) -> Result:
+        nonlocal hits, misses
+        try:
+            result = results[formula]
+        except KeyError:
+            misses += 1
+            result = results[formula] = fn(formula)
+        else:
+            hits += 1
+        return result
+
+    def cache_info() -> CacheInfo:
+        return CacheInfo(hits, misses, None, len(results))
+
+    def cache_clear():
+        nonlocal hits, misses
+        results.clear()
+        hits = misses = 0
+
+    cached.cache_info, cached.cache_clear = cache_info, cache_clear
+    return cached
+
+
 @dataclass(frozen=True)
 class EncodingFormula:
     """A CNF together with a partition of its universe into input and auxiliary variables."""
@@ -222,10 +281,19 @@ _INTEGERS = re.compile(r"(?:-?[0-9]+(?:\s+-?[0-9]+)*)?", re.ASCII)
 _NON_ASCII = re.compile(r"[^\x00-\x7f]")
 
 
-def _integers(text: str, lineno: int, message: str) -> list[int]:
+class _Tokens(dict):
+    """One parse's integer tokens, tokens[text] their value: one int object per value, however often it occurs."""
+
+    def __missing__(self, tok: str) -> int:
+        value = int(tok)
+        value = self[tok] = self.setdefault(value, value)  # keyed by the value too, so "01" shares the 1 of "1"
+        return value
+
+
+def _integers(text: str, lineno: int, message: str, tokens: _Tokens) -> list[int]:
     if not _INTEGERS.fullmatch(text):
         raise DimacsError(lineno, message)
-    return [int(tok) for tok in text.split()]
+    return list(map(tokens.__getitem__, text.split()))
 
 
 def parse_dimacs(text: Union[str, bytes]) -> Union[CnfFormula, EncodingFormula]:
@@ -247,6 +315,7 @@ def parse_dimacs(text: Union[str, bytes]) -> Union[CnfFormula, EncodingFormula]:
         start = _NON_ASCII.search(text).start()
         raise DimacsError(text.count("\n", 0, start) + 1, "non-ASCII " + kind.format(ord(text[start])))
     num_vars = num_clauses = None
+    tokens = _Tokens()  # grows with the distinct tokens read, never with the declared universe
     aux_lines: dict[int, int] = {}  # auxiliary variable -> line declaring it
     saw_aux = False
     raw_clauses: list[list[int]] = []
@@ -263,7 +332,7 @@ def parse_dimacs(text: Union[str, bytes]) -> Union[CnfFormula, EncodingFormula]:
             if len(fields) >= 2 and fields[1] == "aux":
                 if num_vars is not None:
                     raise DimacsError(lineno, "aux declaration must precede the p line")
-                ids = _integers(" ".join(fields[2:]), lineno, "non-integer auxiliary variable")
+                ids = _integers(" ".join(fields[2:]), lineno, "non-integer auxiliary variable", tokens)
                 if not ids or ids[-1] != 0 or any(v <= 0 for v in ids[:-1]):
                     raise DimacsError(lineno, "aux list must be positive variables terminated by 0")
                 for var in ids[:-1]:
@@ -278,16 +347,16 @@ def parse_dimacs(text: Union[str, bytes]) -> Union[CnfFormula, EncodingFormula]:
             fields = stripped.split()
             if len(fields) != 4 or fields[0] != "p" or fields[1] != "cnf":
                 raise DimacsError(lineno, f"bad header {stripped!r}")
-            num_vars, num_clauses = _integers(" ".join(fields[2:]), lineno, f"bad header {stripped!r}")
+            num_vars, num_clauses = _integers(" ".join(fields[2:]), lineno, f"bad header {stripped!r}", tokens)
             if num_vars < 0 or num_clauses < 0:
                 raise DimacsError(lineno, "negative counts in header")
             continue
         if num_vars is None:
             raise DimacsError(lineno, "clause before p line")
-        tokens = _integers(stripped, lineno, "non-integer token in clause")
+        literals = _integers(stripped, lineno, "non-integer token in clause", tokens)
         if not pending:
             pending_line = lineno
-        for tok in tokens:
+        for tok in literals:
             if tok == 0:
                 raw_clauses.append(pending)
                 pending = []

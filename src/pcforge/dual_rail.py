@@ -11,9 +11,9 @@ translation a polynomial-time proxy for propagation completeness.
 
 from __future__ import annotations
 
-from .cnf import UNIVERSE_VARS, CnfFormula, PartialAssignment, vector_literals
+from .cnf import UNIVERSE_VARS, CnfFormula, PartialAssignment, literal_table, vector_literals
 from .errors import EmptyClauseError, LimitError, PreconditionError, UnsatisfiableError
-from .propagation import UnitPropagator, all_literals
+from .propagation import UnitPropagator
 from .semantics import assignment_walk, prime_implicates
 
 
@@ -31,24 +31,35 @@ def dual_rail(formula: CnfFormula) -> CnfFormula:
     n = formula.num_vars
     if 2 * n > UNIVERSE_VARS:
         raise LimitError(f"{2 * n} meta-variables exceed UNIVERSE_VARS = {UNIVERSE_VARS}")
-    meta = {lit: lit if lit > 0 else n - lit for lit in all_literals(n)}  # [[lit]]: its literal vector bit, 1-based
+    # up[lit] = [[lit]], its literal vector bit, 1-based, and down[lit] = -[[lit]], both indexed as
+    # UnitPropagator.occ (-v from the end) and taken from one table: one int object per meta literal
+    table = literal_table(2 * n)
+    up = table[:n + 1] + table[2 * n:n:-1]
+    down = [table[-meta] for meta in up]
     clauses: list[list[int]] = []
     for clause in formula.clauses:
         for lit in clause:
-            clauses.append([meta[lit]] + [-meta[-other] for other in clause if other != lit])
+            clauses.append([up[lit]] + [down[-other] for other in clause if other != lit])
     for var in range(1, n + 1):
-        clauses.append([-meta[var], -meta[-var]])
+        clauses.append([down[var], down[-var]])
     return CnfFormula.from_clauses(clauses, 2 * n)
 
 
 def horn_equivalent(h1: CnfFormula, h2: CnfFormula) -> bool:
-    """Mutual clause-wise Horn entailment over a shared universe."""
+    """Mutual clause-wise Horn entailment over a shared universe.
+
+    A clause both formulas hold is refuted without a run, as in
+    deciders._unrefuted: its negation empties it.  Only the clauses where
+    the two differ are propagated, each run sized by the whole universe.
+    """
     if h1.num_vars != h2.num_vars:
         raise PreconditionError("horn_equivalent requires a shared universe")
     if not h1.is_horn() or not h2.is_horn():
         raise PreconditionError("horn_equivalent requires Horn formulas")
+    own1, own2 = set(h1.clauses), set(h2.clauses)
     engine1, engine2 = UnitPropagator(h1), UnitPropagator(h2)
-    return all(map(engine1.refutes, h2.clauses)) and all(map(engine2.refutes, h1.clauses))
+    return (all(clause in own1 or engine1.refutes(clause) for clause in h2.clauses)
+            and all(clause in own2 or engine2.refutes(clause) for clause in h1.clauses))
 
 
 def pc_via_dual_rail(formula: CnfFormula) -> bool:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from . import semantics
-from .cnf import Clause, CnfFormula, EncodingFormula, make_clause
+from .cnf import Clause, CnfFormula, EncodingFormula, literal_table, make_clause
 from .errors import LimitError, UnsatisfiableError
 
 
@@ -231,9 +231,11 @@ def gen_parity(n: int, mode: str = "cnf") -> CnfFormula | EncodingFormula:
         raise ValueError("parity requires n >= 2")
     if mode == "cnf":
         _bound("parity cnf", n, _pow2(n - 1))
-        # the clause excluding the point word, built canonical: variables ascending, x_v negated where bit v-1 is set
-        variables = range(1, n + 1)
-        clauses = tuple(tuple([-v if word >> (v - 1) & 1 else v for v in variables])
+        # the clause excluding the point word, built canonical: variables ascending, x_v negated where bit v-1 is
+        # set; both literals of x_v come from one table, so the 2^(n-1) clauses share 2n int objects
+        table = literal_table(n)
+        literals = [(table[v], table[-v]) for v in range(1, n + 1)]
+        clauses = tuple(tuple([pair[word >> j & 1] for j, pair in enumerate(literals)])
                         for word in range(1 << n) if not word.bit_count() & 1)
         return CnfFormula(clauses, n)
     if mode == "encoding":

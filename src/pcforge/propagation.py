@@ -18,9 +18,8 @@ clause, both plain lists indexed directly by literals and clause indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .cnf import (Clause, CnfFormula, Literal, PartialAssignment, is_tautological, literal_key,
+from .cnf import (Clause, CnfFormula, Literal, PartialAssignment, formula_cache, is_tautological, literal_key,
                   literal_vector_unchecked, make_assignment)
 
 
@@ -159,7 +158,7 @@ def all_literals(num_vars: int) -> frozenset[Literal]:
     return frozenset(range(1, num_vars + 1)) | frozenset(-v for v in range(1, num_vars + 1))
 
 
-@lru_cache(maxsize=16)
+@formula_cache
 def _engine(formula: CnfFormula) -> UnitPropagator:
     return UnitPropagator(formula)
 
@@ -169,9 +168,10 @@ def up_closure(formula: CnfFormula, alpha: PartialAssignment) -> PropagationResu
 
     Conflict means the empty clause is derivable from the formula plus alpha,
     in which case the closure is all literals of the universe.  The engine is
-    built once per formula and reused by later calls on an equal formula (a
-    small cache holds the most recent ones).  The assumptions are processed
-    in literal_key order, so ``empty_clause`` depends on alpha only as a set.
+    built once per formula and reused by later calls on an equal formula for
+    as long as the formula lives (cnf.formula_cache); it holds the clauses,
+    not the formula.  The assumptions are processed in literal_key order, so
+    ``empty_clause`` depends on alpha only as a set.
     """
     alpha = make_assignment(alpha)
     conflict, trail, empty_idx = _engine(formula).run(sorted(alpha, key=literal_key))

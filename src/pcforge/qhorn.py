@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
-from .cnf import Clause, CnfFormula, EncodingFormula, Literal, apply_assignment, clause_sort_key
+from .cnf import Clause, CnfFormula, EncodingFormula, Literal, apply_assignment, clause_sort_key, literal_table
 from .errors import NotQHornError, PreconditionError
 from .propagation import UnitPropagator
 
@@ -277,21 +277,26 @@ def compile_urc_encoding(formula: CnfFormula, valuation: Valuation | None = None
         if valuation is None:
             raise NotQHornError("input formula is not q-Horn")
     split = normalize(formula, valuation)
-    fq = phi_q_plus(split)
     n = formula.num_vars
-    clauses_list = fq.clauses
+    fq = phi_q_plus(split)
+    top = n + len(fq.clauses)
+    # every output literal is an entry of the table, so the encoding holds one int object per literal value
+    table = literal_table(top)
+    auxs = table[n + 1:top + 1]
+    closure = [(table[x], table[y]) for x, y in fq.clauses]
     # aux_at[x][y] and aux_at[y][x] hold the auxiliary of the closure clause (x ∨ y); each row is filled
     # in auxiliary order, so its values ascend
     aux_at: dict[Literal, dict[Literal, int]] = defaultdict(dict)
-    for aux, (x, y) in enumerate(clauses_list, start=n + 1):
+    for aux, (x, y) in zip(auxs, closure):
         aux_at[x][y] = aux_at[y][x] = aux
     x2_set = set(split.x2)
 
     # Every output clause is built canonical (the input's are, and auxiliaries lie above inputs) and
     # none repeats: phi1 and phi2 are disjoint and each group has its own auxiliary pattern.
-    group1: list[Clause] = list(split.phi1.clauses)
+    group1: list[Clause] = [tuple(map(table.__getitem__, clause)) for clause in split.phi1.clauses]
     group2: list[Clause] = []
     for clause in split.phi2.clauses:
+        clause = tuple(map(table.__getitem__, clause))
         half = tuple(lit for lit in clause if abs(lit) in x2_set)
         if len(half) <= 1:
             group1.append(clause)
@@ -305,14 +310,15 @@ def compile_urc_encoding(formula: CnfFormula, valuation: Valuation | None = None
     # clashes twice.  mates[lit] lists the other literal of each of those clauses.
     group3: list[Clause] = []
     group4: list[Clause] = []
-    end = n + 1 + len(clauses_list)
+    end = top + 1
     positions = {lit: [*row.values(), end] for lit, row in aux_at.items()}
     mates = {lit: list(row) for lit, row in aux_at.items()}
     unlisted = [end]
-    for a, (p, q) in enumerate(clauses_list, start=n + 1):
+    for a, (p, q) in zip(auxs, closure):
         via_p, via_q = positions.get(-p, unlisted), positions.get(-q, unlisted)
         mates_p, mates_q = mates.get(-p), mates.get(-q)
         k, m = bisect_right(via_p, a), bisect_right(via_q, a)
+        not_a = table[-a]
         while True:
             bp, bq = via_p[k], via_q[m]
             if bp < bq:
@@ -327,21 +333,22 @@ def compile_urc_encoding(formula: CnfFormula, valuation: Valuation | None = None
                 k += 1
                 m += 1
                 continue
+            not_b = table[-b]
             if x == y:
-                group4.append((x, -a, -b))
+                group4.append((x, not_a, not_b))
             else:
                 # the resolvent differs from both parents, so only its auxiliary needs placing
                 r = aux_at[x][y]
-                group3.append((r, -a, -b) if r < a else (-a, r, -b) if r < b else (-a, -b, r))
+                group3.append((r, not_a, not_b) if r < a else (not_a, r, not_b) if r < b else (not_a, not_b, r))
 
     group5: list[Clause] = []
     group6: list[Clause] = []
-    for aux, (x, y) in enumerate(clauses_list, start=n + 1):
-        group5.append((x, y, -aux))
-        group6.append((-x, aux))
-        group6.append((-y, aux))
+    for aux, (x, y) in zip(auxs, closure):
+        group5.append((x, y, table[-aux]))
+        group6.append((table[-x], aux))
+        group6.append((table[-y], aux))
 
-    encoded = CnfFormula(tuple(group1 + group2 + group3 + group4 + group5 + group6), n + len(clauses_list))
-    inputs = tuple(range(1, n + 1))
-    aux_vars = tuple(range(n + 1, n + 1 + len(clauses_list)))
+    encoded = CnfFormula(tuple(group1 + group2 + group3 + group4 + group5 + group6), top)
+    inputs = tuple(table[1:n + 1])
+    aux_vars = tuple(auxs)
     return EncodingFormula(encoded, inputs, aux_vars)

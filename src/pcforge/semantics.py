@@ -15,7 +15,8 @@ make the array longer than MODEL_WORDS words (128 MiB) raises LimitError
 before it allocates, so a formula over many variables answers exactly
 when its prefix model counts stay small.  The table returned by
 enumerate_models holds that cached array itself as its onset; no copy is
-made.
+made.  An array is cached for as long as its formula lives
+(cnf.formula_cache) and freed with it.
 
 Prime-implicate clauses and the walk's closures are literal vectors
 (cnf.literal_vector), the model words of the dual-rail translation.
@@ -39,8 +40,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .cnf import (Clause, CnfFormula, EncodingFormula, Literal, PartialAssignment, clause_sort_key, is_tautological,
-                  literal_vector, make_assignment, make_clause, vector_literals)
+from .cnf import (Clause, CnfFormula, EncodingFormula, Literal, PartialAssignment, clause_sort_key, formula_cache,
+                  is_tautological, literal_vector, make_assignment, make_clause, vector_literals)
 from .errors import LimitError, PreconditionError
 from .propagation import UnitPropagator
 
@@ -95,7 +96,7 @@ def _onset_array(words: Iterable[int], arity: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
+@formula_cache
 def _model_words(formula: CnfFormula) -> np.ndarray:
     """Sorted, read-only array of satisfying assignment words of the formula.
 
@@ -111,6 +112,9 @@ def _model_words(formula: CnfFormula) -> np.ndarray:
     of variables at which no clause ends is added in one step.  LimitError
     is raised before a step that would make the array longer than
     MODEL_WORDS, and for a universe wider than the 64 bits of a word.
+
+    The array is cached while the formula lives and an equal formula
+    shares it; no cache size holds dead arrays beyond their formula.
     """
     n = formula.num_vars
     if n > 64:
@@ -322,6 +326,12 @@ def prime_implicates(formula: CnfFormula) -> CnfFormula:
     For an unsatisfiable formula the result is exactly the empty clause.
     Tautological input clauses are ignored (they are never prime).  Output
     clauses are sorted by clause_sort_key.
+
+    Unlike the model arrays, the results are kept for the 32 most recent
+    formulas (lru_cache), not for the formula's lifetime: callers that parse
+    each input afresh, such as a worker reading one DIMACS text per
+    operation, reuse the primes of an equal formula after its first object
+    has died.
     """
     n = formula.num_vars
     lo_mask = (1 << n) - 1

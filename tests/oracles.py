@@ -61,6 +61,12 @@ def benchmark_inputs():
     return module
 
 
+def literal_objects(formula) -> tuple[int, int]:
+    """(distinct int objects, distinct values) among the literal occurrences of the formula's clauses."""
+    lits = [lit for clause in formula.clauses for lit in clause]
+    return len({id(lit) for lit in lits}), len(set(lits))
+
+
 def eval_clause(clause, word: int) -> bool:
     for lit in clause:
         var = abs(lit)

@@ -1,4 +1,6 @@
 import copy
+import functools
+import gc
 import pickle
 import random
 import re
@@ -13,7 +15,9 @@ from pcforge.cnf import (
     CnfFormula,
     EncodingFormula,
     apply_assignment,
+    formula_cache,
     literal_key,
+    literal_table,
     literal_vector,
     make_assignment,
     make_clause,
@@ -29,7 +33,8 @@ from pcforge.families import GENERATORS, gen_parity, gen_psi_qhorn
 from pcforge.qhorn import compile_urc_encoding, normalize, phi_q_plus, recognize_qhorn
 from pcforge.semantics import prime_implicates
 
-from oracles import all_partial_assignments, models_brute, word_matches, write_dimacs_joined
+from oracles import (all_partial_assignments, benchmark_inputs, literal_objects, models_brute, word_matches,
+                     write_dimacs_joined)
 
 
 def F(clauses, num_vars=None):
@@ -287,6 +292,64 @@ def test_empty_aux_header_roundtrips_as_encoding():
 def test_tautological_clause_accepted_on_parse():
     f = parse_dimacs("p cnf 1 1\n1 -1 0\n")
     assert f.tautological_clauses() == ((1, -1),)
+
+
+def test_parse_shares_literal_objects():
+    # values past the small-int cache, written more than once and once with a leading zero
+    f = parse_dimacs("c aux 300 0\np cnf 300 4\n-300 299 0\n-300 -0299 0\n-299 300 0\n299 0\n")
+    assert f.formula.clauses == ((299, -300), (-299, -300), (-299, 300), (299,))
+    assert literal_objects(f.formula) == (4, 4)
+    ops, _ = benchmark_inputs().build_encode(1)
+    encoding = compile_urc_encoding(parse_dimacs(ops[0]["dimacs"]))
+    reparsed = parse_dimacs(write_dimacs(encoding))
+    assert reparsed == encoding
+    objects, values = literal_objects(reparsed.formula)
+    assert objects == values > 500
+
+
+def test_literal_table_holds_one_object_per_literal():
+    table = literal_table(300)
+    assert len(table) == 601 and table[0] == 0
+    assert all(table[v] == v and table[-v] == -v for v in range(1, 301))
+    assert len({id(lit) for lit in table}) == 601
+    assert literal_table(0) == [0]
+
+
+def test_formula_cache_counts_like_lru_cache():
+    def size(formula):
+        if formula.num_vars > 5:
+            raise LimitError("too wide")
+        return [len(formula.clauses)]
+
+    weak, bounded = formula_cache(size), functools.lru_cache(maxsize=None)(size)
+    formulas = [F([[1, 2]]), F([[1, 2]]), F([[1], [2]]), CnfFormula((), 6), F([[1, 2]], 3)]
+    for formula in formulas + formulas[::-1] + formulas:
+        results = []
+        for fn in (weak, bounded):
+            try:
+                results.append(fn(formula))
+            except LimitError:
+                results.append(None)
+        assert results[0] == results[1]
+        # a failed call counts a miss and caches nothing
+        assert weak.cache_info()[:2] == bounded.cache_info()[:2]
+    assert weak.cache_info() == (9, 6, None, 3)  # each of the three calls on the 6-variable formula misses
+    assert weak(formulas[1]) is weak(formulas[0])  # equal formulas share the entry of the first
+    assert weak.__wrapped__ is size and weak.__name__ == "size"
+    weak.cache_clear()
+    assert weak.cache_info() == (0, 0, None, 0)
+
+
+def test_formula_cache_entries_live_as_long_as_their_formula():
+    cached = formula_cache(lambda formula: [formula.num_vars])
+    first, equal = F([[1, 2]]), F([[1, 2]])
+    result = cached(first)
+    assert cached(equal) is result and cached.cache_info().currsize == 1
+    del first
+    gc.collect()
+    # the entry went with the formula that keyed it; an equal formula computes it afresh
+    assert cached.cache_info().currsize == 0
+    assert cached(equal) is not result and cached.cache_info().misses == 2
 
 
 def test_duplicate_clauses_collapse():

@@ -9,9 +9,10 @@ from pcforge.dual_rail import CLOSED_LIMIT, closed_assignments, dual_rail, horn_
 from pcforge.errors import EmptyClauseError, LimitError, PreconditionError, UnsatisfiableError
 from pcforge.families import gen_gamma, gen_psi_qhorn, generate
 from pcforge.propagation import UnitPropagator
+from pcforge.qhorn import compile_urc_encoding
 from pcforge.semantics import _model_words, prime_implicates
 
-from oracles import all_partial_assignments, cl_sem_brute, models_brute
+from oracles import all_partial_assignments, cl_sem_brute, literal_objects, models_brute
 
 
 def F(clauses, num_vars=None):
@@ -48,6 +49,13 @@ def test_dual_rail_size_and_hornness():
     assert len(rail.clauses) == formula.length + formula.num_vars
     assert rail.num_vars == 2 * formula.num_vars
     assert rail.is_horn()
+
+
+def test_dual_rail_shares_literal_objects():
+    encoding = compile_urc_encoding(gen_psi_qhorn(6)[0])
+    rail = dual_rail(encoding.formula)
+    objects, values = literal_objects(rail)
+    assert objects == values == 300  # of the 312 meta literals over 156 meta-variables
 
 
 def test_dual_rail_rejects_empty_clause():
@@ -99,6 +107,26 @@ def test_horn_equivalent_identity_and_universe_check():
     assert horn_equivalent(horn, horn)
     with pytest.raises(PreconditionError):
         horn_equivalent(horn, F([[-1, 2]], 3))
+
+
+def test_horn_equivalent_runs_only_the_clauses_the_formulas_do_not_share(monkeypatch):
+    runs = []
+    refutes = UnitPropagator.refutes
+
+    def counted(engine, clause):
+        runs.append(clause)
+        return refutes(engine, clause)
+
+    monkeypatch.setattr(UnitPropagator, "refutes", counted)
+    # a one-clause formula over a wide universe: its translation and that of its primes are equal
+    assert pc_via_dual_rail(CnfFormula(((1,),), 4096))
+    assert runs == []
+    shared = [[-1, 2], [-2, 3]]
+    assert horn_equivalent(F(shared, 3), F(shared + [[-1, 3]], 3))
+    assert runs == [(-1, 3)]
+    runs.clear()
+    assert not horn_equivalent(F(shared + [[-3]], 3), F(shared + [[-1, 3]], 3))
+    assert runs == [(-1, 3), (-3,)]
 
 
 def test_pc_via_dual_rail_on_families():

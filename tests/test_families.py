@@ -33,7 +33,7 @@ from pcforge.families import (
 from pcforge.qhorn import recognize_qhorn
 from pcforge.semantics import enumerate_models, equivalent, is_encoding_of, prime_implicates
 
-from oracles import primes_brute
+from oracles import literal_objects, primes_brute
 
 
 def test_psi_horn_shape():
@@ -160,6 +160,12 @@ def test_parity_cnf():
     assert set(prime_implicates(f).clauses) == set(f.clauses)
     onset = enumerate_models(f).onset
     assert set(onset.tolist()) == {w for w in range(8) if bin(w).count("1") % 2 == 1}
+
+
+def test_parity_cnf_shares_literal_objects():
+    # 2^11 clauses of 12 literals: each literal value is one int object
+    f = gen_parity(12, "cnf")
+    assert literal_objects(f) == (24, 24)
 
 
 def test_parity_encoding():

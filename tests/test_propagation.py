@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +8,7 @@ from hypothesis import given, strategies as st
 from pcforge.cnf import CnfFormula, EncodingFormula, literal_key, parse_dimacs
 from pcforge.corpus import horn_formulas, qhorn_formulas, satisfiable_formulas
 from pcforge.families import GENERATORS, gen_psi_qhorn
-from pcforge.propagation import PropagationResult, UnitPropagator, all_literals, up_closure
+from pcforge.propagation import PropagationResult, UnitPropagator, _engine, all_literals, up_closure
 from pcforge.qhorn import compile_urc_encoding
 from pcforge.semantics import cl_sem
 
@@ -153,7 +155,8 @@ def test_cached_engine_matches_a_fresh_engine_when_formulas_alternate():
     # equal clauses over different universes are different formulas
     formulas += [F([[1], [-1]], 1), F([[1], [-1]], 2), F([[1, 2], [-1]], 2), F([[1, 2], [-1]], 3)]
     rng = random.Random(31)
-    # more formulas than the engine cache holds: first round-robin, then at random, sometimes an equal copy
+    # many formulas, each engine cached while its formula lives: first round-robin, then at random,
+    # sometimes an equal copy, which shares the engine of the first
     for step in range(800):
         formula = formulas[step % len(formulas)] if step < 400 else rng.choice(formulas)
         if rng.random() < 0.2:
@@ -168,6 +171,19 @@ def test_cached_engine_matches_a_fresh_engine_when_formulas_alternate():
         else:
             expected = PropagationResult(False, frozenset(trail), None)
         assert up_closure(formula, alpha) == expected
+
+
+def test_cached_engine_does_not_keep_its_formula_alive():
+    formula = F([[-1, 2], [-2, 3]], 3)
+    up_closure(formula, {1})
+    engine = _engine(formula)
+    assert engine.clauses is formula.clauses
+    formula_ref = weakref.ref(formula)
+    del formula
+    gc.collect()
+    assert formula_ref() is None
+    # the engine itself holds the clauses only, and answers on
+    assert engine.run([1]) == (False, [1, 2, 3], None)
 
 
 def test_empty_clause_does_not_depend_on_assumption_order():

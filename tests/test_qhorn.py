@@ -22,8 +22,9 @@ from pcforge.qhorn import (
 from pcforge.semantics import entails, enumerate_models, is_encoding_of, satisfiable
 
 import oracles
-from oracles import (compile_urc_encoding_pairs, compile_urc_encoding_reference, phi_q_plus_all_pairs, qhorn_brute,
-                     recognize_qhorn_recursive, resolution_pairs_all_pairs, resolution_pairs_sets, satisfiable_brute)
+from oracles import (compile_urc_encoding_pairs, compile_urc_encoding_reference, literal_objects, phi_q_plus_all_pairs,
+                     qhorn_brute, recognize_qhorn_recursive, resolution_pairs_all_pairs, resolution_pairs_sets,
+                     satisfiable_brute)
 
 
 def F(clauses, num_vars=None):
@@ -355,6 +356,19 @@ def test_compiled_encode_inputs_match_the_set_compiler(seed):
             assert encoding == compile_urc_encoding_pairs(formula)
             # line lists: a failing comparison of texts this long takes minutes to diff
             assert write_dimacs(encoding).splitlines() == oracles.write_dimacs_joined(encoding).splitlines()
+
+
+def test_compiled_encodings_share_literal_objects():
+    formulas = [(gen_psi_qhorn(n)[0], None) for n in range(2, 7)] + qhorn_formulas(29, 40)
+    ops, _ = oracles.benchmark_inputs().build_encode(1)
+    formulas.append((parse_dimacs(ops[0]["dimacs"]), None))  # 602 literal values, most past the small-int cache
+    for formula, valuation in formulas:
+        valuation = valuation if valuation is not None else recognize_qhorn(formula)
+        encoding = compile_urc_encoding(formula, valuation)
+        objects, values = literal_objects(encoding.formula)
+        assert objects == values
+        assert encoding == compile_urc_encoding_reference(oracles.normalize_renamed(formula, valuation))
+    assert values == 602
 
 
 def test_binary_resolvent_matches_all_pairs_reference(monkeypatch):

@@ -1,5 +1,7 @@
+import gc
 import inspect
 import random
+import weakref
 import tracemalloc
 
 import numpy as np
@@ -175,6 +177,25 @@ def test_model_wall_raises_at_the_doubling_engines_step(wall, monkeypatch):
             assert str(err.value) == str(exc)
         else:
             assert np.array_equal(_model_words.__wrapped__(formula), expected)
+
+
+def test_model_array_is_released_with_its_formula():
+    formula = gen_gamma(4, "dprime")
+    table = enumerate_models(formula)
+    words = weakref.ref(_model_words(formula))
+    assert words() is table.onset
+    del formula, table
+    gc.collect()
+    assert words() is None
+
+
+def test_equal_formula_shares_the_model_array_while_the_first_lives():
+    first = gen_gamma(3, "dprime")
+    equal = CnfFormula(first.clauses, first.num_vars)
+    words = _model_words(first)
+    hits = _model_words.cache_info().hits
+    assert np.shares_memory(_model_words(equal), words)
+    assert _model_words.cache_info().hits == hits + 1
 
 
 def test_model_words_work_follows_the_models():
