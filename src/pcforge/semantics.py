@@ -11,12 +11,16 @@ one variable at a time: the models over variables 1..v are the models over
 1..v-1, each with variable v false and then true, filtered by the clauses
 whose highest variable is v.  The cost follows those prefix model counts,
 not 2**n.  That growth is also the one model limit: a step that would
-make the array longer than MODEL_WORDS words (128 MiB) raises LimitError
-before it allocates, so a formula over many variables answers exactly
-when its prefix model counts stay small.  The table returned by
-enumerate_models holds that cached array itself as its onset; no copy is
-made.  An array is cached for as long as its formula lives
-(cnf.formula_cache) and freed with it.
+make the array longer than MODEL_WORDS words raises LimitError before it
+allocates, so a formula over many variables answers exactly when its
+prefix model counts stay small.  Every pass over a model array, in the
+growth and in the queries alike (the walk's tables excepted), goes block
+by block (_BLOCK words), so a step holds the array it grows from, the
+one it grows to at its exact size, one byte per candidate word for each
+half its clauses filter, and a few blocks: nothing else the size of an
+array.  The table returned by enumerate_models holds that cached array
+itself as its onset; no copy is made.  An array is cached for as long as
+its formula lives (cnf.formula_cache) and freed with it.
 
 Prime-implicate clauses and the walk's closures are literal vectors
 (cnf.literal_vector), the model words of the dual-rail translation.
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -46,6 +50,7 @@ from .errors import LimitError, PreconditionError
 from .propagation import UnitPropagator
 
 MODEL_WORDS = 1 << 24  # the longest model array _model_words builds: 128 MiB of uint64
+_BLOCK = 1 << 15  # words per block of a pass over a model array: 256 KiB of uint64
 PRIME_CLAUSES = 200_000  # the most clauses prime_implicates admits to its queue
 
 
@@ -85,15 +90,15 @@ def _onset_array(words: Iterable[int], arity: int) -> np.ndarray:
     """The words as a sorted, duplicate-free, read-only uint64 array, each below 2**arity."""
     bound = 1 << min(arity, 64)
     if (isinstance(words, np.ndarray) and words.dtype == np.uint64 and words.ndim == 1 and not words.flags.writeable
-            and (len(words) == 0 or int(words[-1]) < bound) and bool(np.all(words[1:] > words[:-1]))):
+            and (len(words) == 0 or int(words[-1]) < bound)
+            and all(np.all(block[1:] > block[:-1]) for block in _blocks(words))
+            and all(words[i - 1] < words[i] for i in range(_BLOCK, len(words), _BLOCK))):
         return words
     ints = sorted({operator.index(w) for w in (words.tolist() if isinstance(words, np.ndarray) else words)})
     if ints and (ints[0] < 0 or ints[-1] >= bound):
         bad = ints[0] if ints[0] < 0 else ints[-1]
         raise ValueError(f"onset word {bad} outside 0..{bound - 1}")
-    out = np.array(ints, dtype=np.uint64)
-    out.flags.writeable = False
-    return out
+    return _frozen(np.array(ints, dtype=np.uint64))
 
 
 @formula_cache
@@ -109,9 +114,12 @@ def _model_words(formula: CnfFormula) -> np.ndarray:
     the array sorted because every earlier word is below 2**(v-1).  After
     step v the array holds the models of the clauses over variables 1..v,
     so work and memory follow those model counts rather than 2**n.  A run
-    of variables at which no clause ends is added in one step.  LimitError
-    is raised before a step that would make the array longer than
-    MODEL_WORDS, and for a universe wider than the 64 bits of a word.
+    of variables at which no clause ends is added in the same step
+    (_grow).  LimitError is raised before a step that would make the array
+    longer than MODEL_WORDS, and for a universe wider than the 64 bits of a
+    word.  A universe small enough that every word meets every clause
+    within one block is scanned in one pass instead: no step could reach
+    the limit there.
 
     The array is cached while the formula lives and an equal formula
     shares it; no cache size holds dead arrays beyond their formula.
@@ -119,53 +127,133 @@ def _model_words(formula: CnfFormula) -> np.ndarray:
     n = formula.num_vars
     if n > 64:
         raise LimitError(f"{n} variables do not fit a 64-bit model word")
-    # per highest variable v, the clauses holding v and those holding -v, each as the masks of
-    # its other literals, shortest first: they rule out the most words, so later clauses test
-    # fewer; a tautological clause rules out none and would break the one-comparison test below
-    plus: list[list] = [[] for _ in range(n + 1)]
-    minus: list[list] = [[] for _ in range(n + 1)]
-    for vector in sorted(formula.clause_vectors(), key=int.bit_count):
-        pos, neg = vector & ((1 << n) - 1), vector >> n
-        if pos & neg:
-            continue
-        if not vector:  # the empty clause rules out every word
-            words = np.zeros(0, dtype=np.uint64)
-            words.flags.writeable = False
-            return words
+    full = (1 << n) - 1
+    # shortest first: they rule out the most words, so later clauses test fewer; a tautological
+    # clause rules out none and would break the one-comparison test below
+    vectors = sorted((vector for vector in formula.clause_vectors() if not vector & full & vector >> n),
+                     key=int.bit_count)
+    if 0 in vectors:  # the empty clause rules out every word
+        return _frozen(np.zeros(0, dtype=np.uint64))
+    if (1 << n) * max(len(vectors), 1) <= _BLOCK and 1 << n <= MODEL_WORDS:
+        words = np.arange(1 << n, dtype=np.uint64)
+        if vectors:
+            # a word violates a clause when its positive variables are 0 and its negative ones 1
+            both = np.array([(vector | vector >> n) & full for vector in vectors], dtype=np.uint64)
+            neg = np.array([vector >> n for vector in vectors], dtype=np.uint64)
+            words = words[((words[:, None] & both) != neg).all(axis=1)]
+        return _frozen(words)
+    # per highest variable v, the clauses holding v and those holding -v, each as the masks of its other literals
+    levels: list[tuple[list, list]] = [([], []) for _ in range(n + 1)]
+    for vector in vectors:
+        pos, neg = vector & full, vector >> n
         top = 1 << (pos | neg).bit_length() - 1
-        rest = (np.uint64((pos | neg) & ~top), np.uint64(neg & ~top))
-        (plus if pos & top else minus)[top.bit_length()].append(rest)
+        levels[top.bit_length()][not pos & top].append((np.uint64((pos | neg) & ~top), np.uint64(neg & ~top)))
     words = np.zeros(1, dtype=np.uint64)
     done = 0  # words holds the models over variables 1..done
     for v in range(1, n + 1):
-        if not plus[v] and not minus[v] and v < n:
+        plus, minus = levels[v]
+        if not plus and not minus and v < n:
             continue
         if len(words) << (v - done) > MODEL_WORDS:
             raise LimitError(f"more than {MODEL_WORDS} model words over variables 1..{v}")
-        if v - 1 > done:
-            # variables done+1..v-1 in one block: row r gives them the bits of r, and as every
-            # word is below 2**done, the rows follow each other in order
-            high = np.arange(0, 1 << (v - 1), 1 << done, dtype=np.uint64)
-            words = (high[:, None] | words).ravel()
-        false = true = words
-        words = None  # held by the halves only: once both are filtered it is freed before the next array
-        # a word violates the rest of a clause when its positive variables are 0 and its negative ones 1
-        for both, neg in plus[v]:
-            false = false[(false & both) != neg]
-        for both, neg in minus[v]:
-            true = true[(true & both) != neg]
-        words = np.empty(len(false) + len(true), dtype=np.uint64)
-        words[:len(false)] = false
-        np.bitwise_or(true, np.uint64(1 << (v - 1)), out=words[len(false):])
+        words = _grow(words, done, v, plus, minus)
+        if not len(words):  # no model over 1..v: none over 1..n
+            break
         done = v
+    return _frozen(words)
+
+
+def _grow(words: np.ndarray, done: int, v: int, plus: list, minus: list) -> np.ndarray:
+    """One step of _model_words: the models over variables 1..v from those over 1..done.
+
+    The candidates over 1..v-1 are the words, each with every value of the
+    clause-free variables done+1..v-1: row r of them is the words OR
+    r << done, and as every word is below 2**done the rows follow each
+    other in order.  They are made block by block, never all at once, and
+    not at all when there is one row: then they are the words themselves.
+    A first pass keeps, per block, the 1-byte mask of the candidates each
+    half's clauses let through (each clause as the masks (both, neg) of
+    its other literals); the result is then allocated at its exact size,
+    and a second pass writes what the masks keep, the false half first and
+    then the true half, with bit v-1 set.  A half no clause filters is
+    written whole, with no mask.  Candidates that fit one block are made
+    at once and filtered clause by clause, with no mask and no second pass.
+    """
+    rows = 1 << (v - 1 - done)
+    if len(words) * rows <= _BLOCK:
+        cand = words if rows == 1 else (np.arange(0, rows << done, 1 << done, dtype=np.uint64)[:, None] | words).ravel()
+        false = true = cand
+        for both, neg in plus:
+            false = false[(false & both) != neg]
+        for both, neg in minus:
+            true = true[(true & both) != neg]
+        out = np.empty(len(false) + len(true), dtype=np.uint64)
+        out[:len(false)] = false
+        np.bitwise_or(true, np.uint64(1 << (v - 1)), out=out[len(false):])
+        return out
+    per = max(1, _BLOCK // len(words))  # rows per block, when the words are shorter than a block
+    spans = [(r, min(r + per, rows), i, min(i + _BLOCK, len(words)))
+             for r in range(0, rows, per) for i in range(0, len(words), _BLOCK)]
+    sizes = [(r1 - r0) * (j - i) for r0, r1, i, j in spans]
+    block = np.empty(sizes[0], dtype=np.uint64) if rows > 1 else None  # the candidates of a span
+    masked = np.empty(sizes[0], dtype=np.uint64) if plus or minus else None  # a clause's AND over them
+
+    def candidates(span, bit: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+        """The candidates of the span with the bit set, written to out; without out, the words themselves
+        when there is one row and no bit, else the block buffer."""
+        r0, r1, i, j = span
+        if out is None:
+            if rows == 1 and not bit:
+                return words[i:j]
+            out = block[:(r1 - r0) * (j - i)]
+        high = np.arange(r0 << done, r1 << done, 1 << done, dtype=np.uint64)
+        high |= np.uint64(bit)
+        np.bitwise_or(high[:, None], words[i:j], out=out.reshape(r1 - r0, j - i))
+        return out
+
+    masks: tuple[list, list] = ([], [])  # per half its clauses filter, the (mask, count) of each block
+    for span, size in zip(spans, sizes) if plus or minus else ():
+        cand = candidates(span)
+        for clauses, kept in zip((plus, minus), masks):
+            if clauses:
+                (both, neg), *rest = clauses
+                keep = np.bitwise_and(cand, both, out=masked[:size]) != neg
+                for both, neg in rest:
+                    keep &= np.bitwise_and(cand, both, out=masked[:size]) != neg
+                kept.append((keep, int(np.count_nonzero(keep))))
+    out = np.empty(sum(sum(count for _, count in kept) if clauses else sum(sizes)
+                       for clauses, kept in zip((plus, minus), masks)), dtype=np.uint64)
+    at = 0
+    for clauses, kept, bit in zip((plus, minus), masks, (0, 1 << (v - 1))):
+        for k, span in enumerate(spans):
+            if not clauses:
+                candidates(span, bit, out[at:at + sizes[k]])
+                at += sizes[k]
+                continue
+            keep, count = kept[k]
+            part = out[at:at + count]
+            part[:] = candidates(span)[keep]
+            if bit:
+                part |= np.uint64(bit)
+            at += count
+    return out
+
+
+def _frozen(words: np.ndarray) -> np.ndarray:
     words.flags.writeable = False
     return words
 
 
-def _select(models: np.ndarray, vector: int, n: int) -> np.ndarray:
-    """The model words that extend the literals of the vector: none when it holds a literal and its complement."""
+def _blocks(words: np.ndarray) -> Iterator[np.ndarray]:
+    """The array in consecutive views of _BLOCK words, the last one shorter."""
+    return (words[i:i + _BLOCK] for i in range(0, len(words), _BLOCK))
+
+
+def _select(models: np.ndarray, vector: int, n: int) -> Iterator[np.ndarray]:
+    """Block by block, the model words that extend the literals of the vector; none if it holds a complementary pair."""
     pos, neg = np.uint64(vector & ((1 << n) - 1)), np.uint64(vector >> n)
-    return models[((models & pos) == pos) & ((models & neg) == 0)]
+    for block in _blocks(models):
+        yield block[((block & pos) == pos) & ((block & neg) == 0)] if vector else block
 
 
 def enumerate_models(formula: CnfFormula) -> FunctionTable:
@@ -184,7 +272,9 @@ def entails(formula: CnfFormula, clause: Clause) -> bool:
     for lit in clause:
         if abs(lit) > n:
             raise PreconditionError(f"clause variable {abs(lit)} outside universe")
-    return len(_select(_model_words(formula), literal_vector([-lit for lit in clause], n), n)) == 0
+    # the blocks are made one at a time: the first counter-model ends the search
+    counter = literal_vector([-lit for lit in clause], n)
+    return not any(len(words) for words in _select(_model_words(formula), counter, n))
 
 
 def cl_sem(formula: CnfFormula, alpha: PartialAssignment) -> frozenset[Literal]:
@@ -195,7 +285,11 @@ def cl_sem(formula: CnfFormula, alpha: PartialAssignment) -> frozenset[Literal]:
     """
     n = formula.num_vars
     vector = literal_vector(make_assignment(alpha), n)
-    return frozenset(vector_literals(closure_vector(_select(_model_words(formula), vector, n), n), n))
+    # the models of a union agree on the literals each part agrees on, and a part without models on all
+    closure = (1 << 2 * n) - 1
+    for words in _select(_model_words(formula), vector, n):
+        closure &= closure_vector(words, n)
+    return frozenset(vector_literals(closure, n))
 
 
 def closure_vector(models: np.ndarray, n: int) -> int:
@@ -274,28 +368,45 @@ def equivalent(f1: CnfFormula, f2: CnfFormula) -> bool:
     """Onset equality over a shared universe."""
     if f1.num_vars != f2.num_vars:
         raise PreconditionError("equivalence requires a shared universe")
-    return bool(np.array_equal(_model_words(f1), _model_words(f2)))
+    return _equal_words(_model_words(f1), _model_words(f2))
+
+
+def _equal_words(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two word arrays are equal, compared block by block."""
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(_blocks(a), _blocks(b)))
 
 
 def is_encoding_of(encoding: EncodingFormula, table: FunctionTable) -> bool:
-    """Definition check: the existential projection onto the input variables equals the table."""
+    """Definition check: the existential projection onto the input variables equals the table.
+
+    The models are projected block by block.  Each projected word is looked
+    up in the sorted onset, and a mask over the onset records the words
+    met: the projection equals the onset when every projected word is in
+    it and every onset word was met.  The first projected word outside the
+    onset ends the check.
+    """
     if len(encoding.input_vars) != len(table.input_vars):
         raise PreconditionError("encoding and table have different input arity")
-    models = _model_words(encoding.formula)
+    models, onset = _model_words(encoding.formula), table.onset
     # input j is in place when it is variable j+1: its bit needs no move
     in_place = sum(1 << j for j, v in enumerate(encoding.input_vars) if v == j + 1)
     if not encoding.aux_vars and in_place == (1 << len(encoding.input_vars)) - 1:
         # the inputs are the whole universe in order: the models are the projection
-        return bool(np.array_equal(models, table.onset))
-    projected = models & np.uint64(in_place)
-    for j, v in enumerate(encoding.input_vars):
-        if v != j + 1:
-            projected |= ((models >> np.uint64(v - 1)) & np.uint64(1)) << np.uint64(j)
-    projected.sort()
-    distinct = np.ones(len(projected), dtype=bool)
-    np.not_equal(projected[1:], projected[:-1], out=distinct[1:])
-    # both sides are sorted and duplicate-free
-    return bool(np.array_equal(projected[distinct], table.onset))
+        return _equal_words(models, onset)
+    if not len(onset):
+        return not len(models)
+    moved = [(np.uint64(v - 1), np.uint64(j)) for j, v in enumerate(encoding.input_vars) if v != j + 1]
+    met = np.zeros(len(onset), dtype=bool)
+    for words in _blocks(models):
+        projected = words & np.uint64(in_place)
+        for at, to in moved:
+            projected |= ((words >> at) & np.uint64(1)) << to
+        found = np.searchsorted(onset, projected)
+        np.minimum(found, len(onset) - 1, out=found)
+        if not np.array_equal(onset[found], projected):
+            return False
+        met[found] = True
+    return bool(met.all())
 
 
 @lru_cache(maxsize=32)
@@ -311,7 +422,8 @@ def prime_implicates(formula: CnfFormula) -> CnfFormula:
 
     The admitted clauses are indexed by one occurrence bitset per literal
     bit (occ[b], a Python int with bit j set when clause j holds b) and one
-    alive bitset, so each test costs O(n) bigint operations, not a scan:
+    alive bitset, so each test costs a bigint operation per literal bit the
+    input clauses hold (no resolvent holds another), not a scan:
 
     - cand is subsumed iff alive & ~OR(occ[b] for b not in cand) != 0;
     - cand subsumes the clauses alive & AND(occ[b] for b in cand);
@@ -342,7 +454,7 @@ def prime_implicates(formula: CnfFormula) -> CnfFormula:
     def add(cand: int) -> bool:
         nonlocal alive
         outside = 0
-        for b in range(2 * n):
+        for b in used:
             if not cand >> b & 1:
                 outside |= occ[b]
         if alive & ~outside:
@@ -364,6 +476,7 @@ def prime_implicates(formula: CnfFormula) -> CnfFormula:
             return CnfFormula(((),), n)
         seeds.append(literal_vector(clause, n))
     seeds.sort(key=lambda m: m.bit_count())
+    used = _mask_bits(reduce(operator.or_, seeds, 0))  # the literal bits of the input: no resolvent holds another
     queue: list[int] = []
     for mask in seeds:
         if add(mask):

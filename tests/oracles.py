@@ -11,7 +11,11 @@ The q-Horn encoding reference uses only the package's data model
 references for the engines that replaced them: model_words_chunked, the
 model enumerator that scanned all 2**n words in chunks;
 model_words_doubling, the prefix enumerator whose clauses filtered the
-whole doubled array at their highest variable; write_dimacs_joined, the
+whole doubled array at their highest variable; model_words_halves, the
+prefix enumerator that filtered each whole half of the array and built a
+run of clause-free variables as one full-size array, and
+is_encoding_of_sorted, the encoding check that projected every model,
+sorted the projection and removed its duplicates; write_dimacs_joined, the
 DIMACS writer that joined the literals of each clause;
 compile_urc_encoding_pairs, the q-Horn compiler that found each closure
 clause's resolution partners through per-clause sets;
@@ -146,6 +150,67 @@ def model_words_doubling(formula) -> np.ndarray:
             words = words[(words & both) != neg]
     words.flags.writeable = False
     return words
+
+
+def model_words_halves(formula) -> np.ndarray:
+    """Sorted, read-only uint64 array of model words, grown one variable at a time.
+
+    At variable v the array splits into the half where v is false and the
+    half where v is true, and each clause whose highest variable is v
+    filters, by its other literals, the half where its literal on v is
+    false; the filtered halves are then copied into the next array.  A run
+    of variables at which no clause ends is first added to the whole array
+    in one block.  It raises LimitError where semantics._model_words does,
+    reading semantics.MODEL_WORDS at call time.
+    """
+    n = formula.num_vars
+    if n > 64:
+        raise LimitError(f"{n} variables do not fit a 64-bit model word")
+    plus: list[list] = [[] for _ in range(n + 1)]
+    minus: list[list] = [[] for _ in range(n + 1)]
+    for vector in sorted(formula.clause_vectors(), key=int.bit_count):
+        pos, neg = vector & ((1 << n) - 1), vector >> n
+        if pos & neg:
+            continue
+        if not vector:
+            words = np.zeros(0, dtype=np.uint64)
+            words.flags.writeable = False
+            return words
+        top = 1 << (pos | neg).bit_length() - 1
+        rest = (np.uint64((pos | neg) & ~top), np.uint64(neg & ~top))
+        (plus if pos & top else minus)[top.bit_length()].append(rest)
+    words = np.zeros(1, dtype=np.uint64)
+    done = 0
+    for v in range(1, n + 1):
+        if not plus[v] and not minus[v] and v < n:
+            continue
+        if len(words) << (v - done) > semantics.MODEL_WORDS:
+            raise LimitError(f"more than {semantics.MODEL_WORDS} model words over variables 1..{v}")
+        if v - 1 > done:
+            high = np.arange(0, 1 << (v - 1), 1 << done, dtype=np.uint64)
+            words = (high[:, None] | words).ravel()
+        false = true = words
+        for both, neg in plus[v]:
+            false = false[(false & both) != neg]
+        for both, neg in minus[v]:
+            true = true[(true & both) != neg]
+        words = np.empty(len(false) + len(true), dtype=np.uint64)
+        words[:len(false)] = false
+        np.bitwise_or(true, np.uint64(1 << (v - 1)), out=words[len(false):])
+        done = v
+    words.flags.writeable = False
+    return words
+
+
+def is_encoding_of_sorted(encoding, table) -> bool:
+    """The encoding check by one projection of every model word, sorted and without duplicates, against the onset."""
+    if len(encoding.input_vars) != len(table.input_vars):
+        raise PreconditionError("encoding and table have different input arity")
+    models = _model_words(encoding.formula)
+    projected = np.zeros(len(models), dtype=np.uint64)
+    for j, v in enumerate(encoding.input_vars):
+        projected |= ((models >> np.uint64(v - 1)) & np.uint64(1)) << np.uint64(j)
+    return bool(np.array_equal(np.unique(projected), table.onset))
 
 
 def satisfiable_brute(formula) -> bool:

@@ -1,6 +1,7 @@
 import gc
 import inspect
 import random
+import time
 import weakref
 import tracemalloc
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from pcforge import semantics
-from pcforge.cnf import CnfFormula, EncodingFormula, literal_vector, make_clause, vector_literals
+from pcforge.cnf import CnfFormula, EncodingFormula, literal_vector, make_clause, parse_dimacs, vector_literals
 from pcforge.corpus import horn_formulas, qhorn_formulas, satisfiable_formulas
 from pcforge.deciders import is_pc
 from pcforge.errors import LimitError, PreconditionError
@@ -30,8 +31,9 @@ from pcforge.semantics import (
     satisfiable,
 )
 
-from oracles import (all_partial_assignments, assignment_walk_arrays, cl_sem_brute, encoding_onset_brute, entails_brute,
-                     model_words_chunked, model_words_doubling, models_brute, prime_implicates_linear_scan, primes_brute,
+from oracles import (all_partial_assignments, assignment_walk_arrays, benchmark_inputs, cl_sem_brute,
+                     encoding_onset_brute, entails_brute, is_encoding_of_sorted, model_words_chunked,
+                     model_words_doubling, model_words_halves, models_brute, prime_implicates_linear_scan, primes_brute,
                      up_fixpoint_brute)
 
 
@@ -162,6 +164,79 @@ def test_model_words_over_64_variables():
         assert np.array_equal(words, model_words_doubling(formula))
     assert _model_words.__wrapped__(chain).tolist() == expected
     assert len(_model_words.__wrapped__(gap)) == 1 << 13
+
+
+def _wide_formulas(seed, count):
+    """Random formulas over 12 to 24 variables, with n to 3n clauses of one to four literals each."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(12, 24)
+        clauses = [[v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), rng.randint(1, 4))]
+                   for _ in range(rng.randint(n, 3 * n))]
+        out.append(CnfFormula.from_clauses(clauses, n))
+    return out
+
+
+def _encode_verify_formulas(seed):
+    """The formulas of the benchmark's encode verify operations at the seed, each with its compiled encoding."""
+    ops, _ = benchmark_inputs().build_encode(seed)
+    out = []
+    for op in ops:
+        if op["kind"] == "verify":
+            formula = parse_dimacs(op["dimacs"])
+            out.append((formula, compile_urc_encoding(formula)))
+    return out
+
+
+def _assert_model_words_match(formula):
+    words = _model_words.__wrapped__(formula)
+    assert words.dtype == np.uint64 and words.ndim == 1 and not words.flags.writeable
+    assert np.array_equal(words, model_words_halves(formula))
+    if formula.num_vars <= 10:
+        assert words.tolist() == models_brute(formula)
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_model_words_in_small_blocks_match_the_halves_engine(block, monkeypatch):
+    # blocks far shorter than the arrays: every step streams its candidates over many blocks
+    corpus = [formula for formula in _model_words_corpus() if formula.num_vars <= (8 if block == 1 else 12)]
+    corpus += [F([[1, 2], [-2, 3]], 6), F([[-1], [2, 3]], 7)]  # a last step that only doubles, after a run
+    monkeypatch.setattr(semantics, "_BLOCK", block)
+    for formula in corpus:
+        _assert_model_words_match(formula)
+
+
+def test_model_words_match_the_halves_engine_on_wide_formulas(monkeypatch):
+    chain = F([[-v, v + 1] for v in range(1, 64)], 64)
+    gap = F([[-v] for v in range(1, 51)] + [[51, 64], [-52, -64]], 64)
+    # one word under a run of 21 clause-free variables; 49,152 words, more than a block, under a run of 3
+    corpus = _wide_formulas(61, 40) + [chain, gap, F([[-21, 22]], 22), F([[1, -5, 9, -22]], 22),
+                                        F([[-15, 16], [1, -20]], 20)]
+    # seed 31: the second verify formula ends in a clause-free variable, so its last step only doubles
+    for seed in (1, 31):
+        corpus += [f for formula, encoding in _encode_verify_formulas(seed) for f in (formula, encoding.formula)]
+    assert max(len(model_words_halves(formula)) for formula in corpus) > 1 << 20
+    for block in (semantics._BLOCK, 1 << 10):
+        monkeypatch.setattr(semantics, "_BLOCK", block)
+        for formula in corpus:
+            _assert_model_words_match(formula)
+
+
+@pytest.mark.parametrize("clause, count", [((-21, 22), 3 << 20), ((1, -5, 9, -22), (1 << 21) + (7 << 18))])
+def test_model_words_step_holds_no_array_but_its_prefix_and_output(clause, count):
+    # one step, at variable 22, grows the 2**21 candidate words over variables 1..21 into the output;
+    # masks and blocks may add a quarter of that, nothing else the size of an array
+    formula = F([clause], 22)
+    tracemalloc.start()
+    try:
+        words = _model_words.__wrapped__(formula)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    prefix = 8 << 21
+    assert peak <= 1.25 * (prefix + words.nbytes) + (1 << 20)
+    assert len(words) == count
 
 
 @pytest.mark.parametrize("wall", [1, 2, 3, 8, 40, 1 << 10])
@@ -380,6 +455,17 @@ def _limit_threshold(monkeypatch, formula):
     return hi
 
 
+def test_prime_implicates_follow_the_literals_of_the_clauses_not_the_universe():
+    # 400 two-literal clauses over 201 variables, whose primes are the 200 units v; declared among
+    # 16,384 variables they took 4 s while every admission looped over all 32,768 literal bits
+    clauses = [clause for v in range(1, 201) for clause in ((v, 201), (v, -201))]
+    start = time.perf_counter()
+    wide = prime_implicates(F(clauses, 1 << 14))
+    elapsed = time.perf_counter() - start
+    assert wide.clauses == prime_implicates(F(clauses, 201)).clauses == tuple((v,) for v in range(1, 201))
+    assert elapsed < 1.0
+
+
 def test_prime_implicates_match_linear_scan_engine():
     corpus = _primes_small_corpus() + _primes_family_corpus()
     assert any(prime_implicates(f).has_empty_clause() for f in corpus)
@@ -512,6 +598,63 @@ def test_is_encoding_of_matches_frozenset_oracle():
             with pytest.raises(ValueError):
                 FunctionTable(table.input_vars, words)
     assert all(is_encoding_of(encoding, table) for encoding, table in cases)
+
+
+def _dropped_clause_variants(encoding, rng, count):
+    """The encoding with one of its clauses removed, for up to count clauses picked by rng."""
+    picks = sorted(rng.sample(range(len(encoding.formula.clauses)), min(count, len(encoding.formula.clauses))))
+    return [EncodingFormula(encoding.formula.without(i), encoding.input_vars, encoding.aux_vars) for i in picks]
+
+
+def test_is_encoding_of_matches_the_sorted_projection(monkeypatch):
+    rng = random.Random(67)
+    cases = [(compile_urc_encoding(psi), psi) for psi in (gen_psi_qhorn(m)[0] for m in (2, 3, 4))]
+    cases += [(compile_urc_encoding(formula, valuation), formula)
+              for formula, valuation in qhorn_formulas(71, 25, max_vars=9)]
+    checks = []
+    for encoding, source in cases:
+        table = enumerate_models(source)
+        checks += [(variant, table) for variant in [encoding] + _dropped_clause_variants(encoding, rng, 12)]
+        # the table of a formula is encoded by its own clauses, the inputs in place and no auxiliary
+        checks.append((EncodingFormula(source, encoding.input_vars, ()), table))
+    expected = [is_encoding_of_sorted(encoding, table) for encoding, table in checks]
+    assert True in expected and False in expected
+    assert [is_encoding_of(encoding, table) for encoding, table in checks] == expected
+    # the model arrays are cached: blocks of 5 words stream only the projection
+    monkeypatch.setattr(semantics, "_BLOCK", 5)
+    assert [is_encoding_of(encoding, table) for encoding, table in checks] == expected
+
+
+@pytest.mark.parametrize("block", [1, 4])
+def test_queries_in_small_blocks_match_brute_oracles(block, monkeypatch):
+    rng = random.Random(73)
+    formulas = [random_formula(rng, max_vars=5) for _ in range(30)] + [F([[1], [-1]], 3), CnfFormula((), 3)]
+    monkeypatch.setattr(semantics, "_BLOCK", block)
+    for formula in formulas:
+        n = formula.num_vars
+        for alpha in all_partial_assignments(n):
+            assert cl_sem(formula, alpha) == cl_sem_brute(formula, alpha)
+            clause = make_clause([-lit for lit in alpha])
+            assert entails(formula, clause) == entails_brute(formula, clause)
+        for other in (CnfFormula((), n), CnfFormula(formula.clauses[1:], n), CnfFormula(formula.clauses + ((-1,),), n)):
+            assert equivalent(formula, other) == (models_brute(formula) == models_brute(other))
+
+
+def test_entails_stops_at_the_first_block_with_a_counter_model(monkeypatch):
+    formula = CnfFormula((), 20)  # 2**20 models in 32 blocks; the first word, all false, refutes (1)
+    blocks, made = semantics._blocks, []
+
+    def counted(words):
+        for block in blocks(words):
+            made.append(len(block))
+            yield block
+
+    monkeypatch.setattr(semantics, "_blocks", counted)
+    assert not entails(formula, (1,))
+    assert made == [semantics._BLOCK]
+    made.clear()
+    assert entails(F([[1]], 20), (1,))
+    assert len(made) == (1 << 19) // semantics._BLOCK
 
 
 def _walk_expected(formula):
