@@ -63,8 +63,9 @@ class FunctionTable:
     read-only numpy uint64 array, and a word outside 0..2**arity-1 (or one
     that does not fit 64 bits) raises ValueError.  An array already in that
     form, such as the cached model array enumerate_models passes, is checked
-    in one pass and kept without a copy.  Tables are equal when their input
-    variables and onset words are.
+    block by block, each block overlapping the next by one word, and kept
+    without a copy.  Tables are equal when their input variables and onset
+    words are.
     """
 
     input_vars: tuple[int, ...]
@@ -91,8 +92,7 @@ def _onset_array(words: Iterable[int], arity: int) -> np.ndarray:
     bound = 1 << min(arity, 64)
     if (isinstance(words, np.ndarray) and words.dtype == np.uint64 and words.ndim == 1 and not words.flags.writeable
             and (len(words) == 0 or int(words[-1]) < bound)
-            and all(np.all(block[1:] > block[:-1]) for block in _blocks(words))
-            and all(words[i - 1] < words[i] for i in range(_BLOCK, len(words), _BLOCK))):
+            and all(np.all(w[1:] > w[:-1]) for w in (words[i:i + _BLOCK + 1] for i in range(0, len(words), _BLOCK)))):
         return words
     ints = sorted({operator.index(w) for w in (words.tolist() if isinstance(words, np.ndarray) else words)})
     if ints and (ints[0] < 0 or ints[-1] >= bound):
@@ -176,21 +176,9 @@ def _grow(words: np.ndarray, done: int, v: int, plus: list, minus: list) -> np.n
     its other literals); the result is then allocated at its exact size,
     and a second pass writes what the masks keep, the false half first and
     then the true half, with bit v-1 set.  A half no clause filters is
-    written whole, with no mask.  Candidates that fit one block are made
-    at once and filtered clause by clause, with no mask and no second pass.
+    written whole, with no mask.
     """
     rows = 1 << (v - 1 - done)
-    if len(words) * rows <= _BLOCK:
-        cand = words if rows == 1 else (np.arange(0, rows << done, 1 << done, dtype=np.uint64)[:, None] | words).ravel()
-        false = true = cand
-        for both, neg in plus:
-            false = false[(false & both) != neg]
-        for both, neg in minus:
-            true = true[(true & both) != neg]
-        out = np.empty(len(false) + len(true), dtype=np.uint64)
-        out[:len(false)] = false
-        np.bitwise_or(true, np.uint64(1 << (v - 1)), out=out[len(false):])
-        return out
     per = max(1, _BLOCK // len(words))  # rows per block, when the words are shorter than a block
     spans = [(r, min(r + per, rows), i, min(i + _BLOCK, len(words)))
              for r in range(0, rows, per) for i in range(0, len(words), _BLOCK)]
