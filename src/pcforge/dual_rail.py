@@ -12,6 +12,7 @@ translation a polynomial-time proxy for propagation completeness.
 from __future__ import annotations
 
 from .cnf import UNIVERSE_VARS, CnfFormula, PartialAssignment, literal_table, vector_literals
+from .deciders import _unrefuted
 from .errors import EmptyClauseError, LimitError, PreconditionError, UnsatisfiableError
 from .propagation import UnitPropagator
 from .semantics import assignment_walk, prime_implicates
@@ -48,18 +49,17 @@ def dual_rail(formula: CnfFormula) -> CnfFormula:
 def horn_equivalent(h1: CnfFormula, h2: CnfFormula) -> bool:
     """Mutual clause-wise Horn entailment over a shared universe.
 
-    A clause both formulas hold is refuted without a run, as in
-    deciders._unrefuted: its negation empties it.  Only the clauses where
-    the two differ are propagated, each run sized by the whole universe.
+    Each side refutes the other's clauses through deciders._unrefuted, so a
+    clause both formulas hold is refuted without a run and only the clauses
+    where the two differ are propagated, each run sized by the whole
+    universe.  The second engine is built only when the first side holds.
     """
     if h1.num_vars != h2.num_vars:
         raise PreconditionError("horn_equivalent requires a shared universe")
     if not h1.is_horn() or not h2.is_horn():
         raise PreconditionError("horn_equivalent requires Horn formulas")
-    own1, own2 = set(h1.clauses), set(h2.clauses)
-    engine1, engine2 = UnitPropagator(h1), UnitPropagator(h2)
-    return (all(clause in own1 or engine1.refutes(clause) for clause in h2.clauses)
-            and all(clause in own2 or engine2.refutes(clause) for clause in h1.clauses))
+    return (not any(_unrefuted(UnitPropagator(h1), h2.clauses))
+            and not any(_unrefuted(UnitPropagator(h2), h1.clauses)))
 
 
 def pc_via_dual_rail(formula: CnfFormula) -> bool:

@@ -15,12 +15,13 @@ make the array longer than MODEL_WORDS words raises LimitError before it
 allocates, so a formula over many variables answers exactly when its
 prefix model counts stay small.  Every pass over a model array, in the
 growth and in the queries alike (the walk's tables excepted), goes block
-by block (_BLOCK words), so a step holds the array it grows from, the
-one it grows to at its exact size, one byte per candidate word for each
-half its clauses filter, and a few blocks: nothing else the size of an
-array.  The table returned by enumerate_models holds that cached array
-itself as its onset; no copy is made.  An array is cached for as long as
-its formula lives (cnf.formula_cache) and freed with it.
+by block (_BLOCK words): a step streams its candidate words (_candidates)
+and keeps the 1-byte mask of those its clauses let through (_keep), so it
+holds the array it grows from, the one it grows to at its exact size,
+those masks and a few blocks: nothing else the size of an array.  The
+table returned by enumerate_models holds that cached array itself as its
+onset; no copy is made.  An array is cached for as long as its formula
+lives (cnf.formula_cache) and freed with it.
 
 Prime-implicate clauses and the walk's closures are literal vectors
 (cnf.literal_vector), the model words of the dual-rail translation.
@@ -45,7 +46,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .cnf import (Clause, CnfFormula, EncodingFormula, Literal, PartialAssignment, clause_sort_key, formula_cache,
-                  is_tautological, literal_vector, make_assignment, make_clause, vector_literals)
+                  literal_vector, literal_vector_unchecked, make_assignment, make_clause, vector_literals)
 from .errors import LimitError, PreconditionError
 from .propagation import UnitPropagator
 
@@ -137,7 +138,8 @@ def _model_words(formula: CnfFormula) -> np.ndarray:
     if (1 << n) * max(len(vectors), 1) <= _BLOCK and 1 << n <= MODEL_WORDS:
         words = np.arange(1 << n, dtype=np.uint64)
         if vectors:
-            # a word violates a clause when its positive variables are 0 and its negative ones 1
+            # one broadcast of all words against all clauses, kept for the walk's tiny formulas: on the 464 of
+            # benchmark seeds 1 and 5 it took 8.6 ms, a clause-by-clause _keep loop 19.0 ms (BENCH_26.json)
             both = np.array([(vector | vector >> n) & full for vector in vectors], dtype=np.uint64)
             neg = np.array([vector >> n for vector in vectors], dtype=np.uint64)
             words = words[((words[:, None] & both) != neg).all(axis=1)]
@@ -166,65 +168,51 @@ def _model_words(formula: CnfFormula) -> np.ndarray:
 def _grow(words: np.ndarray, done: int, v: int, plus: list, minus: list) -> np.ndarray:
     """One step of _model_words: the models over variables 1..v from those over 1..done.
 
-    The candidates over 1..v-1 are the words, each with every value of the
-    clause-free variables done+1..v-1: row r of them is the words OR
-    r << done, and as every word is below 2**done the rows follow each
-    other in order.  They are made block by block, never all at once, and
-    not at all when there is one row: then they are the words themselves.
-    A first pass keeps, per block, the 1-byte mask of the candidates each
-    half's clauses let through (each clause as the masks (both, neg) of
-    its other literals); the result is then allocated at its exact size,
-    and a second pass writes what the masks keep, the false half first and
-    then the true half, with bit v-1 set.  A half no clause filters is
-    written whole, with no mask.
+    _candidates streams the candidate words over 1..v-1, and _keep gives a
+    block's 1-byte mask of the candidates a half's clauses let through.  A
+    first pass keeps the masks of each half its clauses filter; the result
+    is then allocated at its exact size, and a pass per half writes what
+    the masks keep, the false half first and then the true half, with bit
+    v-1 set.  A half no clause filters is written whole.
     """
-    rows = 1 << (v - 1 - done)
-    per = max(1, _BLOCK // len(words))  # rows per block, when the words are shorter than a block
-    spans = [(r, min(r + per, rows), i, min(i + _BLOCK, len(words)))
-             for r in range(0, rows, per) for i in range(0, len(words), _BLOCK)]
-    sizes = [(r1 - r0) * (j - i) for r0, r1, i, j in spans]
-    block = np.empty(sizes[0], dtype=np.uint64) if rows > 1 else None  # the candidates of a span
-    masked = np.empty(sizes[0], dtype=np.uint64) if plus or minus else None  # a clause's AND over them
-
-    def candidates(span, bit: int = 0, out: np.ndarray | None = None) -> np.ndarray:
-        """The candidates of the span with the bit set, written to out; without out, the words themselves
-        when there is one row and no bit, else the block buffer."""
-        r0, r1, i, j = span
-        if out is None:
-            if rows == 1 and not bit:
-                return words[i:j]
-            out = block[:(r1 - r0) * (j - i)]
-        high = np.arange(r0 << done, r1 << done, 1 << done, dtype=np.uint64)
-        high |= np.uint64(bit)
-        np.bitwise_or(high[:, None], words[i:j], out=out.reshape(r1 - r0, j - i))
-        return out
-
-    masks: tuple[list, list] = ([], [])  # per half its clauses filter, the (mask, count) of each block
-    for span, size in zip(spans, sizes) if plus or minus else ():
-        cand = candidates(span)
-        for clauses, kept in zip((plus, minus), masks):
+    halves = [(clauses, np.uint64(bit), []) for clauses, bit in ((plus, 0), (minus, 1 << (v - 1)))]
+    for block in _candidates(words, done, v) if plus or minus else ():
+        for clauses, _, masks in halves:
             if clauses:
-                (both, neg), *rest = clauses
-                keep = np.bitwise_and(cand, both, out=masked[:size]) != neg
-                for both, neg in rest:
-                    keep &= np.bitwise_and(cand, both, out=masked[:size]) != neg
-                kept.append((keep, int(np.count_nonzero(keep))))
-    out = np.empty(sum(sum(count for _, count in kept) if clauses else sum(sizes)
-                       for clauses, kept in zip((plus, minus), masks)), dtype=np.uint64)
+                masks.append(_keep(block, clauses))
+    whole = len(words) << (v - 1 - done)  # the candidates of a half
+    out = np.empty(sum(sum(map(np.count_nonzero, masks)) if clauses else whole for clauses, _, masks in halves),
+                   dtype=np.uint64)
     at = 0
-    for clauses, kept, bit in zip((plus, minus), masks, (0, 1 << (v - 1))):
-        for k, span in enumerate(spans):
-            if not clauses:
-                candidates(span, bit, out[at:at + sizes[k]])
-                at += sizes[k]
-                continue
-            keep, count = kept[k]
-            part = out[at:at + count]
-            part[:] = candidates(span)[keep]
-            if bit:
-                part |= np.uint64(bit)
-            at += count
+    for clauses, bit, masks in halves:
+        for k, block in enumerate(_candidates(words, done, v)):
+            part = block[masks[k]] if clauses else block
+            np.bitwise_or(part, bit, out=out[at:at + len(part)])
+            at += len(part)
     return out
+
+
+def _candidates(words: np.ndarray, done: int, v: int) -> Iterator[np.ndarray]:
+    """The candidate words over variables 1..v-1, in order, about _BLOCK at a time: views of the words when
+    done = v-1, else rows of them, row r the words OR r << done (the clause-free variables done+1..v-1 set to
+    r), several rows to a block while the words are shorter than one.  Every word is below 2**done, so the
+    rows follow each other in order."""
+    rows = 1 << (v - 1 - done)
+    per = max(1, _BLOCK // len(words))  # rows per block
+    for r in range(0, rows, per):
+        high = np.arange(r << done, min(r + per, rows) << done, 1 << done, dtype=np.uint64)[:, None]
+        for i in range(0, len(words), _BLOCK):
+            yield words[i:i + _BLOCK] if rows == 1 else (high | words[i:i + _BLOCK]).ravel()
+
+
+def _keep(block: np.ndarray, clauses: list) -> np.ndarray:
+    """The 1-byte mask of the words of the block that every clause, as the masks (both, neg) of its
+    literals, lets through: a word violates a clause when its bits under both equal neg."""
+    (both, neg), *rest = clauses
+    keep = (block & both) != neg
+    for both, neg in rest:
+        keep &= (block & both) != neg
+    return keep
 
 
 def _frozen(words: np.ndarray) -> np.ndarray:
@@ -261,7 +249,7 @@ def entails(formula: CnfFormula, clause: Clause) -> bool:
         if abs(lit) > n:
             raise PreconditionError(f"clause variable {abs(lit)} outside universe")
     # the blocks are made one at a time: the first counter-model ends the search
-    counter = literal_vector([-lit for lit in clause], n)
+    counter = literal_vector_unchecked([-lit for lit in clause], n)
     return not any(len(words) for words in _select(_model_words(formula), counter, n))
 
 
@@ -379,7 +367,9 @@ def is_encoding_of(encoding: EncodingFormula, table: FunctionTable) -> bool:
     # input j is in place when it is variable j+1: its bit needs no move
     in_place = sum(1 << j for j, v in enumerate(encoding.input_vars) if v == j + 1)
     if not encoding.aux_vars and in_place == (1 << len(encoding.input_vars)) - 1:
-        # the inputs are the whole universe in order: the models are the projection
+        # the inputs are the whole universe in order: the models are the projection.  Kept because most
+        # of the benchmark's encode verify operations compile to no auxiliary variable: without it they took
+        # 54.6 against 16.1 ms per batch at seed 1, and encode wall_s rose from 0.156 to 0.205 s (BENCH_26.json)
         return _equal_words(models, onset)
     if not len(onset):
         return not len(models)
@@ -456,14 +446,11 @@ def prime_implicates(formula: CnfFormula) -> CnfFormula:
         items.append(cand)
         return True
 
-    seeds = []
-    for clause in formula.clauses:
-        if is_tautological(clause):
-            continue
-        if not clause:
-            return CnfFormula(((),), n)
-        seeds.append(literal_vector(clause, n))
-    seeds.sort(key=lambda m: m.bit_count())
+    # as in _model_words: a tautological clause is never prime, and the empty clause is the one prime
+    seeds = sorted((vector for vector in formula.clause_vectors() if not vector & lo_mask & vector >> n),
+                   key=int.bit_count)
+    if 0 in seeds:
+        return CnfFormula(((),), n)
     used = _mask_bits(reduce(operator.or_, seeds, 0))  # the literal bits of the input: no resolvent holds another
     queue: list[int] = []
     for mask in seeds:

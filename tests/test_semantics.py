@@ -239,6 +239,22 @@ def test_model_words_step_holds_no_array_but_its_prefix_and_output(clause, count
     assert len(words) == count
 
 
+def test_model_words_step_from_a_multi_block_prefix_holds_no_array_but_its_prefix_and_output():
+    # the step at variable 22 grows the 98,304 models over variables 1..17 (three blocks) under the 4
+    # clause-free variables 18..21, and clauses filter both of its halves
+    formula = F([[1, 17], [2, 5, 22], [-3, -22]], 22)
+    tracemalloc.start()
+    try:
+        words = _model_words.__wrapped__(formula)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    prefix = 8 * 98_304
+    assert len(_model_words.__wrapped__(F([[1, 17]], 17))) * 8 == prefix
+    assert peak <= 1.25 * (prefix + words.nbytes) + (1 << 20)
+    assert len(words) == 98_304 * 16 * 3 // 4 + 98_304 * 16 // 2
+
+
 @pytest.mark.parametrize("wall", [1, 2, 3, 8, 40, 1 << 10])
 def test_model_wall_raises_at_the_doubling_engines_step(wall, monkeypatch):
     corpus = _model_words_corpus()  # built at the full wall: the satisfiable corpus asks for models
@@ -623,6 +639,21 @@ def test_is_encoding_of_matches_the_sorted_projection(monkeypatch):
     # the model arrays are cached: blocks of 5 words stream only the projection
     monkeypatch.setattr(semantics, "_BLOCK", 5)
     assert [is_encoding_of(encoding, table) for encoding, table in checks] == expected
+
+
+def test_is_encoding_of_with_the_inputs_in_place_compares_the_model_arrays(monkeypatch):
+    # no auxiliary variable and the inputs 1..n in order: the models are the projection, no onset lookup is made
+    formula = F([[1, 2], [-1, 3]], 3)
+    table, other = enumerate_models(formula), enumerate_models(F([[1, 2]], 3))
+
+    def no_lookup(*args, **kwargs):
+        raise AssertionError("the onset was searched")
+
+    monkeypatch.setattr(semantics.np, "searchsorted", no_lookup)
+    assert is_encoding_of(EncodingFormula(formula, (1, 2, 3), ()), table)
+    assert not is_encoding_of(EncodingFormula(formula, (1, 2, 3), ()), other)
+    with pytest.raises(AssertionError, match="searched"):  # inputs out of order are projected and looked up
+        is_encoding_of(EncodingFormula(formula, (3, 2, 1), ()), table)
 
 
 @pytest.mark.parametrize("block", [1, 4])
