@@ -25,24 +25,24 @@ def random_formula(rng: random.Random, max_vars: int = 6, max_clauses: int = 10)
     return CnfFormula.from_clauses(clauses, n)
 
 
-def satisfiable_formulas(seed: int, count: int, max_vars: int = 6, max_clauses: int = 10) -> list[CnfFormula]:
-    """Random satisfiable formulas; unsatisfiable draws are discarded."""
+def satisfiable_formulas(seed: int, count: int, max_vars: int = 6) -> list[CnfFormula]:
+    """Random satisfiable formulas of up to 10 clauses; unsatisfiable draws are discarded."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        formula = random_formula(rng, max_vars, max_clauses)
+        formula = random_formula(rng, max_vars)
         if satisfiable(formula):
             out.append(formula)
     return out
 
 
-def horn_formulas(seed: int, count: int, max_vars: int = 8, max_clauses: int = 10) -> list[CnfFormula]:
-    """Random Horn formulas (at most one positive literal per clause)."""
+def horn_formulas(seed: int, count: int, max_vars: int = 8) -> list[CnfFormula]:
+    """Random Horn formulas of up to 10 clauses (at most one positive literal per clause)."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
         n = rng.randint(1, max_vars)
-        m = rng.randint(1, max_clauses)
+        m = rng.randint(1, 10)
         clauses = []
         for _ in range(m):
             width = rng.randint(1, min(4, n))

@@ -15,13 +15,14 @@ Two interchangeable strategies, chosen by ``method``:
   conflict.  Minimality of primes plus monotonicity of unit resolution
   make these finitely many checks equivalent to the full quantification.
 
-Two streams ask these questions of an engine and a clause set, skipping
-the engine's own clauses, which pass both by construction: ``_unrefuted``
-and ``_unabsorbed`` yield the failures.  The primes deciders,
-``is_absorbed`` and both reducers are each one expression over them, so
-none enumerates models.  Both strategies return the same verdict and a
-deterministic witness: the least failing assignment under (size, sorted
-(variable, polarity) key), and for PC then the least missing literal.
+Two streams ask these questions of a formula's one engine
+(propagation._engine) for a clause set, skipping the formula's own
+clauses, which pass both by construction: ``_unrefuted`` and
+``_unabsorbed`` yield the failures.  The primes deciders, ``is_absorbed``
+and both reducers are each one expression over them, so none enumerates
+models.  Both strategies return the same verdict and a deterministic
+witness: the least failing assignment under (size, sorted (variable,
+polarity) key), and for PC then the least missing literal.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable, Iterable, Iterator
 
 from .cnf import Clause, CnfFormula, Literal, PartialAssignment, is_tautological, literal_key, make_clause, vector_literals
 from .errors import LimitError, PreconditionError, TautologyError
-from .propagation import UnitPropagator, all_literals
+from .propagation import _engine, all_literals
 from .semantics import assignment_walk, entails, prime_implicates
 
 DECIDER_LIMIT = 14
@@ -90,17 +91,17 @@ def _naive_pc(formula: CnfFormula) -> DecisionReport:
                           for alpha, up, sem in assignment_walk(formula) if sem & ~up)
 
 
-def _unrefuted(engine: UnitPropagator, clauses: Iterable[Clause]) -> Iterator[tuple[PartialAssignment, None]]:
+def _unrefuted(formula: CnfFormula, clauses: Iterable[Clause]) -> Iterator[tuple[PartialAssignment, None]]:
     """(negated clause, None) for each clause whose negation propagation does not refute; () negates to {}."""
-    own = set(engine.clauses)  # a clause of the engine's formula is refuted without a run
+    own, engine = set(formula.clauses), _engine(formula)  # a clause of the formula is refuted without a run
     for clause in clauses:
         if clause not in own and not engine.refutes(clause):
             yield frozenset(-lit for lit in clause), None
 
 
-def _unabsorbed(engine: UnitPropagator, clauses: Iterable[Clause]) -> Iterator[tuple[PartialAssignment, Literal]]:
+def _unabsorbed(formula: CnfFormula, clauses: Iterable[Clause]) -> Iterator[tuple[PartialAssignment, Literal]]:
     """(negated rest, literal) for each literal of a clause that propagation from the negated rest does not absorb."""
-    own = set(engine.clauses)  # a clause of the engine's formula is absorbed without a run
+    own, engine = set(formula.clauses), _engine(formula)  # a clause of the formula is absorbed without a run
     for clause in clauses:
         if clause not in own:
             for lit in clause:
@@ -109,7 +110,7 @@ def _unabsorbed(engine: UnitPropagator, clauses: Iterable[Clause]) -> Iterator[t
 
 
 def _prime_urc(formula: CnfFormula) -> DecisionReport:
-    return _least_failure(_unrefuted(UnitPropagator(formula), prime_implicates(formula).clauses))
+    return _least_failure(_unrefuted(formula, prime_implicates(formula).clauses))
 
 
 def _prime_pc(formula: CnfFormula) -> DecisionReport:
@@ -118,7 +119,7 @@ def _prime_pc(formula: CnfFormula) -> DecisionReport:
         # every clause is an implicate of an unsatisfiable formula: the empty prime is absorbed
         # iff each unit clause is, that is iff propagation alone conflicts
         primes = [(lit,) for lit in all_literals(formula.num_vars)]
-    return _least_failure(_unabsorbed(UnitPropagator(formula), primes))
+    return _least_failure(_unabsorbed(formula, primes))
 
 
 def is_urc(formula: CnfFormula, limit: int = DECIDER_LIMIT, method: str = "primes") -> DecisionReport:
@@ -143,7 +144,7 @@ def is_absorbed(clause: Clause, formula: CnfFormula) -> bool:
         raise TautologyError("absorption is not defined for tautological clauses")
     if not entails(formula, clause):
         raise PreconditionError("clause is not an implicate of the formula")
-    return not any(_unabsorbed(UnitPropagator(formula), [clause]))
+    return not any(_unabsorbed(formula, [clause]))
 
 
 class ReductionError(PreconditionError):
@@ -174,11 +175,7 @@ def reduce_pc_irredundant(formula: CnfFormula, seed: int | None = None, limit: i
     report = is_pc(formula, limit=limit)
     if not report.verdict:
         raise PreconditionError("input formula is not propagation complete")
-
-    def absorbed(clause: Clause, rest: CnfFormula) -> bool:
-        return not any(_unabsorbed(UnitPropagator(rest), [clause]))
-
-    result = _greedy_reduce(formula, seed, absorbed)
+    result = _greedy_reduce(formula, seed, lambda clause, rest: not any(_unabsorbed(rest, [clause])))
     if not is_pc(result, limit=limit).verdict:
         raise ReductionError("absorbed-clause removal broke propagation completeness")
     return result
@@ -189,14 +186,10 @@ def reduce_urc_irredundant(formula: CnfFormula, seed: int | None = None, limit: 
     report = is_urc(formula, limit=limit)
     if not report.verdict:
         raise PreconditionError("input formula is not unit refutation complete")
-    primes = prime_implicates(formula)
-
+    primes = prime_implicates(formula).clauses
     # a rest refuting every negated prime entails every clause, so it is equivalent and URC; the
     # removed clause, an implicate it must refute too, is the likeliest to fail and goes first
-    def still_urc(clause: Clause, rest: CnfFormula) -> bool:
-        return not any(_unrefuted(UnitPropagator(rest), (clause, *primes.clauses)))
-
-    result = _greedy_reduce(formula, seed, still_urc)
+    result = _greedy_reduce(formula, seed, lambda clause, rest: not any(_unrefuted(rest, (clause, *primes))))
     if not is_urc(result, limit=limit).verdict:
         raise ReductionError("clause removal broke unit refutation completeness")
     return result

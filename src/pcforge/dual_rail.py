@@ -14,7 +14,6 @@ from __future__ import annotations
 from .cnf import UNIVERSE_VARS, CnfFormula, PartialAssignment, literal_table, vector_literals
 from .deciders import _unrefuted
 from .errors import EmptyClauseError, LimitError, PreconditionError, UnsatisfiableError
-from .propagation import UnitPropagator
 from .semantics import assignment_walk, prime_implicates
 
 
@@ -58,18 +57,21 @@ def horn_equivalent(h1: CnfFormula, h2: CnfFormula) -> bool:
         raise PreconditionError("horn_equivalent requires a shared universe")
     if not h1.is_horn() or not h2.is_horn():
         raise PreconditionError("horn_equivalent requires Horn formulas")
-    return (not any(_unrefuted(UnitPropagator(h1), h2.clauses))
-            and not any(_unrefuted(UnitPropagator(h2), h1.clauses)))
+    return not any(_unrefuted(h1, h2.clauses)) and not any(_unrefuted(h2, h1.clauses))
 
 
 def pc_via_dual_rail(formula: CnfFormula) -> bool:
     """Propagation completeness via dual-rail equivalence with the prime implicates.
 
     A satisfiable formula is PC iff its dual-rail translation is Horn-
-    equivalent to the translation of its full prime implicate set.  The
-    primes also decide satisfiability: those of an unsatisfiable formula
-    are exactly the empty clause.  No model is enumerated, so the size is
-    bounded only by semantics.PRIME_CLAUSES, the prime implicate bound.
+    equivalent to the translation of its full prime implicate set.  Only
+    one direction is checked, with one engine: the other always holds, as
+    each clause C holds a nonempty prime P, and the translation of P, with
+    a consistency clause, refutes each negated clause of the translation
+    of C.  The primes also decide satisfiability: those of an
+    unsatisfiable formula are exactly the empty clause.  No model is
+    enumerated, so the size is bounded only by semantics.PRIME_CLAUSES,
+    the prime implicate bound.
     """
     formula.reject_tautologies("pc_via_dual_rail does not accept tautological clauses")
     if formula.has_empty_clause():
@@ -77,7 +79,7 @@ def pc_via_dual_rail(formula: CnfFormula) -> bool:
     primes = prime_implicates(formula)
     if primes.has_empty_clause():
         raise UnsatisfiableError("pc_via_dual_rail is defined for satisfiable formulas only")
-    return horn_equivalent(dual_rail(formula), dual_rail(primes))
+    return not any(_unrefuted(dual_rail(formula), dual_rail(primes).clauses))
 
 
 CLOSED_LIMIT = 10

@@ -5,7 +5,8 @@ whether the negation of a clause is refuted (``refutes``) and whether the
 negated rest of a clause derives one of its literals (``absorbs``), and
 steps the walk over partial assignments one literal at a time (``start``,
 ``extend``), all from one root: the assumptions, then the formula's
-units, propagated.  ``up_closure`` computes the closure of a partial
+units, propagated.  Every module takes its engines from ``_engine``, one
+per formula.  ``up_closure`` computes the closure of a partial
 assignment; by convention the closure of a refuted assignment (one from
 which the empty clause is derivable) is the full literal set of the
 universe, which makes closure results comparable across formulas for the
@@ -160,6 +161,8 @@ def all_literals(num_vars: int) -> frozenset[Literal]:
 
 @formula_cache
 def _engine(formula: CnfFormula) -> UnitPropagator:
+    """The formula's engine: built once, on the first request, and shared by every later request on an equal
+    formula for as long as the formula lives (cnf.formula_cache).  It holds the clauses, not the formula."""
     return UnitPropagator(formula)
 
 
@@ -167,11 +170,9 @@ def up_closure(formula: CnfFormula, alpha: PartialAssignment) -> PropagationResu
     """Closure of alpha under unit propagation in the formula.
 
     Conflict means the empty clause is derivable from the formula plus alpha,
-    in which case the closure is all literals of the universe.  The engine is
-    built once per formula and reused by later calls on an equal formula for
-    as long as the formula lives (cnf.formula_cache); it holds the clauses,
-    not the formula.  The assumptions are processed in literal_key order, so
-    ``empty_clause`` depends on alpha only as a set.
+    in which case the closure is all literals of the universe.  The
+    assumptions are processed in literal_key order, so ``empty_clause``
+    depends on alpha only as a set.
     """
     alpha = make_assignment(alpha)
     conflict, trail, empty_idx = _engine(formula).run(sorted(alpha, key=literal_key))

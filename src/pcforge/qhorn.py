@@ -34,7 +34,7 @@ from itertools import count
 
 from .cnf import Clause, CnfFormula, EncodingFormula, Literal, apply_assignment, clause_sort_key, literal_table
 from .errors import NotQHornError, PreconditionError
-from .propagation import UnitPropagator
+from .propagation import _engine
 
 _TAUTOLOGY_MESSAGE = "q-Horn operations do not accept tautological clauses"
 
@@ -219,13 +219,13 @@ def _two_sat_satisfiable(clauses: list[Clause]) -> bool:
 def qhorn_sat(split: QHornSplit) -> bool:
     """Satisfiability of the split formula.
 
-    Unit propagation on phi1; its derived literals are applied to phi2, whose
+    Unit propagation on phi1, whose engine is kept while the split lives
+    (propagation._engine); the derived literals are applied to phi2, whose
     clauses inside the half-weight variables form a 2-CNF deciding the rest.
     The others, and what propagation leaves of phi1, hold a free weight-0
     literal (negative after renaming); making those true satisfies them.
     """
-    engine = UnitPropagator(split.phi1)
-    conflict, trail, _ = engine.run(())
+    conflict, trail, _ = _engine(split.phi1).run(())
     if conflict:
         return False
     x2_set = set(split.x2)

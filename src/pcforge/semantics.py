@@ -32,8 +32,8 @@ The assignment walk pairs each partial assignment with the literal vectors
 of its propagation closure and of its semantic closure.  It carries the
 models that extend an assignment as a Python-int bitset over the indices
 of the cached model array, so a step is one int AND and one XOR.  Its
-propagation steps are UnitPropagator.start and extend; of a propagation
-node (vector, val, counts) the walk reads only the literal vector.
+propagation steps are start and extend of the formula's engine (_engine);
+of a node (vector, val, counts) the walk reads only the literal vector.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 from .cnf import (Clause, CnfFormula, EncodingFormula, Literal, PartialAssignment, clause_sort_key, formula_cache,
                   literal_vector, literal_vector_unchecked, make_assignment, make_clause, vector_literals)
 from .errors import LimitError, PreconditionError
-from .propagation import UnitPropagator
+from .propagation import _engine
 
 MODEL_WORDS = 1 << 24  # the longest model array _model_words builds: 128 MiB of uint64
 _BLOCK = 1 << 15  # words per block of a pass over a model array: 256 KiB of uint64
@@ -171,9 +171,10 @@ def _grow(words: np.ndarray, done: int, v: int, plus: list, minus: list) -> np.n
     _candidates streams the candidate words over 1..v-1, and _keep gives a
     block's 1-byte mask of the candidates a half's clauses let through.  A
     first pass keeps the masks of each half its clauses filter; the result
-    is then allocated at its exact size, and a pass per half writes what
-    the masks keep, the false half first and then the true half, with bit
-    v-1 set.  A half no clause filters is written whole.
+    is then allocated at its exact size, and a second pass writes what the
+    masks keep of each block into both halves, each at its own position:
+    the false half from the start, the true half, with bit v-1 set, from
+    where the false half ends.  A half no clause filters is written whole.
     """
     halves = [(clauses, np.uint64(bit), []) for clauses, bit in ((plus, 0), (minus, 1 << (v - 1)))]
     for block in _candidates(words, done, v) if plus or minus else ():
@@ -181,14 +182,14 @@ def _grow(words: np.ndarray, done: int, v: int, plus: list, minus: list) -> np.n
             if clauses:
                 masks.append(_keep(block, clauses))
     whole = len(words) << (v - 1 - done)  # the candidates of a half
-    out = np.empty(sum(sum(map(np.count_nonzero, masks)) if clauses else whole for clauses, _, masks in halves),
-                   dtype=np.uint64)
-    at = 0
-    for clauses, bit, masks in halves:
-        for k, block in enumerate(_candidates(words, done, v)):
+    sizes = [sum(map(np.count_nonzero, masks)) if clauses else whole for clauses, _, masks in halves]
+    out = np.empty(sum(sizes), dtype=np.uint64)
+    at = [0, sizes[0]]
+    for k, block in enumerate(_candidates(words, done, v)):
+        for h, (clauses, bit, masks) in enumerate(halves):
             part = block[masks[k]] if clauses else block
-            np.bitwise_or(part, bit, out=out[at:at + len(part)])
-            at += len(part)
+            np.bitwise_or(part, bit, out=out[at[h]:at[h] + len(part)])
+            at[h] += len(part)
     return out
 
 
@@ -299,7 +300,7 @@ def assignment_walk(formula: CnfFormula) -> Iterator[tuple[int, int, int]]:
     follows the model count, not 2**n.
     """
     n = formula.num_vars
-    engine = UnitPropagator(formula)
+    engine = _engine(formula)
     root = engine.start()
     if root is None:
         return

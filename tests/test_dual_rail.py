@@ -151,6 +151,19 @@ def test_pc_via_dual_rail_matches_direct_decider():
         checked += 1
 
 
+def test_dr_of_primes_always_entails_dr_of_the_formula():
+    # the direction pc_via_dual_rail leaves unchecked: each clause holds a prime, and the prime's translation
+    # with a consistency clause refutes each negated clause of the clause's translation
+    rng = random.Random(63)
+    formulas = [gen_gamma(3, "dprime"), gen_psi_qhorn(3)[0], F([[1, 2], [-2, 3]], 3)]
+    formulas += [f for f in (random_formula(rng, max_vars=6, max_clauses=10) for _ in range(200)) if models_brute(f)]
+    for formula in formulas:
+        source, target = dual_rail(formula), dual_rail(prime_implicates(formula))
+        engine = UnitPropagator(target)
+        assert all(engine.refutes(clause) for clause in source.clauses)
+        assert pc_via_dual_rail(formula) == horn_equivalent(source, target)
+
+
 def test_closed_assignments_examples():
     assert closed_assignments(F([[1]], 1)) == frozenset({frozenset({1})})
     assert closed_assignments(CnfFormula((), 1)) == frozenset({frozenset(), frozenset({1}), frozenset({-1})})

@@ -7,10 +7,12 @@ from hypothesis import given, strategies as st
 
 from pcforge.cnf import CnfFormula, EncodingFormula, literal_key, parse_dimacs
 from pcforge.corpus import horn_formulas, qhorn_formulas, satisfiable_formulas
+from pcforge.deciders import is_absorbed, is_pc, is_urc, reduce_pc_irredundant, reduce_urc_irredundant
+from pcforge.dual_rail import closed_assignments, dual_rail, pc_via_dual_rail
 from pcforge.families import GENERATORS, gen_psi_qhorn
 from pcforge.propagation import PropagationResult, UnitPropagator, _engine, all_literals, up_closure
-from pcforge.qhorn import compile_urc_encoding
-from pcforge.semantics import cl_sem
+from pcforge.qhorn import compile_urc_encoding, normalize, qhorn_sat, recognize_qhorn
+from pcforge.semantics import cl_sem, prime_implicates
 
 from oracles import UnitPropagatorSatFlags, all_partial_assignments, benchmark_inputs, cl_sem_brute, up_fixpoint_brute
 
@@ -184,6 +186,62 @@ def test_cached_engine_does_not_keep_its_formula_alive():
     assert formula_ref() is None
     # the engine itself holds the clauses only, and answers on
     assert engine.run([1]) == (False, [1, 2, 3], None)
+
+
+@pytest.fixture
+def engines_built(monkeypatch):
+    """The clauses of each formula UnitPropagator is built for from here on, with the engine cache cleared: no
+    equal formula left alive by another test shares its engine.  The formulas themselves are not kept alive."""
+    built = []
+    init = UnitPropagator.__init__
+
+    def counted(self, formula):
+        built.append(formula.clauses)
+        init(self, formula)
+
+    monkeypatch.setattr(UnitPropagator, "__init__", counted)
+    _engine.cache_clear()
+    return built
+
+
+def test_every_question_on_a_formula_shares_its_one_engine(engines_built):
+    formula = F([[-1, 2], [-2, 3], [1, 3]], 3)  # primes (3) and (-1 2): (3) is an implicate but not a clause
+    for decide in (is_urc, is_pc):
+        assert decide(formula, method="naive") == decide(formula, method="primes")
+    closed_assignments(formula)
+    assert not is_absorbed((3,), formula)
+    assert up_closure(formula, {-3}).conflict
+    assert engines_built == [formula.clauses]
+
+
+def test_qhorn_sat_and_up_closure_share_the_engine_of_phi1(engines_built):
+    psi, _ = gen_psi_qhorn(3)
+    formula = CnfFormula(psi.clauses + ((4,), (-4, -5)), psi.num_vars)  # activator 4 on, 5 off: phi1's clauses
+    split = normalize(formula, recognize_qhorn(formula))
+    assert split.phi1.clauses == ((4,), (-4, -5))
+    assert qhorn_sat(split)
+    assert up_closure(split.phi1, ()).literals == {4, -5}
+    assert engines_built == [split.phi1.clauses]
+
+
+def test_pc_via_dual_rail_propagates_only_the_translation_of_the_formula(engines_built):
+    # PC, and its primes add (1 3): the two translations differ
+    formula = F([[1, 2], [-2, 3]], 3)
+    assert prime_implicates(formula).clauses == ((1, 2), (1, 3), (-2, 3))
+    assert pc_via_dual_rail(formula)
+    assert engines_built == [dual_rail(formula).clauses]
+
+
+@pytest.mark.parametrize("reduce", [reduce_pc_irredundant, reduce_urc_irredundant])
+def test_reducer_engines_go_with_their_rests(reduce, engines_built):
+    primes = prime_implicates(F([[1, 2], [-2, 3]]))
+    padded = CnfFormula(primes.clauses + ((1, 2, 3),), primes.num_vars)
+    reduced = reduce(padded, limit=10)
+    assert (1, 2, 3) not in reduced.clauses
+    # one engine per step's rest, and one each for the input and the result, whose checks they answer
+    assert len(engines_built) == len(padded.clauses) + 2
+    gc.collect()
+    assert _engine.cache_info().currsize == 2
 
 
 def test_empty_clause_does_not_depend_on_assumption_order():

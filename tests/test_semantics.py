@@ -255,6 +255,22 @@ def test_model_words_step_from_a_multi_block_prefix_holds_no_array_but_its_prefi
     assert len(words) == 98_304 * 16 * 3 // 4 + 98_304 * 16 // 2
 
 
+def test_model_words_step_makes_its_candidates_once_per_pass(monkeypatch):
+    # steps at variables 17 and 22, both with clauses to filter: a pass for the masks and one that writes
+    # both halves, each pass one stream of candidates
+    formula = F([[1, 17], [2, 5, 22], [-3, -22]], 22)
+    streams = []
+    candidates = semantics._candidates
+
+    def counted(words, done, v):
+        streams.append(v)
+        return candidates(words, done, v)
+
+    monkeypatch.setattr(semantics, "_candidates", counted)
+    assert np.array_equal(_model_words.__wrapped__(formula), model_words_halves(formula))
+    assert streams == [17, 17, 22, 22]
+
+
 @pytest.mark.parametrize("wall", [1, 2, 3, 8, 40, 1 << 10])
 def test_model_wall_raises_at_the_doubling_engines_step(wall, monkeypatch):
     corpus = _model_words_corpus()  # built at the full wall: the satisfiable corpus asks for models
