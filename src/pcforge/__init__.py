@@ -1,5 +1,20 @@
 """Propagation-complete and unit-refutation-complete CNF toolkit."""
 
+import os as _os
+
+# pcforge runs on one thread and calls no BLAS routine, but OpenBLAS starts a pool thread per further core
+# when numpy loads it, and each spins for about 0.1 s.  OpenBLAS reads OPENBLAS_NUM_THREADS once, at that
+# load, so the variable is set to 1 for the numpy import only: a caller's own value wins, and the caller's
+# environment (and so every child process's) is left as it was.
+if "OPENBLAS_NUM_THREADS" in _os.environ:
+    import numpy as _numpy
+else:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .cnf import (
     Clause,
     CnfFormula,

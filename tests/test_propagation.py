@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -187,6 +188,25 @@ def test_cached_engine_does_not_keep_its_formula_alive():
     # the engine itself holds the clauses only, and answers on
     assert engine.run([1]) == (False, [1, 2, 3], None)
 
+
+
+def test_literals_that_occur_in_no_clause_share_one_empty_occurrence_list():
+    # one unit clause over a wide universe, as in a dual-rail translation: every literal but 1 occurs nowhere
+    def held(formula):
+        tracemalloc.start()
+        try:
+            engine = UnitPropagator(formula)
+            return engine, tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    extra = 1 << 14
+    narrow, wide = CnfFormula(((1,),), 1), CnfFormula(((1,),), 1 + extra)
+    (_, narrow_bytes), (engine, wide_bytes) = held(narrow), held(wide)
+    assert len({id(lits) for lits in engine.occ if not lits}) == 1
+    assert engine.run([2, -3]) == (False, [2, -3, 1], None)
+    # the 2 * extra further slots cost their pointers (and the list's spare capacity), not a list each
+    assert wide_bytes - narrow_bytes < 2 * extra * 12
 
 @pytest.fixture
 def engines_built(monkeypatch):
