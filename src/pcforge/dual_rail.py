@@ -49,9 +49,10 @@ def horn_equivalent(h1: CnfFormula, h2: CnfFormula) -> bool:
     """Mutual clause-wise Horn entailment over a shared universe.
 
     Each side refutes the other's clauses through deciders._unrefuted, so a
-    clause both formulas hold is refuted without a run and only the clauses
-    where the two differ are propagated, each run sized by the whole
-    universe.  The second engine is built only when the first side holds.
+    clause both formulas hold is refuted without propagation and only the
+    clauses where the two differ are propagated, each run or lane pass
+    sized by the whole universe.  The second engine is built only when the
+    first side holds.
     """
     if h1.num_vars != h2.num_vars:
         raise PreconditionError("horn_equivalent requires a shared universe")

@@ -5,15 +5,19 @@ whether the negation of a clause is refuted (``refutes``) and whether the
 negated rest of a clause derives one of its literals (``absorbs``), and
 steps the walk over partial assignments one literal at a time (``start``,
 ``extend``), all from one root: the assumptions, then the formula's
-units, propagated.  Every module takes its engines from ``_engine``, one
-per formula.  ``up_closure`` computes the closure of a partial
-assignment; by convention the closure of a refuted assignment (one from
-which the empty clause is derivable) is the full literal set of the
-universe, which makes closure results comparable across formulas for the
-same function.
+units, propagated.  ``lanes`` propagates many assumption sets in one
+bit-parallel pass, one bit per set, to the same fixpoint as a run of
+each.  Every module takes its engines from ``_engine``, one per formula.
+``up_closure`` computes the closure of a partial assignment; by
+convention the closure of a refuted assignment (one from which the empty
+clause is derivable) is the full literal set of the universe, which makes
+closure results comparable across formulas for the same function.
 
 The propagation state is one signed value per literal and one counter per
 clause, both plain lists indexed directly by literals and clause indices.
+A lane pass keeps one Python-int mask per literal instead, bit j set when
+the literal holds under assumption set j, and no counters: a clause fires
+in the lanes where all its literals but one are false.
 """
 
 from __future__ import annotations
@@ -108,6 +112,73 @@ class UnitPropagator:
         if self._propagate(val, counts, trail) is not None:
             return None
         return vector | literal_vector_unchecked(trail, self.num_vars), val, counts
+
+    def lanes(self, assumption_sets) -> tuple[list[int], int]:
+        """Propagate every assumption set at once, one bit per set (a lane); returns (true, refuted).
+
+        true[lit] is a Python int whose bit j is set when lit holds in lane j
+        (indexed as occ), and bit j of refuted is set when lane j conflicts:
+        an inconsistent assumption set conflicts, and true is left partial in
+        a refuted lane.  The fixpoint is each lane's run: the same conflicts
+        and, in the other lanes, the same derived literals.
+        """
+        nv, occ, clauses = self.num_vars, self.occ, self.clauses
+        true = [0] * (2 * nv + 1)
+        # pending[lit]: the lanes where lit became true since its clauses were last visited
+        pending: dict[int, int] = {}
+        bit = 1
+        for lits in assumption_sets:
+            for lit in lits:
+                pending[lit] = pending.get(lit, 0) | bit
+            bit <<= 1
+        for lit in pending:
+            if not 1 <= abs(lit) <= nv:
+                raise ValueError(f"assumed literal {lit} outside universe 1..{nv}")
+        full = bit - 1
+        if self.empty is not None:
+            return true, full
+        for lit in self.units:
+            pending[lit] = full
+        for lit, grown in pending.items():
+            true[lit] = grown
+        work = list(pending)
+        refuted = 0
+        for lit in work:  # the iterator also visits the literals appended on the way
+            lanes = pending.pop(lit)
+            # a lane where lit and -lit hold conflicts; with no clause all false, only an inconsistent
+            # assumption set shows this way.  A refuted lane propagates no further.
+            refuted |= lanes & true[-lit]
+            lanes &= ~refuted
+            if not lanes:
+                continue
+            # a clause holding -lit, now false in these lanes, is all false in those of them where every
+            # other literal is false (none0), and fires its one other literal that is not false where
+            # exactly one is not (none1): two running masks over the other literals, in O(k) int operations
+            neg = -lit
+            for idx in occ[neg]:
+                none0, none1 = lanes, 0
+                for other in clauses[idx]:
+                    if other != neg:
+                        false = true[-other]
+                        both = none0 & false
+                        none1 = (none1 & false) | (none0 ^ both)
+                        none0 = both
+                if none0:
+                    refuted |= none0
+                if not none1:
+                    continue
+                for other in clauses[idx]:
+                    if other != neg:
+                        known = true[other]
+                        grown = none1 & ~(known | true[-other])
+                        if grown:
+                            true[other] = known | grown
+                            if other in pending:
+                                pending[other] |= grown
+                            else:
+                                pending[other] = grown
+                                work.append(other)
+        return true, refuted
 
     def _root(self, assumptions=()) -> tuple[list[int], list[int], list[Literal], int | None]:
         """(val, counts, trail, empty index) after the assumptions, then the static units, then propagation."""

@@ -24,6 +24,8 @@ admitted clause for each subsumption test and each resolution partner;
 prime_urc_per_prime, prime_pc_per_prime and reduce_urc_by_entailment, the
 primes deciders that ran propagation for every prime and the URC reducer
 that also asked model-based entailment of each removal;
+unrefuted_per_run and unabsorbed_per_run, the decider streams that asked
+each refutation and absorption question with its own propagation run;
 recognize_qhorn_recursive, the recursive q-Horn weight search;
 normalize_renamed, the q-Horn split that renamed the weight-0 variables so
 that every variable weighed 1 or 1/2, and whose inverse renaming the
@@ -604,6 +606,24 @@ def _unrefuted_per_prime(engine, primes):
         alpha = frozenset(-lit for lit in prime)
         if not engine.run(alpha)[0]:
             yield alpha
+
+
+def unrefuted_per_run(formula, clauses):
+    """deciders._unrefuted with one refutes run per clause not in the formula, on an engine of its own."""
+    own, engine = set(formula.clauses), UnitPropagator(formula)
+    for clause in clauses:
+        if clause not in own and not engine.refutes(clause):
+            yield frozenset(-lit for lit in clause), None
+
+
+def unabsorbed_per_run(formula, clauses):
+    """deciders._unabsorbed with one absorbs run per literal of a clause not in the formula."""
+    own, engine = set(formula.clauses), UnitPropagator(formula)
+    for clause in clauses:
+        if clause not in own:
+            for lit in clause:
+                if not engine.absorbs(clause, lit):
+                    yield frozenset(-other for other in clause if other != lit), lit
 
 
 def prime_urc_per_prime(formula):

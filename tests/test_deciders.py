@@ -1,9 +1,14 @@
+import inspect
 import random
+import textwrap
+from functools import lru_cache
 
 import pytest
 
 from pcforge import semantics
-from pcforge.cnf import CnfFormula, make_clause
+from pcforge import propagation
+from pcforge.acceptance import QHORN_CORPUS_SEED, QHORN_CORPUS_SIZE
+from pcforge.cnf import CnfFormula, is_tautological, make_clause
 from pcforge.corpus import horn_formulas, qhorn_formulas, random_formula as corpus_formula, satisfiable_formulas
 from pcforge import deciders
 from pcforge.deciders import (
@@ -15,15 +20,16 @@ from pcforge.deciders import (
     reduce_pc_irredundant,
     reduce_urc_irredundant,
 )
-from pcforge.dual_rail import pc_via_dual_rail
+from pcforge.dual_rail import dual_rail, pc_via_dual_rail
 from pcforge.errors import LimitError, PreconditionError, TautologyError
 from pcforge.families import gen_gamma, gen_parity, gen_psi_horn, gen_psi_horn_pc, gen_psi_qhorn, gen_psi_qhorn_pc
 from pcforge.propagation import UnitPropagator, up_closure
 from pcforge.qhorn import compile_urc_encoding
 from pcforge.semantics import cl_sem, entails, equivalent, prime_implicates
 
-from oracles import (models_brute, pc_brute, prime_pc_per_prime, prime_urc_per_prime, reduce_pc_by_brute_absorption,
-                     reduce_urc_by_entailment, urc_brute)
+from oracles import (benchmark_inputs, models_brute, pc_brute, prime_pc_per_prime, prime_urc_per_prime,
+                     reduce_pc_by_brute_absorption, reduce_urc_by_entailment, unabsorbed_per_run, unrefuted_per_run,
+                     urc_brute)
 
 
 def F(clauses, num_vars=None):
@@ -311,6 +317,106 @@ def test_reduce_pc_matches_the_brute_absorption_reference():
     assert any(len(reduce_pc_irredundant(f, limit=f.num_vars).clauses) < len(f.clauses) for f in formulas)
 
 
+@lru_cache(maxsize=1)
+def _stream_cases():
+    """(formula, clauses, per-run failures) for the stream differential, refutation questions first, then absorption.
+
+    Refutation: the decider corpus with its primes and seeded random clauses, tautologies included (their
+    negations are inconsistent assumption sets); absorption: its primes.  Both: the primes-workload family
+    instances and the criterion-9 encodings with their primes.
+    """
+    rng = random.Random(113)
+    refute, absorb = [], []
+    for formula in _decider_corpus():
+        primes = prime_implicates(formula).clauses
+        n = formula.num_vars
+        extra = [make_clause(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 3)))
+                 for _ in range(12 if n else 0)]
+        refute.append((formula, primes + tuple(extra)))
+        absorb.append((formula, primes))
+    formulas = [CnfFormula.from_clauses(clauses, n) for _, clauses, n in benchmark_inputs().family_instances()]
+    corpus = qhorn_formulas(QHORN_CORPUS_SEED, QHORN_CORPUS_SIZE)
+    formulas += [compile_urc_encoding(f, valuation=v if i % 2 == 0 else None).formula for i, (f, v) in enumerate(corpus)]
+    formulas += [compile_urc_encoding(gen_psi_qhorn(n)[0]).formula for n in (2, 3)]
+    for formula in formulas:
+        primes = prime_implicates(formula).clauses
+        refute.append((formula, primes))
+        absorb.append((formula, primes))
+    assert any(is_tautological(clause) for _, clauses in refute for clause in clauses)
+    refute = [(f, clauses, list(unrefuted_per_run(f, clauses))) for f, clauses in refute]
+    absorb = [(f, clauses, list(unabsorbed_per_run(f, clauses))) for f, clauses in absorb]
+    assert any(expected for *_, expected in refute) and any(expected for *_, expected in absorb)  # failures to list
+    return refute, absorb
+
+
+def _stream_mismatches():
+    """The cases whose failure lists differ from the per-run streams', in order and in full."""
+    refute, absorb = _stream_cases()
+    return ([(f, clauses) for f, clauses, expected in refute if list(deciders._unrefuted(f, clauses)) != expected]
+            + [(f, clauses) for f, clauses, expected in absorb if list(deciders._unabsorbed(f, clauses)) != expected])
+
+
+@pytest.mark.parametrize("head,width", [(deciders.HEAD_RUNS, deciders.LANE_WIDTH), (0, 7), (3, 1)])
+def test_streams_match_the_per_run_streams(head, width, monkeypatch):
+    # equal failure lists give equal verdicts and least witnesses; a small width makes streams cross chunks
+    monkeypatch.setattr(deciders, "HEAD_RUNS", head)
+    monkeypatch.setattr(deciders, "LANE_WIDTH", width)
+    assert _stream_mismatches() == []
+
+
+def test_a_lane_pass_without_the_complementary_pair_test_fails_the_differential(monkeypatch):
+    # from a consistent assumption set, a conflict also leaves a clause all false; the negation of a
+    # tautological clause is the inconsistent set that only the pair test refutes
+    source = textwrap.dedent(inspect.getsource(UnitPropagator.lanes))
+    pair_test = "refuted |= lanes & true[-lit]"
+    assert source.count(pair_test) == 1
+    namespace = dict(vars(propagation))
+    exec(source.replace(pair_test, "pass"), namespace)
+    monkeypatch.setattr(UnitPropagator, "lanes", namespace["lanes"])
+    monkeypatch.setattr(deciders, "HEAD_RUNS", 0)
+    assert _stream_mismatches()
+
+
+def _count_calls(monkeypatch) -> dict[str, int]:
+    """Count the calls of UnitPropagator.run and UnitPropagator.lanes from now on."""
+    calls = {"run": 0, "lanes": 0}
+    for name in calls:
+        def counted(engine, *args, name=name, method=getattr(UnitPropagator, name)):
+            calls[name] += 1
+            return method(engine, *args)
+        monkeypatch.setattr(UnitPropagator, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("questions", [0, 1, 7, 8, 9, 13, 14, 15, 30])
+def test_a_stream_asks_its_head_by_runs_and_the_rest_in_passes_of_the_width(questions, monkeypatch):
+    head, width = 8, 3
+    formula = F([[-v, v + 1] for v in range(1, 40)], 40)  # an implication chain
+    # 1 -> v + 2 is refuted and v + 2 -> 1 is not; neither is a clause of the chain
+    clauses = [make_clause([-1, v + 2] if v % 2 else [1, -(v + 2)]) for v in range(1, questions + 1)]
+    expected = list(unrefuted_per_run(formula, clauses))
+    assert len(expected) == questions // 2
+    monkeypatch.setattr(deciders, "HEAD_RUNS", head)
+    monkeypatch.setattr(deciders, "LANE_WIDTH", width)
+    calls = _count_calls(monkeypatch)
+    assert list(deciders._unrefuted(formula, clauses)) == expected
+    assert calls == {"run": min(questions, head), "lanes": -(-max(questions - head, 0) // width)}
+
+
+def test_wide_universe_pc_dr_makes_head_runs_and_one_lane_pass_per_width(monkeypatch):
+    # x_i or y and -y or z_i for i = 1..40 over 65,536 variables: 1,600 primes x_i or z_j are not clauses, and
+    # their translations ask 3,200 questions, each of which a run would answer at the cost of the whole universe
+    k, n = 40, 65536
+    formula = F([[i, k + 1] for i in range(1, k + 1)] + [[-(k + 1), k + 1 + i] for i in range(1, k + 1)], n)
+    source = set(dual_rail(formula).clauses)
+    questions = sum(clause not in source for clause in dual_rail(prime_implicates(formula)).clauses)
+    assert questions == 2 * k * k
+    calls = _count_calls(monkeypatch)
+    assert pc_via_dual_rail(formula)
+    assert calls["run"] <= deciders.HEAD_RUNS
+    assert calls["lanes"] <= -(-questions // deciders.LANE_WIDTH)
+
+
 def test_method_values():
     formula = F(DELTA, 4)
     assert is_urc(formula) == is_urc(formula, method="primes")
@@ -319,35 +425,26 @@ def test_method_values():
             decide(formula, method="auto")
 
 
-def test_primes_that_are_clauses_need_no_propagation(monkeypatch):
-    # every prime of the parity CNF is one of its clauses
-    calls = []
-    run = UnitPropagator.run
-
-    def counted(engine, assumptions=()):
-        calls.append(assumptions)
-        return run(engine, assumptions)
-
-    monkeypatch.setattr(UnitPropagator, "run", counted)
-    formula = gen_parity(8, "cnf")
-    assert is_urc(formula).verdict and is_pc(formula).verdict
-    assert calls == []
-    assert is_urc(F(DELTA, 4)).verdict and calls  # the counter does see runs
+def test_primes_that_are_clauses_need_no_propagation(asked, monkeypatch):
+    # every prime of the parity CNF is one of its clauses; head 0 asks every question in a lane pass
+    for head in (deciders.HEAD_RUNS, 0):
+        monkeypatch.setattr(deciders, "HEAD_RUNS", head)
+        asked.clear()
+        formula = gen_parity(8, "cnf")
+        assert is_urc(formula).verdict and is_pc(formula).verdict
+        assert asked == []
+        assert is_urc(F(DELTA, 4)).verdict and asked  # the counter does see questions
 
 
-def test_absorbed_clauses_of_the_formula_need_no_propagation(monkeypatch):
-    calls = []
-    run = UnitPropagator.run
-
-    def counted(engine, assumptions=()):
-        calls.append(assumptions)
-        return run(engine, assumptions)
-
-    monkeypatch.setattr(UnitPropagator, "run", counted)
-    formula = gen_gamma(3, "dprime")
-    assert all(is_absorbed(clause, formula) for clause in formula.clauses)
-    assert calls == []
-    assert is_absorbed(make_clause([-1, 2, 4]), F(DELTA, 4)) and calls  # the counter does see runs
+def test_absorbed_clauses_of_the_formula_need_no_propagation(asked, monkeypatch):
+    for head in (deciders.HEAD_RUNS, 0):
+        monkeypatch.setattr(deciders, "HEAD_RUNS", head)
+        asked.clear()
+        formula = gen_gamma(3, "dprime")
+        assert all(is_absorbed(clause, formula) for clause in formula.clauses)
+        assert asked == []
+        assert is_absorbed(make_clause([-1, 2, 4]), F(DELTA, 4))
+        assert asked == [[-2, -4], [1, -4], [1, -2]]  # the counter sees one question per literal
 
 
 def test_absorption_past_24_variables():

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from pcforge.cnf import UNIVERSE_VARS, CnfFormula, literal_vector, vector_literals
+from pcforge import deciders
 from pcforge.deciders import is_pc
 from pcforge.dual_rail import CLOSED_LIMIT, closed_assignments, dual_rail, horn_equivalent, pc_via_dual_rail
 from pcforge.errors import EmptyClauseError, LimitError, PreconditionError, UnsatisfiableError
@@ -109,24 +110,19 @@ def test_horn_equivalent_identity_and_universe_check():
         horn_equivalent(horn, F([[-1, 2]], 3))
 
 
-def test_horn_equivalent_runs_only_the_clauses_the_formulas_do_not_share(monkeypatch):
-    runs = []
-    refutes = UnitPropagator.refutes
-
-    def counted(engine, clause):
-        runs.append(clause)
-        return refutes(engine, clause)
-
-    monkeypatch.setattr(UnitPropagator, "refutes", counted)
-    # a one-clause formula over a wide universe: its translation and that of its primes are equal
-    assert pc_via_dual_rail(CnfFormula(((1,),), 4096))
-    assert runs == []
-    shared = [[-1, 2], [-2, 3]]
-    assert horn_equivalent(F(shared, 3), F(shared + [[-1, 3]], 3))
-    assert runs == [(-1, 3)]
-    runs.clear()
-    assert not horn_equivalent(F(shared + [[-3]], 3), F(shared + [[-1, 3]], 3))
-    assert runs == [(-1, 3), (-3,)]
+def test_horn_equivalent_runs_only_the_clauses_the_formulas_do_not_share(asked, monkeypatch):
+    for head in (deciders.HEAD_RUNS, 0):  # head 0: every question in a lane pass
+        monkeypatch.setattr(deciders, "HEAD_RUNS", head)
+        asked.clear()
+        # a one-clause formula over a wide universe: its translation and that of its primes are equal
+        assert pc_via_dual_rail(CnfFormula(((1,),), 4096))
+        assert asked == []
+        shared = [[-1, 2], [-2, 3]]
+        assert horn_equivalent(F(shared, 3), F(shared + [[-1, 3]], 3))
+        assert asked == [[1, -3]]  # the negation of the one clause that is not shared
+        asked.clear()
+        assert not horn_equivalent(F(shared + [[-3]], 3), F(shared + [[-1, 3]], 3))
+        assert asked == [[1, -3], [3]]
 
 
 def test_pc_via_dual_rail_on_families():

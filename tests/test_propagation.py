@@ -384,6 +384,55 @@ def test_engine_matches_the_flag_engine_on_the_corpora():
         _assert_engines_agree(formula, rng)
 
 
+def _assert_lanes_match_runs(engine, sets):
+    """One lane pass over the assumption sets equals a run per set: its conflict, and otherwise its literals."""
+    true, refuted = engine.lanes(sets)
+    assert refuted < 1 << len(sets)
+    n = engine.num_vars
+    for j, alpha in enumerate(sets):
+        if len(set(alpha)) != len({abs(lit) for lit in alpha}):  # inconsistent: run rejects it, a lane conflicts
+            assert refuted >> j & 1, alpha
+            continue
+        conflict, trail, _ = engine.run(alpha)
+        assert bool(refuted >> j & 1) == conflict, alpha
+        if not conflict:
+            assert {lit for lit in range(-n, n + 1) if lit and true[lit] >> j & 1} == set(trail), alpha
+
+
+def test_lanes_match_runs_on_the_corpora():
+    rng = random.Random(67)
+    for formula in _differential_corpus():
+        n = formula.num_vars
+        sets = [[]] + [[var * rng.choice((1, -1)) for var in rng.sample(range(1, n + 1), rng.randint(1, min(5, n)))]
+                       for _ in range(40 if n else 0)]
+        sets += [[-lit for lit in clause] for clause in formula.clauses[:20]]  # refuted by their own clause
+        if n:
+            sets.append([1, -1])
+        _assert_lanes_match_runs(UnitPropagator(formula), sets)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_lanes_match_runs_on_the_encode_queries(seed):
+    ops, _ = benchmark_inputs().build_encode(seed)
+    engines = {}
+    for index, op in enumerate(ops):
+        if op["kind"] == "compile":
+            engines[index] = UnitPropagator(compile_urc_encoding(parse_dimacs(op["dimacs"])).formula), []
+        elif op["kind"] == "query":
+            engines[op["compile"]][1].append(sorted(op["alpha"], key=literal_key))
+    for engine, sets in engines.values():
+        _assert_lanes_match_runs(engine, sets)
+
+
+def test_lanes_edge_cases():
+    engine = UnitPropagator(F([[-1, 2]], 2))
+    assert engine.lanes([]) == ([0] * 5, 0)
+    with pytest.raises(ValueError, match="outside universe"):
+        engine.lanes([[1], [3]])
+    true, refuted = UnitPropagator(CnfFormula(((1,), (), (2,)), 2)).lanes([[], [2]])
+    assert refuted == 0b11  # an empty clause refutes every lane
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_engine_matches_the_flag_engine_on_the_encode_queries(seed):
     ops, _ = benchmark_inputs().build_encode(seed)
