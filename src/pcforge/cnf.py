@@ -170,8 +170,12 @@ class CnfFormula:
         return range(1, self.num_vars + 1)
 
     def clause_vectors(self) -> list[int]:
-        """The literal vector (literal_vector) of each clause, in clause order; every literal is in range."""
-        return [literal_vector_unchecked(clause, self.num_vars) for clause in self.clauses]
+        """The literal vector (literal_vector) of each clause that is not a tautology, shortest first and in
+        clause order among equals; every literal is in range."""
+        n = self.num_vars
+        full = (1 << n) - 1
+        vectors = (literal_vector_unchecked(clause, n) for clause in self.clauses)
+        return sorted((vector for vector in vectors if not vector & full & vector >> n), key=int.bit_count)
 
     def is_horn(self) -> bool:
         return all(sum(1 for lit in clause if lit > 0) <= 1 for clause in self.clauses)

@@ -18,9 +18,10 @@ Two interchangeable strategies, chosen by ``method``:
 Two streams ask these questions of a formula's one engine
 (propagation._engine) for a clause set, skipping the formula's own
 clauses, which pass both by construction: ``_unrefuted`` and
-``_unabsorbed`` yield the failures, in question order.  They ask their
-first HEAD_RUNS questions one run each and the rest in lane passes
-(UnitPropagator.lanes) of LANE_WIDTH questions.  The primes deciders,
+``_unabsorbed`` yield the failures, in question order.  Both go through
+``_failures``, which asks every question in a lane pass
+(UnitPropagator.lanes): the first FIRST_PASS_WIDTH questions in one
+pass, then LANE_WIDTH questions per pass.  The primes deciders,
 ``is_absorbed`` and both reducers are each one expression over them, so
 none enumerates models.  Both strategies return the same verdict and a
 deterministic witness: the least failing assignment under (size, sorted
@@ -61,11 +62,11 @@ class DecisionReport:
 
 
 def _check_input(formula: CnfFormula, limit: int, method: str):
+    if method not in ("naive", "primes"):
+        raise ValueError(f"unknown method {method!r}")
     formula.reject_tautologies("deciders do not accept tautological clauses")
     if formula.num_vars > limit:
         raise LimitError(f"{formula.num_vars} variables exceed limit {limit} (raise --limit to override)")
-    if method not in ("naive", "primes"):
-        raise ValueError(f"unknown method {method!r}")
 
 
 def _least_failure(failures: Iterable[tuple[PartialAssignment, Literal | None]]) -> DecisionReport:
@@ -94,15 +95,16 @@ def _naive_pc(formula: CnfFormula) -> DecisionReport:
                           for alpha, up, sem in assignment_walk(formula) if sem & ~up)
 
 
-# A stream asks its first HEAD_RUNS questions one run each and the rest in lane passes of LANE_WIDTH lanes,
-# so a pass holds 2n+1 masks of at most LANE_WIDTH bits.  A pass costs a fixed set-up that a few runs
-# undercut, and a consumer that stops at the first failure (any()) may need only the first questions.
-# Measured with warm prime caches (Python 3.11, shared 2-vCPU VM, CPU-time minima of 30 interleaved rounds):
-# on the pc_via_dual_rail streams of benchmark walk seeds 1 and 2 (464 formulas, 2,183 questions) heads of
-# 4 to 32 took 108-111 ms and a head of 0 took 128 ms, against 108 ms with runs alone; the full
-# primes-workload streams took 13.3-14.6 ms for any head up to 32, against 52 ms with runs alone.  Widths
-# of 1,024 to 16,384 took 20-22 ms on those streams plus gamma_dprime(6)'s, and 256 took 25 ms.
-HEAD_RUNS = 8
+# A stream asks its first FIRST_PASS_WIDTH questions in one lane pass and the rest in passes of LANE_WIDTH
+# lanes, so a pass holds 2n+1 masks of at most LANE_WIDTH bits.  A consumer that stops at the first failure
+# (any()) may need only the first question: each reducer asks first about the clause it removes.  Measured
+# with warm engines and prime caches (Python 3.11, shared 2-vCPU VM, CPU-time minima of 30 interleaved
+# rounds), first passes of 1 / 2 / 4 / 8 / 16 / 32 took, on the pc_via_dual_rail streams of benchmark walk
+# seeds 1 and 2 (464 formulas, 2,183 questions), 10.9 / 10.2 / 11.0 / 12.2 / 13.1 / 14.5 ms; on the
+# primes-workload is_urc/is_pc streams 12.5-13.3 ms for every width; in its reduce_urc 1.9 / 2.0 / 2.1 /
+# 2.4 / 3.2 / 4.5 ms and in its reduce_pc 7.9 / 10.1 / 11.0 / 11.8 / 11.8 / 12.3 ms.  Widths of 1,024 to
+# 16,384 took 20-22 ms on the primes-workload streams plus gamma_dprime(6)'s, and 256 took 25 ms.
+FIRST_PASS_WIDTH = 1
 LANE_WIDTH = 4096
 
 
@@ -110,18 +112,17 @@ def _failures(formula: CnfFormula, questions: Iterable[tuple[Clause, Literal | N
               ) -> Iterator[tuple[PartialAssignment, Literal | None]]:
     """(negated rest, literal) for each (clause, literal) question that propagation on the formula from the
     negation of the clause without the literal answers neither with a conflict nor, when the literal is not
-    None, by deriving it; in question order."""
+    None, by deriving it; in question order.  An inconsistent negated rest, such as a tautology's, conflicts."""
     engine = _engine(formula)
     questions = iter(questions)
-    for clause, lit in islice(questions, HEAD_RUNS):
-        if not (engine.refutes(clause) if lit is None else engine.absorbs(clause, lit)):
-            yield frozenset(-other for other in clause if other != lit), lit
-    while chunk := list(islice(questions, LANE_WIDTH)):
+    width = FIRST_PASS_WIDTH
+    while chunk := list(islice(questions, width)):
         negated = [[-other for other in clause if other != lit] for clause, lit in chunk]
         true, refuted = engine.lanes(negated)
         for j, (alpha, (_, lit)) in enumerate(zip(negated, chunk)):
             if not (refuted >> j & 1 or lit is not None and true[lit] >> j & 1):
                 yield frozenset(alpha), lit
+        width = LANE_WIDTH
 
 
 def _unrefuted(formula: CnfFormula, clauses: Iterable[Clause]) -> Iterator[tuple[PartialAssignment, None]]:

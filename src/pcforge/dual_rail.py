@@ -50,8 +50,8 @@ def horn_equivalent(h1: CnfFormula, h2: CnfFormula) -> bool:
 
     Each side refutes the other's clauses through deciders._unrefuted, so a
     clause both formulas hold is refuted without propagation and only the
-    clauses where the two differ are propagated, each run or lane pass
-    sized by the whole universe.  The second engine is built only when the
+    clauses where the two differ are propagated, each lane pass sized by
+    the whole universe.  The second engine is built only when the
     first side holds.
     """
     if h1.num_vars != h2.num_vars:

@@ -1,13 +1,13 @@
 """Unit resolution engine, the one home of propagation.
 
-``UnitPropagator`` propagates a set of assumptions (``run``), answers
-whether the negation of a clause is refuted (``refutes``) and whether the
-negated rest of a clause derives one of its literals (``absorbs``), and
-steps the walk over partial assignments one literal at a time (``start``,
-``extend``), all from one root: the assumptions, then the formula's
+``UnitPropagator`` propagates a set of assumptions (``run``) and steps
+the walk over partial assignments one literal at a time (``start``,
+``extend``), both from one root: the assumptions, then the formula's
 units, propagated.  ``lanes`` propagates many assumption sets in one
 bit-parallel pass, one bit per set, to the same fixpoint as a run of
-each.  Every module takes its engines from ``_engine``, one per formula.
+each; it answers every refutation and absorption question
+(deciders._failures).  Every module takes its engines from ``_engine``,
+one per formula.
 ``up_closure`` computes the closure of a partial assignment; by
 convention the closure of a refuted assignment (one from which the empty
 clause is derivable) is the full literal set of the universe, which makes
@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnf import (Clause, CnfFormula, Literal, PartialAssignment, formula_cache, is_tautological, literal_key,
-                  literal_vector_unchecked, make_assignment)
+from .cnf import (Clause, CnfFormula, Literal, PartialAssignment, formula_cache, literal_key, literal_vector_unchecked,
+                  make_assignment)
 
 
 @dataclass(frozen=True)
@@ -85,15 +85,6 @@ class UnitPropagator:
         """Propagate to fixpoint; returns (conflict, assigned literals in order, empty clause index)."""
         _, _, trail, empty = self._root(assumptions)
         return empty is not None, trail, empty
-
-    def refutes(self, clause: Clause) -> bool:
-        """Does propagation from the negation of the clause conflict?  A tautology's negation is refuted by itself."""
-        return is_tautological(clause) or self.run([-lit for lit in clause])[0]
-
-    def absorbs(self, clause: Clause, lit: Literal) -> bool:
-        """Does propagation from the negation of the rest of the clause derive lit or a conflict?"""
-        conflict, trail, _ = self.run([-other for other in clause if other != lit])
-        return conflict or lit in trail
 
     def start(self) -> tuple | None:
         """The root node of a walk over partial assignments, or None when the static units conflict."""
@@ -163,8 +154,11 @@ class UnitPropagator:
                         both = none0 & false
                         none1 = (none1 & false) | (none0 ^ both)
                         none0 = both
-                if none0:
+                if none0:  # as a run stops at its first conflict, a refuted lane visits no further clause
                     refuted |= none0
+                    lanes &= ~none0
+                    if not lanes:
+                        break
                 if not none1:
                     continue
                 for other in clauses[idx]:

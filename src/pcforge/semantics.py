@@ -131,8 +131,7 @@ def _model_words(formula: CnfFormula) -> np.ndarray:
     full = (1 << n) - 1
     # shortest first: they rule out the most words, so later clauses test fewer; a tautological
     # clause rules out none and would break the one-comparison test below
-    vectors = sorted((vector for vector in formula.clause_vectors() if not vector & full & vector >> n),
-                     key=int.bit_count)
+    vectors = formula.clause_vectors()
     if 0 in vectors:  # the empty clause rules out every word
         return _frozen(np.zeros(0, dtype=np.uint64))
     if (1 << n) * max(len(vectors), 1) <= _BLOCK and 1 << n <= MODEL_WORDS:
@@ -447,9 +446,8 @@ def prime_implicates(formula: CnfFormula) -> CnfFormula:
         items.append(cand)
         return True
 
-    # as in _model_words: a tautological clause is never prime, and the empty clause is the one prime
-    seeds = sorted((vector for vector in formula.clause_vectors() if not vector & lo_mask & vector >> n),
-                   key=int.bit_count)
+    # a tautological clause is never prime, and the empty clause is the one prime
+    seeds = formula.clause_vectors()
     if 0 in seeds:
         return CnfFormula(((),), n)
     used = _mask_bits(reduce(operator.or_, seeds, 0))  # the literal bits of the input: no resolvent holds another

@@ -25,7 +25,9 @@ prime_urc_per_prime, prime_pc_per_prime and reduce_urc_by_entailment, the
 primes deciders that ran propagation for every prime and the URC reducer
 that also asked model-based entailment of each removal;
 unrefuted_per_run and unabsorbed_per_run, the decider streams that asked
-each refutation and absorption question with its own propagation run;
+each refutation and absorption question with its own propagation run, here
+run on UnitPropagatorSatFlags so that they share no code with the lane
+passes that replaced them;
 recognize_qhorn_recursive, the recursive q-Horn weight search;
 normalize_renamed, the q-Horn split that renamed the weight-0 variables so
 that every variable weighed 1 or 1/2, and whose inverse renaming the
@@ -609,16 +611,17 @@ def _unrefuted_per_prime(engine, primes):
 
 
 def unrefuted_per_run(formula, clauses):
-    """deciders._unrefuted with one refutes run per clause not in the formula, on an engine of its own."""
-    own, engine = set(formula.clauses), UnitPropagator(formula)
+    """deciders._unrefuted with one refutes run per clause not in the formula, on the flag engine, which
+    shares no code with the lane passes under test."""
+    own, engine = set(formula.clauses), UnitPropagatorSatFlags(formula)
     for clause in clauses:
         if clause not in own and not engine.refutes(clause):
             yield frozenset(-lit for lit in clause), None
 
 
 def unabsorbed_per_run(formula, clauses):
-    """deciders._unabsorbed with one absorbs run per literal of a clause not in the formula."""
-    own, engine = set(formula.clauses), UnitPropagator(formula)
+    """deciders._unabsorbed with one absorbs run per literal of a clause not in the formula, on the flag engine."""
+    own, engine = set(formula.clauses), UnitPropagatorSatFlags(formula)
     for clause in clauses:
         if clause not in own:
             for lit in clause:

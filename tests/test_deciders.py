@@ -2,6 +2,7 @@ import inspect
 import random
 import textwrap
 from functools import lru_cache
+from itertools import cycle, islice
 
 import pytest
 
@@ -27,9 +28,9 @@ from pcforge.propagation import UnitPropagator, up_closure
 from pcforge.qhorn import compile_urc_encoding
 from pcforge.semantics import cl_sem, entails, equivalent, prime_implicates
 
-from oracles import (benchmark_inputs, models_brute, pc_brute, prime_pc_per_prime, prime_urc_per_prime,
-                     reduce_pc_by_brute_absorption, reduce_urc_by_entailment, unabsorbed_per_run, unrefuted_per_run,
-                     urc_brute)
+from oracles import (UnitPropagatorSatFlags, benchmark_inputs, models_brute, pc_brute, prime_pc_per_prime,
+                     prime_urc_per_prime, reduce_pc_by_brute_absorption, reduce_urc_by_entailment, unabsorbed_per_run,
+                     unrefuted_per_run, urc_brute)
 
 
 def F(clauses, num_vars=None):
@@ -356,12 +357,73 @@ def _stream_mismatches():
             + [(f, clauses) for f, clauses, expected in absorb if list(deciders._unabsorbed(f, clauses)) != expected])
 
 
-@pytest.mark.parametrize("head,width", [(deciders.HEAD_RUNS, deciders.LANE_WIDTH), (0, 7), (3, 1)])
-def test_streams_match_the_per_run_streams(head, width, monkeypatch):
-    # equal failure lists give equal verdicts and least witnesses; a small width makes streams cross chunks
-    monkeypatch.setattr(deciders, "HEAD_RUNS", head)
+@pytest.mark.parametrize("first,width", [(deciders.FIRST_PASS_WIDTH, deciders.LANE_WIDTH), (8, 4096), (8, 7), (3, 1)])
+def test_streams_match_the_per_run_streams(first, width, monkeypatch):
+    # equal failure lists give equal verdicts and least witnesses; a small width makes streams cross passes
+    monkeypatch.setattr(deciders, "FIRST_PASS_WIDTH", first)
     monkeypatch.setattr(deciders, "LANE_WIDTH", width)
     assert _stream_mismatches() == []
+
+
+def _cycled_stream(formula, pool, length, absorb):
+    """Clauses of the pool that ask the formula's stream a question, cycled to ask exactly `length` questions:
+    one per clause, or one per literal when absorb, the last clause cut to fit; None when there are none."""
+    own = set(formula.clauses)
+    asking = [clause for clause in pool if clause not in own and (clause or not absorb)]
+    stream, asked = [], 0
+    # each uncut clause asks at least one question, and each clause is tried once for the cut
+    for clause in islice(cycle(asking), length + len(asking)):
+        if asked == length:
+            break
+        if absorb:
+            clause = clause[:length - asked]
+        if clause not in own:
+            stream.append(clause)
+            asked += len(clause) if absorb else 1
+    return stream if asked == length else None
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("lane_passes", [0, 1])
+def test_streams_match_the_per_run_streams_at_the_pass_boundaries(lane_passes, offset):
+    # lengths just below, at and just above the first pass's width, and that width + LANE_WIDTH
+    length = deciders.FIRST_PASS_WIDTH + lane_passes * deciders.LANE_WIDTH + offset
+    # past the first pass, whose streams ask thousands of questions: the primes-workload families, which follow
+    # the decider corpus in the cases, and every tenth other case
+    step = 10 if lane_passes else 1
+    families = range(len(_decider_corpus()), len(_decider_corpus()) + len(benchmark_inputs().family_instances()))
+    refute, absorb = _stream_cases()
+    checked = 0
+    for cases, stream_of, oracle, absorbing in ((refute, deciders._unrefuted, unrefuted_per_run, False),
+                                               (absorb, deciders._unabsorbed, unabsorbed_per_run, True)):
+        for formula, clauses, _ in (case for i, case in enumerate(cases) if i % step == 0 or i in families):
+            stream = _cycled_stream(formula, clauses[:24] + clauses[-24:], length, absorbing)
+            if stream is None:
+                continue
+            answers = {}  # the per-run failures of each distinct clause; a cycled stream repeats them
+            for clause in stream:
+                if clause not in answers:
+                    answers[clause] = list(oracle(formula, [clause]))
+            assert list(stream_of(formula, stream)) == [f for clause in stream for f in answers[clause]], formula
+            checked += 1
+    assert checked > 600 // step
+
+
+@pytest.mark.parametrize("lit", [2, None])
+def test_an_inconsistent_question_is_answered_at_every_position_of_a_stream(lit):
+    # the negated rest of (-1, 1, 2) without 2 holds 1 and -1, and so does the negation of the whole clause:
+    # propagation from either conflicts, so the question is refuted and absorbed, in every pass
+    formula = CnfFormula(((1, 2),), 2)
+    clauses = [(1,), (-1,), (2,), (-2,), (1, 2), (1, -2), (-1, 2), (-1, -2)]
+    base = [(clause, None) for clause in clauses] + [(clause, other) for clause in clauses for other in clause]
+    assert len(base) > deciders.FIRST_PASS_WIDTH
+    flags = UnitPropagatorSatFlags(formula)
+    expected = [(frozenset(-other for other in clause if other != q), q) for clause, q in base
+                if not (flags.refutes(clause) if q is None else flags.absorbs(clause, q))]
+    assert expected
+    for position in range(len(base) + 1):
+        stream = base[:position] + [((-1, 1, 2), lit)] + base[position:]
+        assert list(deciders._failures(formula, stream)) == expected, position
 
 
 def test_a_lane_pass_without_the_complementary_pair_test_fails_the_differential(monkeypatch):
@@ -373,37 +435,28 @@ def test_a_lane_pass_without_the_complementary_pair_test_fails_the_differential(
     namespace = dict(vars(propagation))
     exec(source.replace(pair_test, "pass"), namespace)
     monkeypatch.setattr(UnitPropagator, "lanes", namespace["lanes"])
-    monkeypatch.setattr(deciders, "HEAD_RUNS", 0)
     assert _stream_mismatches()
 
 
-def _count_calls(monkeypatch) -> dict[str, int]:
-    """Count the calls of UnitPropagator.run and UnitPropagator.lanes from now on."""
-    calls = {"run": 0, "lanes": 0}
-    for name in calls:
-        def counted(engine, *args, name=name, method=getattr(UnitPropagator, name)):
-            calls[name] += 1
-            return method(engine, *args)
-        monkeypatch.setattr(UnitPropagator, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("questions", [0, 1, 7, 8, 9, 13, 14, 15, 30])
-def test_a_stream_asks_its_head_by_runs_and_the_rest_in_passes_of_the_width(questions, monkeypatch):
-    head, width = 8, 3
+def test_a_stream_asks_its_first_pass_then_passes_of_the_width(questions, passes, monkeypatch):
+    first, width = 8, 3
     formula = F([[-v, v + 1] for v in range(1, 40)], 40)  # an implication chain
     # 1 -> v + 2 is refuted and v + 2 -> 1 is not; neither is a clause of the chain
     clauses = [make_clause([-1, v + 2] if v % 2 else [1, -(v + 2)]) for v in range(1, questions + 1)]
     expected = list(unrefuted_per_run(formula, clauses))
     assert len(expected) == questions // 2
-    monkeypatch.setattr(deciders, "HEAD_RUNS", head)
+    monkeypatch.setattr(deciders, "FIRST_PASS_WIDTH", first)
     monkeypatch.setattr(deciders, "LANE_WIDTH", width)
-    calls = _count_calls(monkeypatch)
+    monkeypatch.setattr(UnitPropagator, "run", None)  # a stream never asks a run
     assert list(deciders._unrefuted(formula, clauses)) == expected
-    assert calls == {"run": min(questions, head), "lanes": -(-max(questions - head, 0) // width)}
+    rest = max(questions - first, 0)
+    sizes = [min(questions, first)] + [width] * (rest // width) + [rest % width]
+    assert [len(sets) for sets in passes] == [size for size in sizes if size]
+    assert [lits for sets in passes for lits in sets] == [[-lit for lit in clause] for clause in clauses]
 
 
-def test_wide_universe_pc_dr_makes_head_runs_and_one_lane_pass_per_width(monkeypatch):
+def test_wide_universe_pc_dr_makes_one_first_pass_and_one_lane_pass_per_width(passes):
     # x_i or y and -y or z_i for i = 1..40 over 65,536 variables: 1,600 primes x_i or z_j are not clauses, and
     # their translations ask 3,200 questions, each of which a run would answer at the cost of the whole universe
     k, n = 40, 65536
@@ -411,10 +464,10 @@ def test_wide_universe_pc_dr_makes_head_runs_and_one_lane_pass_per_width(monkeyp
     source = set(dual_rail(formula).clauses)
     questions = sum(clause not in source for clause in dual_rail(prime_implicates(formula)).clauses)
     assert questions == 2 * k * k
-    calls = _count_calls(monkeypatch)
     assert pc_via_dual_rail(formula)
-    assert calls["run"] <= deciders.HEAD_RUNS
-    assert calls["lanes"] <= -(-questions // deciders.LANE_WIDTH)
+    first, width = deciders.FIRST_PASS_WIDTH, deciders.LANE_WIDTH
+    assert questions - first < width
+    assert [len(sets) for sets in passes] == [first, questions - first]
 
 
 def test_method_values():
@@ -425,26 +478,37 @@ def test_method_values():
             decide(formula, method="auto")
 
 
-def test_primes_that_are_clauses_need_no_propagation(asked, monkeypatch):
-    # every prime of the parity CNF is one of its clauses; head 0 asks every question in a lane pass
-    for head in (deciders.HEAD_RUNS, 0):
-        monkeypatch.setattr(deciders, "HEAD_RUNS", head)
-        asked.clear()
+def test_an_unknown_method_is_reported_before_the_variable_limit():
+    wide = CnfFormula(((1, 2),), 15)
+    for decide in (is_urc, is_pc):
+        with pytest.raises(ValueError, match="unknown method 'nave'"):
+            decide(wide, method="nave")
+        with pytest.raises(LimitError, match="15 variables exceed limit 14"):
+            decide(wide)
+
+
+def test_primes_that_are_clauses_need_no_propagation(passes, monkeypatch):
+    # every prime of the parity CNF is one of its clauses
+    for first in (1, 8):
+        monkeypatch.setattr(deciders, "FIRST_PASS_WIDTH", first)
+        passes.clear()
         formula = gen_parity(8, "cnf")
         assert is_urc(formula).verdict and is_pc(formula).verdict
-        assert asked == []
-        assert is_urc(F(DELTA, 4)).verdict and asked  # the counter does see questions
+        assert passes == []
+        assert is_urc(F(DELTA, 4)).verdict and passes  # the counter does see questions
 
 
-def test_absorbed_clauses_of_the_formula_need_no_propagation(asked, monkeypatch):
-    for head in (deciders.HEAD_RUNS, 0):
-        monkeypatch.setattr(deciders, "HEAD_RUNS", head)
-        asked.clear()
-        formula = gen_gamma(3, "dprime")
-        assert all(is_absorbed(clause, formula) for clause in formula.clauses)
-        assert asked == []
-        assert is_absorbed(make_clause([-1, 2, 4]), F(DELTA, 4))
-        assert asked == [[-2, -4], [1, -4], [1, -2]]  # the counter sees one question per literal
+def test_absorbed_clauses_of_the_formula_need_no_propagation(passes, monkeypatch):
+    formula = gen_gamma(3, "dprime")
+    assert all(is_absorbed(clause, formula) for clause in formula.clauses)
+    assert passes == []
+    monkeypatch.setattr(deciders, "FIRST_PASS_WIDTH", 1)
+    assert is_absorbed(make_clause([-1, 2, 4]), F(DELTA, 4))
+    assert passes == [[[-2, -4]], [[1, -4], [1, -2]]]  # one question per literal, each width its own pass
+    passes.clear()
+    monkeypatch.setattr(deciders, "FIRST_PASS_WIDTH", 8)
+    assert is_absorbed(make_clause([-1, 2, 4]), F(DELTA, 4))
+    assert passes == [[[-2, -4], [1, -4], [1, -2]]]
 
 
 def test_absorption_past_24_variables():

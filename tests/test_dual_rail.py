@@ -4,7 +4,6 @@ from itertools import product
 import pytest
 
 from pcforge.cnf import UNIVERSE_VARS, CnfFormula, literal_vector, vector_literals
-from pcforge import deciders
 from pcforge.deciders import is_pc
 from pcforge.dual_rail import CLOSED_LIMIT, closed_assignments, dual_rail, horn_equivalent, pc_via_dual_rail
 from pcforge.errors import EmptyClauseError, LimitError, PreconditionError, UnsatisfiableError
@@ -13,7 +12,7 @@ from pcforge.propagation import UnitPropagator
 from pcforge.qhorn import compile_urc_encoding
 from pcforge.semantics import _model_words, prime_implicates
 
-from oracles import all_partial_assignments, cl_sem_brute, literal_objects, models_brute
+from oracles import UnitPropagatorSatFlags, all_partial_assignments, cl_sem_brute, literal_objects, models_brute
 
 
 def F(clauses, num_vars=None):
@@ -91,7 +90,7 @@ def test_dr_of_pc_formula_entails_dr_of_primes():
     formula = gen_gamma(3, "prime")
     source = dual_rail(formula)
     target = dual_rail(prime_implicates(formula))
-    engine = UnitPropagator(source)  # Horn: propagation from a clause's negation refutes iff it is entailed
+    engine = UnitPropagatorSatFlags(source)  # Horn: propagation from a clause's negation refutes iff it is entailed
     assert all(engine.refutes(clause) for clause in target.clauses)
     assert horn_equivalent(source, target)
 
@@ -110,19 +109,16 @@ def test_horn_equivalent_identity_and_universe_check():
         horn_equivalent(horn, F([[-1, 2]], 3))
 
 
-def test_horn_equivalent_runs_only_the_clauses_the_formulas_do_not_share(asked, monkeypatch):
-    for head in (deciders.HEAD_RUNS, 0):  # head 0: every question in a lane pass
-        monkeypatch.setattr(deciders, "HEAD_RUNS", head)
-        asked.clear()
-        # a one-clause formula over a wide universe: its translation and that of its primes are equal
-        assert pc_via_dual_rail(CnfFormula(((1,),), 4096))
-        assert asked == []
-        shared = [[-1, 2], [-2, 3]]
-        assert horn_equivalent(F(shared, 3), F(shared + [[-1, 3]], 3))
-        assert asked == [[1, -3]]  # the negation of the one clause that is not shared
-        asked.clear()
-        assert not horn_equivalent(F(shared + [[-3]], 3), F(shared + [[-1, 3]], 3))
-        assert asked == [[1, -3], [3]]
+def test_horn_equivalent_runs_only_the_clauses_the_formulas_do_not_share(passes):
+    # a one-clause formula over a wide universe: its translation and that of its primes are equal
+    assert pc_via_dual_rail(CnfFormula(((1,),), 4096))
+    assert passes == []
+    shared = [[-1, 2], [-2, 3]]
+    assert horn_equivalent(F(shared, 3), F(shared + [[-1, 3]], 3))
+    assert passes == [[[1, -3]]]  # the negation of the one clause that is not shared
+    passes.clear()
+    assert not horn_equivalent(F(shared + [[-3]], 3), F(shared + [[-1, 3]], 3))
+    assert passes == [[[1, -3]], [[3]]]  # one pass on each side's engine
 
 
 def test_pc_via_dual_rail_on_families():
@@ -155,7 +151,7 @@ def test_dr_of_primes_always_entails_dr_of_the_formula():
     formulas += [f for f in (random_formula(rng, max_vars=6, max_clauses=10) for _ in range(200)) if models_brute(f)]
     for formula in formulas:
         source, target = dual_rail(formula), dual_rail(prime_implicates(formula))
-        engine = UnitPropagator(target)
+        engine = UnitPropagatorSatFlags(target)
         assert all(engine.refutes(clause) for clause in source.clauses)
         assert pc_via_dual_rail(formula) == horn_equivalent(source, target)
 

@@ -6,6 +6,7 @@ import weakref
 import pytest
 from hypothesis import given, strategies as st
 
+from pcforge import deciders
 from pcforge.cnf import CnfFormula, EncodingFormula, literal_key, parse_dimacs
 from pcforge.corpus import horn_formulas, qhorn_formulas, satisfiable_formulas
 from pcforge.deciders import is_absorbed, is_pc, is_urc, reduce_pc_irredundant, reduce_urc_irredundant
@@ -273,30 +274,25 @@ def test_empty_clause_does_not_depend_on_assumption_order():
 
 
 def test_refutes_and_absorbs_examples():
-    engine = UnitPropagator(F([[-1, 2], [-1, 3], [-2, -3, 4]], 4))  # a->b, a->c, b&c->d
-    assert engine.refutes((-1, 4))  # from a and not d: b, c, then d, a conflict
-    assert not engine.refutes((4,))
-    assert engine.refutes((2, -2))  # a tautology's negation is contradictory by itself
-    assert engine.absorbs((-1, 4), 4)  # a derives d
-    assert not engine.absorbs((-1, 4), -1)  # not d derives nothing
-    assert UnitPropagator(F([[1], [-1]])).absorbs((2,), 2)  # a conflict counts as derivation
-    assert UnitPropagator(CnfFormula(((),), 1)).refutes(())
+    formula = F([[-1, 2], [-1, 3], [-2, -3, 4]], 4)  # a->b, a->c, b&c->d
+    assert list(deciders._unrefuted(formula, [(-1, 4)])) == []  # from a and not d: b, c, then d, a conflict
+    assert list(deciders._unrefuted(formula, [(4,)])) == [(frozenset({-4}), None)]
+    assert list(deciders._unrefuted(formula, [(-2, 2)])) == []  # a tautology's negation is contradictory by itself
+    # a derives d, and not d derives nothing
+    assert list(deciders._unabsorbed(formula, [(-1, 4)])) == [(frozenset({-4}), -1)]
+    assert list(deciders._unabsorbed(F([[1], [-1]]), [(2,)])) == []  # a conflict counts as derivation
+    empty = CnfFormula(((),), 2)  # the empty clause refutes and absorbs every question
+    assert list(deciders._unrefuted(empty, [(), (1,), (-2,)])) == []
+    assert list(deciders._unabsorbed(empty, [(1,), (-1, 2)])) == []
 
 
-def test_clause_questions_go_through_run(monkeypatch):
-    calls = []
-    run = UnitPropagator.run
-
-    def counted(engine, assumptions=()):
-        calls.append(assumptions)
-        return run(engine, assumptions)
-
-    monkeypatch.setattr(UnitPropagator, "run", counted)
-    engine = UnitPropagator(F([[-1, 2]], 2))
-    engine.refutes((-1, 2))
-    engine.absorbs((-1, 2), 2)
-    assert len(calls) == 2
-
+def test_clause_questions_go_through_lane_passes(passes, monkeypatch):
+    monkeypatch.setattr(UnitPropagator, "run", None)  # no question is asked by a run
+    monkeypatch.setattr(deciders, "FIRST_PASS_WIDTH", 1)
+    formula = F([[-1, 2], [-2, 3]], 3)
+    assert not any(deciders._unrefuted(formula, [(-1, 3)]))
+    assert not any(deciders._unabsorbed(formula, [(-1, 3), (-1, 2, 3)]))
+    assert passes == [[[1, -3]], [[-3]], [[1], [-2, -3], [1, -3], [1, -2]]]  # the first question alone
 
 
 def _vector(node):
@@ -348,10 +344,12 @@ def _assert_engines_agree(formula, rng, runs=20):
     for _ in range(10 if n else 0):
         width = rng.randint(1, min(3, n))
         clauses.append(tuple(var * rng.choice((1, -1)) for var in rng.sample(range(1, n + 1), width)))
-    for clause in clauses:
-        assert new.refutes(clause) == old.refutes(clause), clause
-        for lit in clause:
-            assert new.absorbs(clause, lit) == old.absorbs(clause, lit), (clause, lit)
+    # the refutation and absorption questions of the clauses, in one lane pass against a run each
+    questions = [(clause, None) for clause in clauses] + [(clause, lit) for clause in clauses for lit in clause]
+    true, refuted = new.lanes([[-other for other in clause if other != lit] for clause, lit in questions])
+    for j, (clause, lit) in enumerate(questions):
+        answer = refuted >> j & 1 or lit is not None and true[lit] >> j & 1
+        assert bool(answer) == (old.refutes(clause) if lit is None else old.absorbs(clause, lit)), (clause, lit)
     _assert_walks_agree(new, old, rng)
 
 
