@@ -97,13 +97,13 @@ def _naive_pc(formula: CnfFormula) -> DecisionReport:
 
 # A stream asks its first FIRST_PASS_WIDTH questions in one lane pass and the rest in passes of LANE_WIDTH
 # lanes, so a pass holds 2n+1 masks of at most LANE_WIDTH bits.  A consumer that stops at the first failure
-# (any()) may need only the first question: each reducer asks first about the clause it removes.  Measured
-# with warm engines and prime caches (Python 3.11, shared 2-vCPU VM, CPU-time minima of 30 interleaved
-# rounds), first passes of 1 / 2 / 4 / 8 / 16 / 32 took, on the pc_via_dual_rail streams of benchmark walk
-# seeds 1 and 2 (464 formulas, 2,183 questions), 10.9 / 10.2 / 11.0 / 12.2 / 13.1 / 14.5 ms; on the
-# primes-workload is_urc/is_pc streams 12.5-13.3 ms for every width; in its reduce_urc 1.9 / 2.0 / 2.1 /
-# 2.4 / 3.2 / 4.5 ms and in its reduce_pc 7.9 / 10.1 / 11.0 / 11.8 / 11.8 / 12.3 ms.  Widths of 1,024 to
-# 16,384 took 20-22 ms on the primes-workload streams plus gamma_dprime(6)'s, and 256 took 25 ms.
+# (any()) may need only the first question: each reducer asks first about the clause it removes, and a pass of
+# one question is its run (8.4 us a question against 16.3 us as a pass of one lane, on the streams below).
+# With warm engines and prime caches (Python 3.11, shared 2-vCPU VM, CPU-time minima of 30 rounds), first
+# passes of 1 / 2 / 4 / 8 / 16 / 32 took 12.8 / 12.7 / 13.2 / 13.5 / 15.4 / 15.6 ms on the pc_via_dual_rail
+# streams of benchmark walk seeds 1 and 2 (464 formulas), 12.3-12.6 ms on the primes-workload is_urc/is_pc
+# streams, 1.9 / 2.0 / 2.2 / 2.6 / 3.4 / 4.3 ms in its reduce_urc and 7.2 / 10.3 / 11.4 / 12.1 / 11.9 / 12.6 ms
+# in its reduce_pc.  LANE_WIDTH 1,024 to 16,384 took 20-22 ms on the primes streams and gamma_dprime(6)'s, 256 took 25.
 FIRST_PASS_WIDTH = 1
 LANE_WIDTH = 4096
 

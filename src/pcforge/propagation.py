@@ -5,9 +5,9 @@ the walk over partial assignments one literal at a time (``start``,
 ``extend``), both from one root: the assumptions, then the formula's
 units, propagated.  ``lanes`` propagates many assumption sets in one
 bit-parallel pass, one bit per set, to the same fixpoint as a run of
-each; it answers every refutation and absorption question
-(deciders._failures).  Every module takes its engines from ``_engine``,
-one per formula.
+each, and one set by its run; it answers every refutation and
+absorption question (deciders._failures).  Every module takes its
+engines from ``_engine``, one per formula.
 ``up_closure`` computes the closure of a partial assignment; by
 convention the closure of a refuted assignment (one from which the empty
 clause is derivable) is the full literal set of the universe, which makes
@@ -111,7 +111,8 @@ class UnitPropagator:
         (indexed as occ), and bit j of refuted is set when lane j conflicts:
         an inconsistent assumption set conflicts, and true is left partial in
         a refuted lane.  The fixpoint is each lane's run: the same conflicts
-        and, in the other lanes, the same derived literals.
+        and, in the other lanes, the same derived literals.  One consistent
+        set is propagated by its run, at about half the cost of a pass.
         """
         nv, occ, clauses = self.num_vars, self.occ, self.clauses
         true = [0] * (2 * nv + 1)
@@ -126,6 +127,11 @@ class UnitPropagator:
             if not 1 <= abs(lit) <= nv:
                 raise ValueError(f"assumed literal {lit} outside universe 1..{nv}")
         full = bit - 1
+        if full == 1 and all(-lit not in pending for lit in pending):
+            conflict, trail, _ = self.run(list(pending))
+            for lit in trail:
+                true[lit] = 1
+            return true, int(conflict)
         if self.empty is not None:
             return true, full
         for lit in self.units:
@@ -154,11 +160,7 @@ class UnitPropagator:
                         both = none0 & false
                         none1 = (none1 & false) | (none0 ^ both)
                         none0 = both
-                if none0:  # as a run stops at its first conflict, a refuted lane visits no further clause
-                    refuted |= none0
-                    lanes &= ~none0
-                    if not lanes:
-                        break
+                refuted |= none0
                 if not none1:
                     continue
                 for other in clauses[idx]:

@@ -16,3 +16,17 @@ def passes(monkeypatch):
 
     monkeypatch.setattr(UnitPropagator, "lanes", counted)
     return asked
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """The assumptions of every run that propagation is asked, in order; a lane pass of one set is one of them."""
+    asked = []
+    run = UnitPropagator.run
+
+    def counted(engine, assumptions=()):
+        asked.append(list(assumptions))
+        return run(engine, assumptions)
+
+    monkeypatch.setattr(UnitPropagator, "run", counted)
+    return asked

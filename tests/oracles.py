@@ -172,7 +172,8 @@ def model_words_halves(formula) -> np.ndarray:
         raise LimitError(f"{n} variables do not fit a 64-bit model word")
     plus: list[list] = [[] for _ in range(n + 1)]
     minus: list[list] = [[] for _ in range(n + 1)]
-    for vector in sorted(formula.clause_vectors(), key=int.bit_count):
+    # built from the clauses, not CnfFormula.clause_vectors, so that the tautology filter here is the oracle's own
+    for vector in sorted((literal_vector(clause, n) for clause in formula.clauses), key=int.bit_count):
         pos, neg = vector & ((1 << n) - 1), vector >> n
         if pos & neg:
             continue

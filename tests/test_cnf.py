@@ -392,6 +392,12 @@ def test_literal_vector_layout_and_range():
             literal_vector([1, bad], 4)
 
 
+def test_clause_vectors_drop_tautologies_shortest_first():
+    f = CnfFormula(((1, 2, 3), (-1, 1), (-1, 3), (), (-2,), (2, -3, -2), (1, -3)), 3)
+    # in clause order among equal sizes
+    assert f.clause_vectors() == [literal_vector(c, 3) for c in ((), (-2,), (-1, 3), (1, -3), (1, 2, 3))]
+
+
 def test_apply_assignment_examples():
     f = F([[1, 2], [-1, 3]])
     assert apply_assignment(f, frozenset({1})) == F([[3]], 3)

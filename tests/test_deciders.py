@@ -439,8 +439,9 @@ def test_a_lane_pass_without_the_complementary_pair_test_fails_the_differential(
 
 
 @pytest.mark.parametrize("questions", [0, 1, 7, 8, 9, 13, 14, 15, 30])
-def test_a_stream_asks_its_first_pass_then_passes_of_the_width(questions, passes, monkeypatch):
-    first, width = 8, 3
+def test_a_stream_asks_its_head_by_runs_and_the_rest_in_passes_of_the_width(questions, passes, runs, monkeypatch):
+    # a first pass of one question is one run (UnitPropagator.lanes)
+    first, width = 1, 3
     formula = F([[-v, v + 1] for v in range(1, 40)], 40)  # an implication chain
     # 1 -> v + 2 is refuted and v + 2 -> 1 is not; neither is a clause of the chain
     clauses = [make_clause([-1, v + 2] if v % 2 else [1, -(v + 2)]) for v in range(1, questions + 1)]
@@ -448,15 +449,16 @@ def test_a_stream_asks_its_first_pass_then_passes_of_the_width(questions, passes
     assert len(expected) == questions // 2
     monkeypatch.setattr(deciders, "FIRST_PASS_WIDTH", first)
     monkeypatch.setattr(deciders, "LANE_WIDTH", width)
-    monkeypatch.setattr(UnitPropagator, "run", None)  # a stream never asks a run
     assert list(deciders._unrefuted(formula, clauses)) == expected
     rest = max(questions - first, 0)
     sizes = [min(questions, first)] + [width] * (rest // width) + [rest % width]
     assert [len(sets) for sets in passes] == [size for size in sizes if size]
     assert [lits for sets in passes for lits in sets] == [[-lit for lit in clause] for clause in clauses]
+    assert runs == [sets[0] for sets in passes if len(sets) == 1]  # a stream runs only a pass of one lane
+    assert runs[:1] == [[-lit for lit in clause] for clause in clauses[:1]]
 
 
-def test_wide_universe_pc_dr_makes_one_first_pass_and_one_lane_pass_per_width(passes):
+def test_wide_universe_pc_dr_makes_head_runs_and_one_lane_pass_per_width(passes, runs):
     # x_i or y and -y or z_i for i = 1..40 over 65,536 variables: 1,600 primes x_i or z_j are not clauses, and
     # their translations ask 3,200 questions, each of which a run would answer at the cost of the whole universe
     k, n = 40, 65536
@@ -468,6 +470,7 @@ def test_wide_universe_pc_dr_makes_one_first_pass_and_one_lane_pass_per_width(pa
     first, width = deciders.FIRST_PASS_WIDTH, deciders.LANE_WIDTH
     assert questions - first < width
     assert [len(sets) for sets in passes] == [first, questions - first]
+    assert runs == [sets[0] for sets in passes if len(sets) == 1]  # a first pass of one question is its run
 
 
 def test_method_values():

@@ -286,13 +286,13 @@ def test_refutes_and_absorbs_examples():
     assert list(deciders._unabsorbed(empty, [(1,), (-1, 2)])) == []
 
 
-def test_clause_questions_go_through_lane_passes(passes, monkeypatch):
-    monkeypatch.setattr(UnitPropagator, "run", None)  # no question is asked by a run
+def test_clause_questions_go_through_lane_passes(passes, runs, monkeypatch):
     monkeypatch.setattr(deciders, "FIRST_PASS_WIDTH", 1)
     formula = F([[-1, 2], [-2, 3]], 3)
     assert not any(deciders._unrefuted(formula, [(-1, 3)]))
     assert not any(deciders._unabsorbed(formula, [(-1, 3), (-1, 2, 3)]))
     assert passes == [[[1, -3]], [[-3]], [[1], [-2, -3], [1, -3], [1, -2]]]  # the first question alone
+    assert runs == [[1, -3], [-3]]  # a question is run only as a pass of one lane
 
 
 def _vector(node):
@@ -429,6 +429,19 @@ def test_lanes_edge_cases():
         engine.lanes([[1], [3]])
     true, refuted = UnitPropagator(CnfFormula(((1,), (), (2,)), 2)).lanes([[], [2]])
     assert refuted == 0b11  # an empty clause refutes every lane
+
+
+def test_a_pass_of_one_consistent_lane_is_its_run(runs):
+    engine = UnitPropagator(F([[-1, 2], [-2, -3]], 3))
+    true, refuted = engine.lanes([[1, 1]])
+    assert (refuted, [lit for lit in (-3, -2, -1, 1, 2, 3) if true[lit]]) == (0, [-3, 1, 2])
+    assert engine.lanes([[1, 3]])[1] == 1
+    assert runs == [[1], [1, 3]]
+    # an inconsistent set, on which a run raises, conflicts in a pass of its lane
+    assert engine.lanes([[1, -1]])[1] == 1
+    assert len(runs) == 2
+    with pytest.raises(ValueError, match="outside universe"):
+        engine.lanes([[-4]])
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
